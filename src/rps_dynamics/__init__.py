@@ -20,6 +20,7 @@ from .errors import (
     NonpositiveRegret,
     NonpositiveWeight,
     NoVertexReached,
+    ProjectionInfeasible,
     RpsDynamicsError,
     SingularSystem,
     TooCloseToBoundary,
@@ -44,7 +45,6 @@ from .dynamics import (
     TiebreakKind,
     TiebreakRule,
     Trajectory,
-    dual_step,
     energy_fp,
     energy_gd,
     find_support,
@@ -101,12 +101,13 @@ __all__ = [
     "ConfigInvalid", "ArithmeticOverflow", "EmptyTrajectory",
     "NoVertexReached", "TooFewPhases", "NonpositiveRegret",
     "TooCloseToBoundary", "UnclassifiableTransition", "IoError",
+    "ProjectionInfeasible",
     # game
     "Number", "RpsMatrix", "make_rps", "SimplexPoint", "NashResult",
     "interior_nash", "gamma", "duality_gap",
     # dynamics
     "Algorithm", "Arithmetic", "TiebreakKind", "TiebreakRule", "SupportSet",
-    "LearnerConfig", "Trajectory", "run", "dual_step", "find_support",
+    "LearnerConfig", "Trajectory", "run", "find_support",
     "gd_primal", "fp_primal", "energy_fp", "energy_gd",
     # analysis
     "RegionKind", "RegionTag", "classify_region", "RegretReport", "regret",

@@ -14,7 +14,7 @@ dual vector y:
 Phases segment a trajectory into maximal runs at one best-response vertex, and
 the energy-growth ledger classifies each dual step against the per-case growth
 bounds those regions admit.  In float mode a step whose defining inequalities
-sit within ``1e-9`` of zero is tagged ambiguous and excluded from case
+sit within ``LEDGER_BAND`` of zero is tagged ambiguous and excluded from case
 assertions; exact-rational trajectories are audited with exact comparisons.
 """
 
@@ -34,7 +34,15 @@ from .errors import (
     TooFewPhases,
     UnclassifiableTransition,
 )
-from .dynamics import Algorithm, Trajectory, fp_primal
+from .dynamics import (
+    EXACT_CLASS_TOL,
+    LEDGER_BAND,
+    REL_TOL,
+    Algorithm,
+    Trajectory,
+    fp_primal,
+    tolerance,
+)
 from .game import Number, SimplexPoint, all_exact, duality_gap
 
 
@@ -162,10 +170,7 @@ def regret_at(traj: Trajectory, horizon: int) -> Number:
         raise ConfigInvalid("prefix regret needs a constant stepsize")
     if not 0 <= horizon <= traj.horizon:
         raise ValueError(f"horizon {horizon} outside [0, {traj.horizon}]")
-    eta = traj.config.eta
-    if traj.is_exact:
-        return 2 * Fraction(max(traj.y(horizon + 1))) / eta
-    return float(2.0 * traj.ys_array[horizon + 1].max() / eta)
+    return _div(2 * max(traj.y(horizon + 1)), traj.config.eta, traj.is_exact)
 
 
 def _curve_horizons(T: int, count: int) -> List[int]:
@@ -183,7 +188,7 @@ def _curve_horizons(T: int, count: int) -> List[int]:
 def regret(traj: Trajectory, curve_points: int = 33) -> RegretReport:
     """Full regret accounting for one trajectory."""
     T = traj.horizon
-    if (len(traj._ys) if traj.is_exact else traj.ys_array.shape[0]) < 2:
+    if traj.ys.shape[0] < 2:
         raise EmptyTrajectory("trajectory holds no dual step")
     cfg = traj.config
     is_fp = cfg.algorithm == Algorithm.FICTITIOUS_PLAY
@@ -201,19 +206,11 @@ def regret(traj: Trajectory, curve_points: int = 33) -> RegretReport:
         total = regret_at(traj, T)
         curve = tuple((h, regret_at(traj, h)) for h in horizons)
         H = traj.energy(T + 1)
-        if traj.is_exact:
-            by_energy = 2 * Fraction(H) / eta
-            upper = by_energy if is_fp else (2 * Fraction(H) + 1) / eta
-        else:
-            by_energy = 2 * H / eta
-            upper = by_energy if is_fp else (2 * H + 1) / eta
+        by_energy = _div(2 * H, eta, traj.is_exact)
+        upper = by_energy if is_fp else _div(2 * H + 1, eta, traj.is_exact)
 
-    if traj.is_exact:
-        count = T + 1
-        sums = [sum(col) for col in zip(*traj._xs)]
-        avg = SimplexPoint(tuple(Fraction(s, count) for s in sums))
-    else:
-        avg = SimplexPoint(tuple(float(c) for c in traj.xs_array.mean(axis=0)))
+    sums = traj.xs.sum(axis=0).tolist()
+    avg = SimplexPoint(tuple(_div(s, T + 1, traj.is_exact) for s in sums))
     gap = duality_gap(traj.matrix, avg)
 
     return RegretReport(
@@ -306,12 +303,16 @@ def detect_phases(
         t: _vertex_label(traj, t, is_fp) for t in range(1, T + 1)
     }
 
+    tol = tolerance(traj.is_exact, REL_TOL)
+
+    def increased(curr: Number, prev: Number) -> bool:
+        return curr > prev + tol * max(1, abs(prev))
+
     start_at = 1
     if start_rule == "energy_increase":
         h1 = traj.energy(1)
-        thresh = h1 if traj.is_exact else h1 + 1e-9 * max(1.0, abs(h1))
         start_at = next(
-            (t for t in range(2, T + 1) if traj.energy(t) > thresh), None
+            (t for t in range(2, T + 1) if increased(traj.energy(t), h1)), None
         )
         if start_at is None:
             raise NoVertexReached("energy never increased beyond H(y^1)")
@@ -324,11 +325,6 @@ def detect_phases(
         lab = labels[t]
         if lab is not None and lab != starts[-1][1]:
             starts.append((t, lab))
-
-    def increased(curr: Number, prev: Number) -> bool:
-        if traj.is_exact:
-            return curr > prev
-        return curr > prev + 1e-9 * max(1.0, abs(prev))
 
     phases: List[Phase] = []
     for k, (tk, vk) in enumerate(starts):
@@ -461,13 +457,13 @@ def _within(delta, lo, hi, exact: bool, strict: bool, cls: str) -> bool:
         if strict:
             return lo < delta < hi
         return lo <= delta <= hi
-    tol = 1e-12 if cls in _EXACT_CLASSES else 1e-9
+    tol = EXACT_CLASS_TOL if cls in _EXACT_CLASSES else LEDGER_BAND
     return lo - tol <= delta <= hi + tol
 
 
 def energy_growth_ledger(
     traj: Trajectory,
-    ambiguity_tol: float = 1e-9,
+    ambiguity_tol: float = LEDGER_BAND,
     on_unclassifiable: str = "record",
 ) -> List[LedgerEntry]:
     """Classify every dual step and check it against its case bound.
@@ -491,14 +487,12 @@ def energy_growth_ledger(
     exact = traj.is_exact
     is_fp = cfg.algorithm == Algorithm.FICTITIOUS_PLAY
     a_max = traj.matrix.a_max if exact else float(traj.matrix.a_max)
-    energies = traj._energies
+    energies = traj.energies.tolist()
 
     entries: List[LedgerEntry] = []
     prev_tag: Optional[RegionTag] = None
     for t in range(T + 1):
         delta = energies[t + 1] - energies[t]
-        if not exact:
-            delta = float(delta)
         if t == 0:
             entries.append(LedgerEntry(0, delta, INITIAL, None, None, None, False))
             continue
@@ -602,15 +596,8 @@ def check_dual_subspace(traj: Trajectory, star: SimplexPoint) -> Number:
     zero in rational mode)."""
     if star.n != traj.n:
         raise ConfigInvalid(f"equilibrium has dimension {star.n}, game {traj.n}")
-    if traj.is_exact:
-        worst: Number = 0
-        for yv in traj._ys:
-            val = abs(sum(c * v for c, v in zip(star.coords, yv)))
-            if val > worst:
-                worst = val
-        return worst
-    prods = traj.ys_array @ star.as_array()
-    return float(np.abs(prods).max())
+    prods = traj.ys @ np.array(star.coords, dtype=traj.ys.dtype)
+    return max(np.abs(prods).tolist())
 
 
 @dataclass(frozen=True)

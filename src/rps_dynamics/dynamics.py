@@ -35,8 +35,23 @@ from .errors import (
     ArithmeticOverflow,
     ConfigInvalid,
     DimensionMismatch,
+    ProjectionInfeasible,
 )
 from .game import Number, RpsMatrix, SimplexPoint, all_exact
+
+# Numeric tolerances of float runs.  Exact-rational runs compare exactly: every
+# tolerance below is 0 for them (see ``tolerance``).  Per-check acceptance
+# bounds of the verification suite stay with their checks.
+TIE_TOL = 1e-9            # FP: coordinates this close to the max tie for argmax
+PROJECTION_CLAMP = 1e-12  # GD: round-off negatives down to -this project to 0
+LEDGER_BAND = 1e-9        # ledger: ambiguous-margin band and slack on bounds
+EXACT_CLASS_TOL = 1e-12   # ledger: slack on bounds that are a single point
+REL_TOL = 1e-9            # relative slack of identities and energy monotonicity
+
+
+def tolerance(exact: bool, tol: float) -> Number:
+    """The float tolerance ``tol``, or 0 for exact arithmetic."""
+    return 0 if exact else tol
 
 
 class Algorithm(str, Enum):
@@ -160,16 +175,6 @@ class SupportSet:
         return len(self.indices)
 
 
-def dual_step(
-    y: Sequence[Number], x: Sequence[Number], matrix: RpsMatrix, eta: Number
-) -> Tuple[Number, ...]:
-    """One accumulated-payoff update y + eta * A x."""
-    if len(y) != matrix.n:
-        raise DimensionMismatch(f"dual vector has length {len(y)}, expected {matrix.n}")
-    v = matrix.apply(x)
-    return tuple(yi + eta * vi for yi, vi in zip(y, v))
-
-
 def find_support(y: Sequence[Number]) -> SupportSet:
     """Active set of the Euclidean projection of y onto the simplex.
 
@@ -203,7 +208,8 @@ def _projection_coords(y: Sequence[Number], indices: Tuple[int, ...]) -> List[Nu
     The float path forms each coordinate from pairwise differences of dual
     values (which are computed exactly when the values are close) rather than
     subtracting a large mean from a large value; round-off negatives up to
-    1e-12 are clamped to zero.
+    ``PROJECTION_CLAMP`` are clamped to zero, and anything lower means the
+    support is not the projection's.
     """
     n = len(y)
     m = len(indices)
@@ -222,8 +228,11 @@ def _projection_coords(y: Sequence[Number], indices: Tuple[int, ...]) -> List[Nu
             s += yi - y[j]
         c = s * inv_m + inv_m
         if c < 0.0:
-            if c < -1e-12:
-                raise AssertionError(f"projection coordinate {c!r} below -1e-12")
+            if c < -PROJECTION_CLAMP:
+                raise ProjectionInfeasible(
+                    f"projection coordinate {i} is {c!r} on support {indices}, "
+                    f"below -{PROJECTION_CLAMP:g}"
+                )
             c = 0.0
         out[i] = c
     return out
@@ -245,14 +254,14 @@ def fp_primal(
     """Index of the best-response vertex for a dual vector.
 
     ``tol`` widens the argmax tie set to all coordinates within tol of the
-    maximum (defaults: 0 for exact inputs, 1e-9 for floats).  ``step`` feeds
-    the seeded random rule.
+    maximum (defaults: 0 for exact inputs, ``TIE_TOL`` for floats).  ``step``
+    feeds the seeded random rule.
     """
     if rule is None:
         rule = TiebreakRule(TiebreakKind.LEXICOGRAPHIC)
     top = max(y)
     if tol is None:
-        tol = 0 if all_exact(y) else 1e-9
+        tol = tolerance(all_exact(y), TIE_TOL)
     tied = [i for i, v in enumerate(y) if v >= top - tol]
     return rule.select(tied, incumbent=incumbent, n=len(y), step=step)
 
@@ -347,7 +356,7 @@ class LearnerConfig:
     def effective_tie_tolerance(self) -> Number:
         if self.tie_tolerance is not None:
             return self.tie_tolerance
-        return 0 if self.is_exact else 1e-9
+        return tolerance(self.is_exact, TIE_TOL)
 
     def eta_at(self, step: int) -> Number:
         """Stepsize of the update that produces y^{step+1}."""
@@ -375,9 +384,13 @@ def _check_bits(values: Sequence[Number], budget: int, step: int) -> None:
 class Trajectory:
     """A recorded run: primals x^0..x^T, duals y^0..y^{T+1}, energies, supports.
 
-    Float runs live in numpy arrays; exact runs in lists of tuples.  Supports
-    are stored as bitmasks (bit i = coordinate i): supp(x^0) at t = 0, the
-    chosen vertex (FP) or the projection's active set (OGD) for t >= 1.
+    Both arithmetic modes store the same numpy columns, read-only: ``xs``
+    (T+1, n), ``ys`` (T+2, n) and ``energies`` (T+2,) are float64 for float
+    runs and dtype=object for exact runs, where they hold the very int and
+    ``Fraction`` values the run produced.  Supports are stored as bitmasks
+    (bit i = coordinate i): supp(x^0) at t = 0, the chosen vertex (FP) or the
+    projection's active set (OGD) for t >= 1.  ``x``, ``y`` and ``energy``
+    return Python numbers; the ``*_array`` views are float64 in both modes.
     """
 
     __slots__ = ("config", "matrix", "is_exact", "_xs", "_ys", "_energies", "_supports")
@@ -386,6 +399,8 @@ class Trajectory:
         self.config = config
         self.matrix = matrix
         self.is_exact = is_exact
+        for column in (xs, ys, energies, supports):
+            column.flags.writeable = False
         self._xs = xs
         self._ys = ys
         self._energies = energies
@@ -399,20 +414,26 @@ class Trajectory:
     def n(self) -> int:
         return self.matrix.n
 
+    @property
+    def xs(self) -> np.ndarray:
+        return self._xs
+
+    @property
+    def ys(self) -> np.ndarray:
+        return self._ys
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self._energies
+
     def x(self, t: int) -> Tuple[Number, ...]:
-        if self.is_exact:
-            return self._xs[t]
-        return tuple(float(v) for v in self._xs[t])
+        return tuple(self._xs[t].tolist())
 
     def y(self, t: int) -> Tuple[Number, ...]:
-        if self.is_exact:
-            return self._ys[t]
-        return tuple(float(v) for v in self._ys[t])
+        return tuple(self._ys[t].tolist())
 
     def energy(self, t: int) -> Number:
-        if self.is_exact:
-            return self._energies[t]
-        return float(self._energies[t])
+        return self._energies.item(t)
 
     def support_mask(self, t: int) -> int:
         return int(self._supports[t])
@@ -420,25 +441,29 @@ class Trajectory:
     def support(self, t: int) -> Tuple[int, ...]:
         return SupportSet.from_mask(self.support_mask(t)).indices
 
+    def payoffs(self) -> np.ndarray:
+        """(T+1, n) payoff vectors A x^t, in the column dtype.
+
+        Exact runs apply the cyclic matrix row by row, two products per
+        coordinate; an object-dtype matmul would do n of them.
+        """
+        if self.is_exact:
+            return np.array([self.matrix.apply(x) for x in self._xs.tolist()], dtype=object)
+        return self._xs @ self.matrix.as_array().T
+
     @property
     def xs_array(self) -> np.ndarray:
         """(T+1, n) float array of primal iterates."""
-        if self.is_exact:
-            return np.array([[float(c) for c in row] for row in self._xs])
-        return self._xs
+        return self._xs.astype(float, copy=False)
 
     @property
     def ys_array(self) -> np.ndarray:
         """(T+2, n) float array of dual iterates."""
-        if self.is_exact:
-            return np.array([[float(c) for c in row] for row in self._ys])
-        return self._ys
+        return self._ys.astype(float, copy=False)
 
     @property
     def energies_array(self) -> np.ndarray:
-        if self.is_exact:
-            return np.array([float(e) for e in self._energies])
-        return self._energies
+        return self._energies.astype(float, copy=False)
 
 
 def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
@@ -461,38 +486,16 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     rule = config.effective_tiebreak
     tol = config.effective_tie_tolerance
 
-    if exact:
-        mat = matrix
-        x: List[Number] = list(config.x0.coords)
-        y: List[Number] = [0] * n
-        xs: List[Tuple[Number, ...]] = []
-        ys: List[Tuple[Number, ...]] = []
-        energies: List[Number] = []
-        supports: List[int] = []
-    else:
-        mat = RpsMatrix(tuple(float(w) for w in matrix.weights))
-        x = [float(c) for c in config.x0.coords]
-        y = [0.0] * n
-        xs = np.empty((T + 1, n))
-        ys = np.empty((T + 2, n))
-        energies = np.empty(T + 2)
-        supports = np.zeros(T + 1, dtype=np.uint64)
-
-    def record_x(t, vec, mask):
-        if exact:
-            xs.append(tuple(vec))
-            supports.append(mask)
-        else:
-            xs[t] = vec
-            supports[t] = mask
-
-    def record_y(t, vec, en):
-        if exact:
-            ys.append(tuple(vec))
-            energies.append(en)
-        else:
-            ys[t] = vec
-            energies[t] = en
+    number = (lambda v: v) if exact else float
+    mat = RpsMatrix(tuple(number(w) for w in matrix.weights))
+    x: List[Number] = [number(c) for c in config.x0.coords]
+    y: List[Number] = [number(0)] * n
+    dtype = object if exact else np.float64
+    xs = np.empty((T + 1, n), dtype=dtype)
+    ys = np.empty((T + 2, n), dtype=dtype)
+    energies = np.empty(T + 2, dtype=dtype)
+    # Masks have n bits; past 64 they need Python ints.
+    supports = np.zeros(T + 1, dtype=np.uint64 if n <= 64 else object)
 
     supp_mask = 0
     for i, c in enumerate(x):
@@ -500,9 +503,11 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
             supp_mask |= 1 << i
     incumbent = config.x0.vertex_index
 
-    record_y(0, y, energy_fp(y) if is_fp else energy_gd(y))
+    ys[0] = y
+    energies[0] = energy_fp(y) if is_fp else energy_gd(y)
     for t in range(T + 1):
-        record_x(t, x, supp_mask)
+        xs[t] = x
+        supports[t] = supp_mask
         eta_t = config.eta_at(t)
         v = mat.apply(x)
         y = [yi + eta_t * vi for yi, vi in zip(y, v)]
@@ -512,7 +517,8 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
         else:
             support = find_support(y)
             en = energy_gd(y, support)
-        record_y(t + 1, y, en)
+        ys[t + 1] = y
+        energies[t + 1] = en
         if exact:
             _check_bits(y, config.bit_budget, t)
         if t < T:

@@ -53,6 +53,10 @@ class TooCloseToBoundary(RpsDynamicsError):
     """Finite differencing rejected a point too close to a region boundary."""
 
 
+class ProjectionInfeasible(RpsDynamicsError):
+    """A support set passed to the simplex projection gives a negative coordinate."""
+
+
 class UnclassifiableTransition(RpsDynamicsError):
     """A dual-space step does not match any tabulated transition class."""
 

@@ -46,6 +46,7 @@ from .analysis import (
     regret,
 )
 from .dynamics import (
+    REL_TOL,
     Algorithm,
     Arithmetic,
     LearnerConfig,
@@ -53,14 +54,17 @@ from .dynamics import (
     TiebreakRule,
     Trajectory,
     run,
+    tolerance,
 )
 from .errors import ConfigInvalid, IoError, NoVertexReached
-from .game import Number, RpsMatrix, SimplexPoint, all_exact, make_rps, number_to_json
+from .game import Number, SimplexPoint, all_exact, is_exact, make_rps, number_to_json
 
 OUT_ENV = "RPSDYN_OUT"
 OUTPUT_KINDS = ("trajectory_csv", "phases_csv", "ledger_csv", "report_json")
 
 _LEARNER_FIELDS = {f.name for f in dataclasses.fields(LearnerConfig)}
+# Scalar learner fields a sweep may vary.
+SWEEP_FIELDS = ("horizon", "eta", "tie_tolerance", "bit_budget", "eta_schedule")
 
 
 def default_out_dir() -> str:
@@ -86,8 +90,10 @@ class ExperimentSpec:
             if kind not in OUTPUT_KINDS:
                 raise ConfigInvalid(f"unknown output kind {kind!r}")
         for fname, values in self.sweep:
-            if fname not in _LEARNER_FIELDS:
-                raise ConfigInvalid(f"sweep field {fname!r} is not a learner field")
+            if fname not in SWEEP_FIELDS:
+                raise ConfigInvalid(
+                    f"sweep field {fname!r} is not one of {', '.join(SWEEP_FIELDS)}"
+                )
             if not isinstance(values, tuple) or not values:
                 raise ConfigInvalid(f"sweep over {fname!r} needs a nonempty value list")
 
@@ -472,95 +478,89 @@ def _verdict(check: str, passed: bool, details: str, chash: str) -> dict:
     return {"check": check, "pass": bool(passed), "details": details, "config_hash": chash}
 
 
+# ---------------------------------------------------------------------------
+# Per-trajectory invariants, shared by the run verdicts and the verify suite.
+# Float runs hold within REL_TOL (relative), exact runs exactly.
+
+
+def _relative_gap(value: Number, reference: Number) -> Number:
+    diff = abs(value - reference)
+    return (Fraction(diff) if is_exact(diff) else diff) / max(1, abs(reference))
+
+
+def dual_replay(traj: Trajectory) -> Tuple[bool, Number]:
+    """Whether y^{t+1} = y^t + eta_t A x^t holds on the stored columns, and
+    the largest residual."""
+    ys = traj.ys
+    etas = np.array([traj.config.eta_at(t) for t in range(traj.horizon + 1)], dtype=ys.dtype)
+    resid = np.abs(ys[1:] - ys[:-1] - traj.payoffs() * etas[:, None]).max()
+    return resid <= tolerance(traj.is_exact, REL_TOL), resid
+
+
+def energy_drops(traj: Trajectory) -> Tuple[List[int], float]:
+    """Steps t >= 1 where the energy falls, relative to max(1, |H(y^t)|), and
+    the worst relative one-step change."""
+    H = traj.energies
+    steps = np.diff(H)[1:]
+    scale = np.maximum(1, np.abs(H[1:-1]))
+    floor = -tolerance(traj.is_exact, REL_TOL) * scale
+    drops = [int(t) + 1 for t in np.nonzero(steps < floor)[0]]
+    return drops, float((steps / scale).min()) if steps.size else 0.0
+
+
+def regret_route_gaps(traj: Trajectory, rep: RegretReport) -> Dict[str, Tuple[bool, Number]]:
+    """(holds, relative gap) of each other regret route against the dual-based
+    total: summed payoffs (``direct``), the average iterate's duality gap times
+    T+1 (``gap``) and, for FP, the energy (``energy``)."""
+    routes = {
+        "direct": oracle.regret_direct(traj),
+        "gap": rep.duality_gap_avg * (traj.horizon + 1),
+    }
+    if traj.config.algorithm == Algorithm.FICTITIOUS_PLAY:
+        routes["energy"] = rep.regret_by_energy
+    tol = tolerance(traj.is_exact, REL_TOL)
+    gaps = {name: _relative_gap(value, rep.regret_total) for name, value in routes.items()}
+    return {name: (gap <= tol, gap) for name, gap in gaps.items()}
+
+
+def regret_bound_slack(traj: Trajectory, rep: RegretReport) -> Tuple[bool, Number]:
+    """Whether the regret stays below ``regret_upper`` (constant stepsizes
+    only), and the slack upper - total."""
+    upper = rep.regret_upper
+    slack = upper - rep.regret_total
+    return slack >= -tolerance(traj.is_exact, REL_TOL) * max(1, abs(upper)), slack
+
+
 def _run_verdicts(traj: Trajectory, rep: RegretReport, chash: str) -> List[dict]:
     """Universal invariants checked after every run.
 
     Regime-specific case bounds live in the ledger CSV instead; they assume the
     large-stepsize setting and would misfire on small-stepsize experiments.
     """
-    out = []
-    cfg = traj.config
-    T = traj.horizon
-
-    # The stored duals replay exactly from the stored primals.
-    if traj.is_exact:
-        worst = 0
-        for t in range(T + 1):
-            yn = tuple(
-                a + cfg.eta_at(t) * b
-                for a, b in zip(traj.y(t), traj.matrix.apply(traj.x(t)))
-            )
-            if yn != traj.y(t + 1):
-                worst = max(
-                    worst, max(abs(p - q) for p, q in zip(yn, traj.y(t + 1)))
-                )
-        ok = worst == 0
-        detail = "exact replay" if ok else f"max dual deviation {worst}"
-    else:
-        ys = traj.ys_array
-        payoffs = traj.xs_array @ traj.matrix.as_array().T
-        etas = np.array([float(cfg.eta_at(t)) for t in range(T + 1)])
-        resid = np.abs(ys[1:] - ys[:-1] - payoffs * etas[:, None]).max()
-        ok = resid <= 1e-9
-        detail = f"max dual residual {resid:.3g}"
-    out.append(_verdict("dual_consistency", ok, detail, chash))
-
-    # Energy never decreases from t = 1 on.
-    if traj.is_exact:
-        drops = [
-            t
-            for t in range(1, T + 1)
-            if traj.energy(t + 1) - traj.energy(t) < 0
-        ]
-        ok = not drops
-        detail = "exact monotone" if ok else f"energy drops at t={drops[:3]}"
-    else:
-        H = traj.energies_array
-        floor = -1e-9 * np.maximum(1.0, np.abs(H[1:-1]))
-        bad = np.nonzero(np.diff(H)[1:] < floor)[0]
-        ok = bad.size == 0
-        detail = (
-            "monotone within 1e-9 relative"
-            if ok
-            else f"energy drops at t={[int(b) + 1 for b in bad[:3]]}"
-        )
-    out.append(_verdict("energy_monotone", ok, detail, chash))
-
-    # Dual-based regret equals freshly summed payoffs.
-    direct = oracle.regret_direct(traj)
-    total = rep.regret_total
-    if traj.is_exact:
-        ok = direct == total
-        detail = "exact match" if ok else f"direct {direct} != total {total}"
-    else:
-        err = abs(float(direct) - float(total)) / max(1.0, abs(float(total)))
-        ok = err <= 1e-9
-        detail = f"relative gap {err:.3g}"
-    out.append(_verdict("regret_identity", ok, detail, chash))
-
-    if rep.regret_upper is not None:
-        if traj.is_exact:
-            ok = total <= rep.regret_upper
-            detail = f"total {total} <= bound {rep.regret_upper}" if ok else (
-                f"total {total} exceeds bound {rep.regret_upper}"
-            )
-        else:
-            slack = float(rep.regret_upper) - float(total)
-            ok = slack >= -1e-9 * max(1.0, abs(float(rep.regret_upper)))
-            detail = f"bound slack {slack:.3g}"
-        out.append(_verdict("regret_upper_bound", ok, detail, chash))
-
+    total, upper = rep.regret_total, rep.regret_upper
+    replay_ok, resid = dual_replay(traj)
+    drops, _ = energy_drops(traj)
+    routes = regret_route_gaps(traj, rep)
+    direct_ok, direct_gap = routes["direct"]
+    gap_ok, gap_gap = routes["gap"]
+    # (check, passed, text of a passing exact run, text otherwise)
+    rows = [
+        ("dual_consistency", replay_ok, "exact replay", f"max dual residual {float(resid):.3g}"),
+        ("energy_monotone", not drops, "exact monotone",
+         f"energy drops at t={drops[:3]}" if drops else "monotone within 1e-9 relative"),
+        ("regret_identity", direct_ok, "exact match", f"relative gap {float(direct_gap):.3g}"),
+    ]
+    if upper is not None:
+        bound_ok, slack = regret_bound_slack(traj, rep)
+        rows.append(("regret_upper_bound", bound_ok, f"total {total} <= bound {upper}",
+                     f"bound slack {float(slack):.3g}"))
     # Duality gap of the average iterate times the iterate count is the regret.
-    prod = rep.duality_gap_avg * (T + 1)
-    if traj.is_exact:
-        ok = prod == total
-        detail = "exact identity" if ok else f"gap*(T+1) {prod} != regret {total}"
-    else:
-        err = abs(float(prod) - float(total)) / max(1.0, abs(float(total)))
-        ok = err <= 1e-9
-        detail = f"relative gap {err:.3g}"
-    out.append(_verdict("duality_gap_identity", ok, detail, chash))
-    return out
+    rows.append(("duality_gap_identity", gap_ok, "exact identity",
+                 f"relative gap {float(gap_gap):.3g}"))
+    return [
+        _verdict(check, ok, exact_text if traj.is_exact and ok else text, chash)
+        for check, ok, exact_text, text in rows
+    ]
 
 
 def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunResult:

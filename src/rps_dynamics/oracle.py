@@ -60,14 +60,7 @@ def project_bruteforce(y: Sequence[Number]) -> Tuple[SimplexPoint, Number]:
 
 def regret_direct(traj: Trajectory) -> Number:
     """2 * max_i of the summed payoff vectors, straight from the primals."""
-    if traj.is_exact:
-        totals = [0] * traj.n
-        for xv in traj._xs:
-            v = traj.matrix.apply(xv)
-            totals = [a + b for a, b in zip(totals, v)]
-        return 2 * max(totals)
-    payoffs = traj.xs_array @ traj.matrix.as_array().T
-    return float(2.0 * payoffs.sum(axis=0).max())
+    return 2 * max(traj.payoffs().sum(axis=0).tolist())
 
 
 def grad_fd(y: Sequence[float], h: float = 1e-6) -> np.ndarray:

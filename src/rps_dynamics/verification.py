@@ -39,6 +39,7 @@ from .analysis import (
     verify_cycling,
 )
 from .dynamics import (
+    REL_TOL,
     Algorithm,
     Arithmetic,
     LearnerConfig,
@@ -51,6 +52,7 @@ from .dynamics import (
     run,
 )
 from .errors import SingularSystem, TooCloseToBoundary
+from .experiment import energy_drops, regret_bound_slack, regret_route_gaps
 from .game import SimplexPoint, gamma, interior_nash, make_rps
 
 QUICK_CAP = 10**3
@@ -242,7 +244,7 @@ def check_fp_sqrt_regret(store: TrajectoryStore, level: str) -> CheckResult:
                 # Constant-regret runs (energy-conserving tiebreaks) sit on
                 # the interval's closed 0.0 endpoint; least squares returns
                 # it with ~1e-16 noise, so the endpoint gets a tolerance.
-                ok = ok and -1e-9 <= slope <= 0.6
+                ok = ok and -REL_TOL <= slope <= 0.6
     ok = ok and worst_ratio <= 10.0
     if slopes:
         srange = f"slopes [{min(slopes):.3f}, {max(slopes):.3f}]"
@@ -341,19 +343,11 @@ def check_energy_monotone(store: TrajectoryStore, level: str) -> CheckResult:
     worst_key = "-"
     ok = True
     for key, traj in store.build_all():
-        if traj.is_exact:
-            for t in range(1, traj.horizon + 1):
-                if traj.energy(t + 1) < traj.energy(t):
-                    ok = False
-                    worst_key = key
-        else:
-            H = traj.energies_array
-            rel = np.diff(H)[1:] / np.maximum(1.0, np.abs(H[1:-1]))
-            drop = float(rel.min()) if rel.size else 0.0
-            if drop < worst:
-                worst = drop
-                worst_key = key
-            ok = ok and drop >= -1e-9
+        drops, drop = energy_drops(traj)
+        if drop < worst:
+            worst = drop
+            worst_key = key
+        ok = ok and not drops
     return CheckResult(
         "c06-energy-monotone",
         ok,
@@ -487,37 +481,14 @@ def check_regret_identities(store: TrajectoryStore, level: str) -> CheckResult:
     failures = []
     for key, traj in store.build_all():
         rep = regret(traj, curve_points=5)
-        total = rep.regret_total
-        direct = oracle.regret_direct(traj)
-        gap_route = rep.duality_gap_avg * (traj.horizon + 1)
-        if traj.is_exact:
-            if direct != total:
-                failures.append(f"{key}: direct != dual")
-            if gap_route != total:
-                failures.append(f"{key}: gap route != dual")
-            if rep.regret_by_energy is not None and traj.config.algorithm == (
-                Algorithm.FICTITIOUS_PLAY
-            ):
-                if rep.regret_by_energy != total:
-                    failures.append(f"{key}: energy route != dual")
-            if rep.regret_upper is not None and total > rep.regret_upper:
-                failures.append(f"{key}: upper bound violated")
-        else:
-            scale = max(1.0, abs(float(total)))
-            for name, other in (("direct", direct), ("gap", gap_route)):
-                rel = abs(float(other) - float(total)) / scale
-                worst_rel = max(worst_rel, rel)
-                if rel > 1e-9:
-                    failures.append(f"{key}: {name} route off by {rel:.2e}")
-            if traj.config.algorithm == Algorithm.FICTITIOUS_PLAY:
-                rel = abs(float(rep.regret_by_energy) - float(total)) / scale
-                worst_rel = max(worst_rel, rel)
-                if rel > 1e-9:
-                    failures.append(f"{key}: energy route off by {rel:.2e}")
-            if rep.regret_upper is not None:
-                slack = float(rep.regret_upper) - float(total)
-                if slack < -1e-9 * max(1.0, abs(float(rep.regret_upper))):
-                    failures.append(f"{key}: upper bound violated by {-slack:.2e}")
+        for name, (holds, gap) in regret_route_gaps(traj, rep).items():
+            worst_rel = max(worst_rel, float(gap))
+            if not holds:
+                failures.append(f"{key}: {name} route off by {float(gap):.2e}")
+        if rep.regret_upper is not None:
+            holds, slack = regret_bound_slack(traj, rep)
+            if not holds:
+                failures.append(f"{key}: upper bound violated by {float(-slack):.2e}")
     ok = not failures
     detail = (
         f"{len(store.catalog())} trajectories, max route disagreement {worst_rel:.2e}"

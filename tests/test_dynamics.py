@@ -12,11 +12,11 @@ from rps_dynamics import (
     ConfigInvalid,
     DimensionMismatch,
     LearnerConfig,
+    ProjectionInfeasible,
     SimplexPoint,
     SupportSet,
     TiebreakKind,
     TiebreakRule,
-    dual_step,
     energy_fp,
     energy_gd,
     find_support,
@@ -25,6 +25,7 @@ from rps_dynamics import (
     make_rps,
     run,
 )
+from rps_dynamics.dynamics import _projection_coords
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +96,12 @@ def test_projection_is_idempotent_on_simplex_points():
         x = tuple(float(v) for v in raw / raw.sum())
         p = gd_primal(list(x))
         assert max(abs(a - b) for a, b in zip(p.coords, x)) < 1e-12
+
+
+def test_projection_on_wrong_support_raises_package_error():
+    # On the full support the first coordinate is (0 - 10) / 3 + 1/3 = -3.
+    with pytest.raises(ProjectionInfeasible, match=r"coordinate 0 .*support \(0, 1, 2\)"):
+        _projection_coords((0.0, 10.0, 0.0), (0, 1, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +283,7 @@ def test_fp_duals_are_payoff_sums():
         m = make_rps(w)
         acc = tuple([0] * n)
         for t in range(traj.horizon + 1):
-            acc = dual_step(acc, traj.x(t), m, 1)
+            acc = tuple(a + v for a, v in zip(acc, m.apply(traj.x(t))))
             assert traj.y(t + 1) == acc
 
 

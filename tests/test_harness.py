@@ -322,6 +322,8 @@ def test_cli_exit_codes(tmp_path):
     floaty = write_json(tmp_path, fp_config(weights=[1.5, 1.0, 1.0]), "f.json")
     assert main(["run", "--config", floaty, "--arithmetic", "rational",
                  "--out", str(tmp_path)]) == 2
+    vector_sweep = write_json(tmp_path, fp_config(sweep=[["x0", [1, 2]]]), "v.json")
+    assert main(["sweep", "--config", vector_sweep, "--out", str(tmp_path)]) == 2
     with pytest.raises(SystemExit):
         main(["run"])                        # --config is required
 
