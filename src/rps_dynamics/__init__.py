@@ -60,6 +60,7 @@ from .analysis import (
     PhaseSummary,
     RegionKind,
     RegionTag,
+    RegionTrace,
     RegretReport,
     SmallStepVerdict,
     boundary_invariance_check,
@@ -72,6 +73,7 @@ from .analysis import (
     phase_length_check,
     regret,
     regret_at,
+    region_trace,
     small_stepsize_energy_check,
     verify_cycling,
 )
@@ -110,7 +112,8 @@ __all__ = [
     "LearnerConfig", "Trajectory", "run", "find_support",
     "gd_primal", "fp_primal", "energy_fp", "energy_gd",
     # analysis
-    "RegionKind", "RegionTag", "classify_region", "RegretReport", "regret",
+    "RegionKind", "RegionTag", "classify_region", "RegionTrace", "region_trace",
+    "RegretReport", "regret",
     "regret_at", "fit_regret_slope", "Phase", "PhaseSummary", "detect_phases",
     "verify_cycling", "PhaseLengthFit", "phase_length_check", "LedgerEntry",
     "energy_growth_ledger", "ledger_summary", "check_dual_subspace",

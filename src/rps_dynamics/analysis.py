@@ -11,6 +11,10 @@ dual vector y:
 * ``interior``  — the projection has full support;
 * ``other_boundary`` — everything else.
 
+``classify_region`` assigns one vector; ``region_trace`` assigns every dual
+vector of a trajectory in one numpy pass, memoized on the trajectory, and is
+what phase detection, the ledger and the cycling check read.
+
 Phases segment a trajectory into maximal runs at one best-response vertex, and
 the energy-growth ledger classifies each dual step against the per-case growth
 bounds those regions admit.  In float mode a step whose defining inequalities
@@ -22,7 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,6 +137,88 @@ def classify_region(y: Sequence[Number]) -> RegionTag:
     if interior_margin >= 0:
         return RegionTag(RegionKind.INTERIOR, None, interior_margin, min_abs)
     return RegionTag(RegionKind.OTHER_BOUNDARY, None, -max(candidates), min_abs)
+
+
+# Codes of ``RegionTrace.kind``: position in RegionKind's definition order.
+REGION_KINDS: Tuple[RegionKind, ...] = tuple(RegionKind)
+VERTEX, EDGE, INTERIOR, OTHER_BOUNDARY = range(len(REGION_KINDS))
+
+
+@dataclass(frozen=True, eq=False)  # array fields: == would be ambiguous
+class RegionTrace:
+    """Region of every dual vector y^0..y^{T+1} of one trajectory.
+
+    Row t is what ``classify_region`` says of ``traj.y(t)``: ``kind`` holds
+    codes into ``REGION_KINDS``, ``index`` the vertex or edge index (-1 where
+    the region has none) and ``min_abs_margin`` the tag's value, in the column
+    dtype.  The per-vector margin is not kept; no consumer reads it.
+    """
+
+    kind: np.ndarray
+    index: np.ndarray
+    min_abs_margin: np.ndarray
+
+    def label(self, t: int) -> str:
+        kind = REGION_KINDS[self.kind[t]].value
+        i = int(self.index[t])
+        return kind if i < 0 else f"{kind}_{i}"
+
+
+def region_trace(traj: Trajectory) -> RegionTrace:
+    """The trajectory's region trace, built on first use and then memoized."""
+    if traj.region_cache is None:
+        traj.region_cache = _build_region_trace(traj.ys)
+    return traj.region_cache
+
+
+def _build_region_trace(ys: np.ndarray) -> RegionTrace:
+    """``classify_region`` on every row of ``ys`` at once, column by column.
+
+    Each slack is formed with the scalar classifier's operations in its
+    order, so float rows round identically; object rows divide by a Fraction,
+    so int rows give Fractions as ``_div`` does.  Ties resolve as there:
+    vertex beats edge beats interior, and the first edge hit wins.
+    """
+    rows, n = ys.shape
+    div = Fraction if ys.dtype == object else float
+    cols = [ys[:, i] for i in range(n)]
+    kind = np.full(rows, OTHER_BOUNDARY, dtype=np.int8)
+    index = np.full(rows, -1, dtype=np.int64)
+    min_abs: Optional[np.ndarray] = None
+
+    def smallest(slacks: Iterable[np.ndarray]) -> np.ndarray:
+        # Rowwise min of the slacks; folds their |.| into min_abs on the way.
+        nonlocal min_abs
+        low = None
+        for s in slacks:
+            if min_abs is None:
+                min_abs = np.abs(s)
+            else:
+                np.minimum(min_abs, np.abs(s), out=min_abs)
+            low = s if low is None else np.minimum(low, s, out=low)
+        return low
+
+    total = sum(cols)  # from 0, left to right, as sum(y) adds
+    interior = smallest((n * cols[i] - total + 1) / div(n) for i in range(n))
+    kind[interior >= 0] = INTERIOR
+    for i in reversed(range(n)):  # last to first, so the first hit stays
+        j = (i + 1) % n
+        s1 = smallest([1 - np.abs(cols[i] - cols[j])])
+        s2 = smallest(
+            (cols[i] + cols[j] - 2 * cols[k] - 1) / div(2)
+            for k in range(n)
+            if k != i and k != j
+        )
+        hit = (s1 >= 0) & (s2 > 0)
+        kind[hit] = EDGE
+        index[hit] = i
+    for i in range(n):
+        hit = smallest(cols[i] - cols[j] - 1 for j in range(n) if j != i) > 0
+        kind[hit] = VERTEX
+        index[hit] = i
+    for column in (kind, index, min_abs):
+        column.flags.writeable = False  # shared by every consumer
+    return RegionTrace(kind, index, min_abs)
 
 
 # ---------------------------------------------------------------------------
@@ -268,19 +354,7 @@ class PhaseSummary:
         return len(self.phases)
 
 
-def _vertex_label(traj: Trajectory, t: int, is_fp: bool) -> Optional[int]:
-    if is_fp:
-        mask = traj.support_mask(t)
-        if mask and mask & (mask - 1) == 0:
-            return mask.bit_length() - 1
-        return None
-    tag = classify_region(traj.y(t))
-    return tag.index if tag.kind == RegionKind.VERTEX else None
-
-
-def detect_phases(
-    traj: Trajectory, start_rule: str = "first_vertex", tol: Optional[float] = None
-) -> PhaseSummary:
+def detect_phases(traj: Trajectory, start_rule: str = "first_vertex") -> PhaseSummary:
     """Segment a trajectory into vertex phases.
 
     ``start_rule`` picks t0: ``"first_vertex"`` (default) takes the first
@@ -299,9 +373,16 @@ def detect_phases(
     if T < 1:
         raise NoVertexReached("no iterate beyond the starting point")
 
-    labels: Dict[int, Optional[int]] = {
-        t: _vertex_label(traj, t, is_fp) for t in range(1, T + 1)
-    }
+    # labels[t]: the vertex iterate t sits at (FP: its singleton support;
+    # GD: its vertex region), -1 elsewhere.
+    if is_fp:
+        labels = [
+            m.bit_length() - 1 if m and m & (m - 1) == 0 else -1
+            for m in traj.supports.tolist()
+        ]
+    else:
+        trace = region_trace(traj)
+        labels = np.where(trace.kind == VERTEX, trace.index, -1).tolist()
 
     tol = tolerance(traj.is_exact, REL_TOL)
 
@@ -316,14 +397,14 @@ def detect_phases(
         )
         if start_at is None:
             raise NoVertexReached("energy never increased beyond H(y^1)")
-    t0 = next((t for t in range(start_at, T + 1) if labels[t] is not None), None)
+    t0 = next((t for t in range(start_at, T + 1) if labels[t] >= 0), None)
     if t0 is None:
         raise NoVertexReached("no vertex-region iterate found")
 
     starts: List[Tuple[int, int]] = [(t0, labels[t0])]
     for t in range(t0 + 1, T + 1):
         lab = labels[t]
-        if lab is not None and lab != starts[-1][1]:
+        if lab >= 0 and lab != starts[-1][1]:
             starts.append((t, lab))
 
     phases: List[Phase] = []
@@ -434,7 +515,7 @@ GD_EDGE_ADVANCE = "gd_edge_advance"
 _EXACT_CLASSES = (FP_SAME, GD_VERTEX_SAME)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     """One audited dual step y^t -> y^{t+1}.
 
@@ -489,8 +570,20 @@ def energy_growth_ledger(
     a_max = traj.matrix.a_max if exact else float(traj.matrix.a_max)
     energies = traj.energies.tolist()
 
+    if is_fp:
+        masks = traj.supports.tolist()
+    else:
+        trace = region_trace(traj)
+        kinds = trace.kind.tolist()
+        indices = trace.index.tolist()
+        # Float step t is ambiguous when y^t or y^{t+1} sits within the band.
+        if exact:
+            ambiguous_at = [False] * (T + 1)
+        else:
+            margins = trace.min_abs_margin
+            ambiguous_at = (np.minimum(margins[:-1], margins[1:]) <= ambiguity_tol).tolist()
+
     entries: List[LedgerEntry] = []
-    prev_tag: Optional[RegionTag] = None
     for t in range(T + 1):
         delta = energies[t + 1] - energies[t]
         if t == 0:
@@ -498,9 +591,9 @@ def energy_growth_ledger(
             continue
 
         if is_fp:
-            cur = traj.support_mask(t).bit_length() - 1
+            cur = masks[t].bit_length() - 1
             if t < T:
-                nxt = traj.support_mask(t + 1).bit_length() - 1
+                nxt = masks[t + 1].bit_length() - 1
             else:
                 # No stored x^{T+1}; classify the final dual step against the
                 # response the dynamics would have played next.
@@ -519,37 +612,34 @@ def energy_growth_ledger(
             entries.append(LedgerEntry(t, delta, cls, lo, hi, ok, False))
             continue
 
-        src = prev_tag if prev_tag is not None else classify_region(traj.y(t))
-        dst = classify_region(traj.y(t + 1))
-        prev_tag = dst
+        src, dst = kinds[t], kinds[t + 1]
+        src_i, dst_i = indices[t], indices[t + 1]
         eta_t = cfg.eta_at(t)
         b = eta_t * a_max
         n = traj.n
         cls = None
         strict = False
-        if src.kind == RegionKind.VERTEX and dst.kind == RegionKind.VERTEX:
-            if dst.index == src.index:
+        if src == VERTEX and dst == VERTEX:
+            if dst_i == src_i:
                 cls, lo, hi = GD_VERTEX_SAME, 0, 0
-            elif dst.index == (src.index + 1) % n:
+            elif dst_i == (src_i + 1) % n:
                 cls, lo, hi, strict = GD_VERTEX_ADVANCE, 1, b, True
-        elif src.kind == RegionKind.VERTEX and dst.kind == RegionKind.EDGE:
-            if dst.index == src.index:
+        elif src == VERTEX and dst == EDGE:
+            if dst_i == src_i:
                 cls, lo, hi = GD_VERTEX_TO_EDGE, 0, 1
-        elif src.kind == RegionKind.EDGE and dst.kind == RegionKind.VERTEX:
-            if dst.index in ((src.index + 1) % n, (src.index + 2) % n):
+        elif src == EDGE and dst == VERTEX:
+            if dst_i in ((src_i + 1) % n, (src_i + 2) % n):
                 cls, lo, hi = GD_EDGE_TO_VERTEX, 0, _div(b * b, 4, exact)
-        elif src.kind == RegionKind.EDGE and dst.kind == RegionKind.EDGE:
-            if dst.index == (src.index + 1) % n:
+        elif src == EDGE and dst == EDGE:
+            if dst_i == (src_i + 1) % n:
                 cls, lo, hi = GD_EDGE_ADVANCE, 0, b + _div(5, 4, exact)
-            elif dst.index == src.index:
+            elif dst_i == src_i:
                 # Lingering on one edge never happens under a large stepsize;
                 # leave it uncovered rather than invent a bound.
                 cls = None
-        ambiguous = (not exact) and min(
-            src.min_abs_margin, dst.min_abs_margin
-        ) <= ambiguity_tol
+        ambiguous = ambiguous_at[t]
         if cls is None:
-            name = f"uncovered:{src.label()}->{dst.label()}"
+            name = f"uncovered:{trace.label(t)}->{trace.label(t + 1)}"
             if on_unclassifiable == "raise":
                 raise UnclassifiableTransition(f"step {t}: {name}")
             entries.append(LedgerEntry(t, delta, name, None, None, None, ambiguous))

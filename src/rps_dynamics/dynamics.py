@@ -391,9 +391,14 @@ class Trajectory:
     (bit i = coordinate i): supp(x^0) at t = 0, the chosen vertex (FP) or the
     projection's active set (OGD) for t >= 1.  ``x``, ``y`` and ``energy``
     return Python numbers; the ``*_array`` views are float64 in both modes.
+    ``region_cache`` holds the memo of ``analysis.region_trace``, filled on
+    first use; the columns are read-only, so it never goes stale.
     """
 
-    __slots__ = ("config", "matrix", "is_exact", "_xs", "_ys", "_energies", "_supports")
+    __slots__ = (
+        "config", "matrix", "is_exact", "_xs", "_ys", "_energies", "_supports",
+        "region_cache",
+    )
 
     def __init__(self, config, matrix, xs, ys, energies, supports, is_exact):
         self.config = config
@@ -405,6 +410,7 @@ class Trajectory:
         self._ys = ys
         self._energies = energies
         self._supports = supports
+        self.region_cache = None
 
     @property
     def horizon(self) -> int:
@@ -425,6 +431,10 @@ class Trajectory:
     @property
     def energies(self) -> np.ndarray:
         return self._energies
+
+    @property
+    def supports(self) -> np.ndarray:
+        return self._supports
 
     def x(self, t: int) -> Tuple[Number, ...]:
         return tuple(self._xs[t].tolist())

@@ -96,6 +96,9 @@ class ExperimentSpec:
                 )
             if not isinstance(values, tuple) or not values:
                 raise ConfigInvalid(f"sweep over {fname!r} needs a nonempty value list")
+            for v in values:
+                # Fails now, not after the points before it have run.
+                dataclasses.replace(self.learner, **{fname: v})
 
     def to_json(self) -> dict:
         lc = self.learner
@@ -219,6 +222,25 @@ def parse_config(data: dict) -> ExperimentSpec:
         raise ConfigInvalid("bit_budget must be an integer")
     eta_schedule = raw_learner.get("eta_schedule")
 
+    # Sweep values count towards the arithmetic: a p/q among them makes the
+    # whole experiment rational.
+    sweep: List[Tuple[str, Tuple]] = []
+    for item in data.get("sweep", []):
+        if not isinstance(item, (list, tuple)) or len(item) != 2:
+            raise ConfigInvalid("sweep entries must be [field, [values...]] pairs")
+        fname, values = item
+        parsed: List = []
+        for v in values:
+            if fname == "horizon":
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ConfigInvalid("horizon sweep values must be integers")
+                parsed.append(v)
+            elif fname == "eta_schedule":
+                parsed.append(v)
+            else:
+                parsed.append(_parse_number(v, rational_seen, f"sweep.{fname}"))
+        sweep.append((fname, tuple(parsed)))
+
     note = data.get("note", "")
     explicit = raw_learner.get("arithmetic")
     if explicit is not None:
@@ -254,23 +276,6 @@ def parse_config(data: dict) -> ExperimentSpec:
         )
     except ConfigInvalid:
         raise
-
-    sweep: List[Tuple[str, Tuple]] = []
-    for item in data.get("sweep", []):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigInvalid("sweep entries must be [field, [values...]] pairs")
-        fname, values = item
-        parsed: List = []
-        for v in values:
-            if fname == "horizon":
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ConfigInvalid("horizon sweep values must be integers")
-                parsed.append(v)
-            elif fname == "eta_schedule":
-                parsed.append(v)
-            else:
-                parsed.append(_parse_number(v, rational_seen, f"sweep.{fname}"))
-        sweep.append((fname, tuple(parsed)))
 
     outputs = tuple(data.get("outputs", OUTPUT_KINDS))
     return ExperimentSpec(
@@ -374,11 +379,19 @@ def _open_writer(path: str):
     return fh, csv.writer(fh, lineterminator="\n")
 
 
+# Rows per write of the trajectory CSV: enough that formatting dominates the
+# per-block cost, few enough that the block's Python objects stay under 1 MiB.
+_CSV_BLOCK = 1024
+
+
 def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     n = traj.n
     T = traj.horizon
     exact = traj.is_exact
     cell = _rational_cell if exact else format_value
+    # One %-format per row; "%.17g" prints what format_value does, and exact
+    # cells arrive preformatted as p/q.
+    row = ",".join(["%d"] + ["%s" if exact else "%.17g"] * (2 * n + 1) + ["%d"]) + "\n"
     fh, w = _open_writer(path)
     with fh:
         w.writerow(
@@ -387,13 +400,21 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
             + [f"y_{i}" for i in range(1, n + 1)]
             + ["energy", "support"]
         )
-        for t in range(T + 1):
-            w.writerow(
-                [t]
-                + [cell(v) for v in traj.x(t)]
-                + [cell(v) for v in traj.y(t)]
-                + [cell(traj.energy(t)), str(traj.support_mask(t))]
-            )
+        for start in range(0, T + 1, _CSV_BLOCK):
+            block = slice(start, min(start + _CSV_BLOCK, T + 1))
+            lines = []
+            for t, x, y, e, mask in zip(
+                range(start, block.stop),
+                traj.xs[block].tolist(),
+                traj.ys[block].tolist(),
+                traj.energies[block].tolist(),
+                traj.supports[block].tolist(),
+            ):
+                cells = x + y + [e]
+                if exact:
+                    cells = [cell(v) for v in cells]
+                lines.append(row % (t, *cells, mask))
+            fh.writelines(lines)
         w.writerow(
             [T + 1]
             + ["" for _ in range(n)]

@@ -25,9 +25,8 @@ import numpy as np
 
 from . import oracle
 from .analysis import (
-    RegionKind,
+    EDGE,
     boundary_invariance_check,
-    classify_region,
     check_dual_subspace,
     detect_phases,
     energy_growth_ledger,
@@ -35,6 +34,7 @@ from .analysis import (
     ledger_summary,
     regret,
     regret_at,
+    region_trace,
     small_stepsize_energy_check,
     verify_cycling,
 )
@@ -296,17 +296,11 @@ def check_gd_cycling(store: TrajectoryStore, level: str) -> CheckResult:
     Teff = min(traj.horizon, 10**4)
     phases = detect_phases(traj)
     bad_phase = verify_cycling(phases, traj.n)
-    edge_repeats = 0
-    prev = classify_region(traj.y(phases.t0))
-    for t in range(phases.t0 + 1, Teff + 1):
-        cur = classify_region(traj.y(t))
-        if (
-            prev.kind == RegionKind.EDGE
-            and cur.kind == RegionKind.EDGE
-            and cur.index == prev.index
-        ):
-            edge_repeats += 1
-        prev = cur
+    trace = region_trace(traj)
+    kind = trace.kind[phases.t0 : Teff + 1]
+    index = trace.index[phases.t0 : Teff + 1]
+    on_edge = kind == EDGE
+    edge_repeats = int((on_edge[1:] & on_edge[:-1] & (index[1:] == index[:-1])).sum())
     ok = bad_phase is None and edge_repeats == 0
     return CheckResult(
         "c04-gd-cycling",

@@ -73,6 +73,46 @@ def test_parse_pq_with_float_elsewhere_rejected():
         parse_config(cfg)
 
 
+def test_parse_pq_sweep_value_forces_rational():
+    cfg = {
+        "name": "t",
+        "weights": [1, 1, 1],
+        "learner": {"algorithm": "gd", "eta": 1, "horizon": 5, "x0": [1, 0, 0]},
+        "sweep": [["eta", ["1/2", 2]]],
+    }
+    spec = parse_config(cfg)
+    assert spec.learner.arithmetic == Arithmetic.EXACT_RATIONAL
+    assert spec.sweep == (("eta", (Fraction(1, 2), 2)),)
+    assert "forced to rational" in spec.note
+    # A rational run breaks FP ties exactly: a p/q tolerance cannot apply.
+    with pytest.raises(ConfigInvalid):
+        parse_config(fp_config(sweep=[["tie_tolerance", ["1/2", 0]]]))
+
+
+def test_parse_pq_sweep_value_with_float_weights_rejected():
+    # A p/q sweep value makes the run rational, which float weights cannot be.
+    cfg = {
+        "name": "t",
+        "weights": [1.0, 1.0, 1.0],
+        "learner": {"algorithm": "gd", "eta": 1.0, "horizon": 5, "x0": [1, 0, 0]},
+        "sweep": [["eta", ["1/2", "2"]]],
+    }
+    with pytest.raises(ConfigInvalid):
+        parse_config(cfg)
+
+
+def test_parse_rejects_sweep_value_the_arithmetic_cannot_run():
+    # "2" is a decimal string, so a float eta, which a rational run refuses.
+    cfg = {
+        "name": "t",
+        "weights": [1, 1, 1],
+        "learner": {"algorithm": "gd", "eta": 1, "horizon": 5, "x0": [1, 0, 0]},
+        "sweep": [["eta", ["1/2", "2"]]],
+    }
+    with pytest.raises(ConfigInvalid):
+        parse_config(cfg)
+
+
 def test_parse_rejects_unknown_keys():
     with pytest.raises(ConfigInvalid):
         parse_config(fp_config(extra=1))
@@ -181,6 +221,41 @@ def test_trajectory_csv_layout(tmp_path):
     assert final[4:7] != ["", "", ""]
 
 
+def _trajectory_csv_by_cell(traj, path):
+    """The per-cell csv.writer layout the bulk writer must reproduce."""
+    from rps_dynamics.experiment import _rational_cell, format_value
+
+    cell = _rational_cell if traj.is_exact else format_value
+    n, T = traj.n, traj.horizon
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(["t"] + [f"x_{i}" for i in range(1, n + 1)]
+                   + [f"y_{i}" for i in range(1, n + 1)] + ["energy", "support"])
+        for t in range(T + 1):
+            w.writerow([t] + [cell(v) for v in traj.x(t)] + [cell(v) for v in traj.y(t)]
+                       + [cell(traj.energy(t)), str(traj.support_mask(t))])
+        w.writerow([T + 1] + [""] * n + [cell(v) for v in traj.y(T + 1)]
+                   + [cell(traj.energy(T + 1)), ""])
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_trajectory_csv_matches_per_cell_writer(tmp_path, exact):
+    # T crosses the writer's 4096-row block boundary twice.
+    cfg = {
+        "name": "big",
+        "weights": [1, 2, 1, 3] if exact else [1.0, 2.0, 1.0, 3.0],
+        "learner": {"algorithm": "gd", "horizon": 120 if exact else 9000,
+                    "eta": "3/2" if exact else 1.5,
+                    "x0": ["1/10", "2/10", "3/10", "4/10"] if exact else [0.1, 0.2, 0.3, 0.4]},
+        "outputs": ["trajectory_csv"],
+    }
+    res = run_experiment(parse_config(cfg), str(tmp_path))
+    ref = tmp_path / "ref.csv"
+    _trajectory_csv_by_cell(res.trajectory, str(ref))
+    with open(res.paths["trajectory_csv"], "rb") as got:
+        assert got.read() == ref.read_bytes()
+
+
 def test_rational_csv_cells(tmp_path):
     cfg = fp_config()
     cfg["learner"]["horizon"] = 5
@@ -265,6 +340,25 @@ def test_run_sweep(tmp_path):
         rows = list(csv.reader(fh))
     assert rows[0] == ["eta", "regret_total", "slope", "verdicts"]
     assert len(rows) == 3
+
+
+def test_rational_sweep_runs_rational(tmp_path):
+    cfg = {
+        "name": "sw",
+        "weights": [1, 1, 1],
+        "learner": {"algorithm": "gd", "eta": 1, "horizon": 5, "x0": [1, 0, 0]},
+        "sweep": [["eta", ["1/2", 2]]],
+        "outputs": ["report_json"],
+    }
+    sw = run_sweep(parse_config(cfg), str(tmp_path))
+    assert [r.spec.learner.eta for r in sw.results] == [Fraction(1, 2), 2]
+    for res in sw.results:
+        assert res.trajectory.is_exact
+        with open(res.paths["report_json"]) as fh:
+            report = json.load(fh)
+        assert report["config"]["learner"]["arithmetic"] == "rational"
+    assert report["config"]["learner"]["eta"] == 2
+    assert sw.all_passed
 
 
 def test_run_sweep_requires_sweep():
