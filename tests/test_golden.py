@@ -1,4 +1,4 @@
-"""Golden artifact digests: every preset plus two small exact-rational runs.
+"""Golden artifact digests: every preset plus small exact-rational runs.
 
 Each artifact the CLI writes is compared by sha256 against
 ``golden_digests.json``.  The recorded digests pin the bytes of the CSV and
@@ -44,6 +44,25 @@ EXACT_FP_TOURNAMENT = {
     },
 }
 
+# Between them these two step through every gradient-descent ledger class and
+# through uncovered steps, with exact bounds.
+EXACT_GD3_HALF = {
+    "name": "golden_gd3_exact",
+    "weights": [1, 1, 1],
+    "learner": {"algorithm": "gd", "horizon": 200, "eta": "1/2", "x0": [1, 0, 0]},
+}
+
+EXACT_GD4_WEIGHTED = {
+    "name": "golden_gd4_weighted_exact",
+    "weights": [1, 2, 3, 4],
+    "learner": {
+        "algorithm": "gd",
+        "horizon": 200,
+        "eta": 1,
+        "x0": ["1/20", "7/20", "39/100", "21/100"],
+    },
+}
+
 
 def _cli(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -54,7 +73,12 @@ def produce_digests(out):
     """Write every golden artifact into ``out`` and return {file: sha256}."""
     for preset in all_presets():
         _cli("preset", "run", preset.id, "--out", out)
-    for command, cfg in (("sweep", EXACT_GD_SWEEP), ("run", EXACT_FP_TOURNAMENT)):
+    for command, cfg in (
+        ("sweep", EXACT_GD_SWEEP),
+        ("run", EXACT_FP_TOURNAMENT),
+        ("run", EXACT_GD3_HALF),
+        ("run", EXACT_GD4_WEIGHTED),
+    ):
         path = os.path.join(out, f"{cfg['name']}.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cfg, fh)
