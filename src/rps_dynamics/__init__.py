@@ -25,7 +25,6 @@ from .errors import (
     SingularSystem,
     TooCloseToBoundary,
     TooFewPhases,
-    UnclassifiableTransition,
 )
 from .game import (
     NashResult,
@@ -54,9 +53,8 @@ from .dynamics import (
 )
 from .analysis import (
     BoundaryInvariance,
-    LedgerEntry,
+    Ledger,
     Phase,
-    PhaseLengthFit,
     PhaseSummary,
     RegionKind,
     RegionTag,
@@ -70,7 +68,6 @@ from .analysis import (
     energy_growth_ledger,
     fit_regret_slope,
     ledger_summary,
-    phase_length_check,
     regret,
     regret_at,
     region_trace,
@@ -102,7 +99,7 @@ __all__ = [
     "DimensionMismatch", "NonpositiveWeight", "SingularSystem",
     "ConfigInvalid", "ArithmeticOverflow", "EmptyTrajectory",
     "NoVertexReached", "TooFewPhases", "NonpositiveRegret",
-    "TooCloseToBoundary", "UnclassifiableTransition", "IoError",
+    "TooCloseToBoundary", "IoError",
     "ProjectionInfeasible",
     # game
     "Number", "RpsMatrix", "make_rps", "SimplexPoint", "NashResult",
@@ -115,8 +112,7 @@ __all__ = [
     "RegionKind", "RegionTag", "classify_region", "RegionTrace", "region_trace",
     "RegretReport", "regret",
     "regret_at", "fit_regret_slope", "Phase", "PhaseSummary", "detect_phases",
-    "verify_cycling", "PhaseLengthFit", "phase_length_check", "LedgerEntry",
-    "energy_growth_ledger", "ledger_summary", "check_dual_subspace",
+    "verify_cycling", "Ledger", "energy_growth_ledger", "ledger_summary", "check_dual_subspace",
     "BoundaryInvariance", "boundary_invariance_check", "SmallStepVerdict",
     "small_stepsize_energy_check",
     # oracle

@@ -36,7 +36,6 @@ from .errors import (
     NonpositiveRegret,
     NoVertexReached,
     TooFewPhases,
-    UnclassifiableTransition,
 )
 from .dynamics import (
     EXACT_CLASS_TOL,
@@ -437,116 +436,68 @@ def verify_cycling(phases: PhaseSummary, n: int) -> Optional[int]:
     return None
 
 
-@dataclass(frozen=True)
-class PhaseLengthFit:
-    """Support-line fit tau >= alpha * gamma - beta over the phase cloud."""
-
-    alpha: Optional[float]
-    beta: Optional[float]
-    min_residual: Optional[float]
-    degenerate: bool
-    phases_used: int
-
-
-def phase_length_check(
-    phases: PhaseSummary, n: Optional[int] = None
-) -> PhaseLengthFit:
-    """Fit the steepest lower support line to the (start energy, length) cloud.
-
-    The last (horizon-truncated) phase is dropped from the fit.  The slope is
-    the steepest positive edge of the lower convex hull; beta is the smallest
-    nonnegative intercept making tau_k >= alpha*gamma_k - beta hold for every
-    fitted phase.  With a single distinct abscissa or no positive hull slope
-    the fit is reported degenerate.
-    """
-    required = 2 * n if n is not None else 2
-    if phases.count < required:
-        raise TooFewPhases(
-            f"support-line fit wants >= {required} phases, got {phases.count}"
-        )
-    fitted = phases.phases[:-1] if phases.count > 1 else phases.phases
-    # Collapse duplicate abscissae to their binding (smallest) length.
-    best: Dict[float, int] = {}
-    for p in fitted:
-        g = float(p.start_energy)
-        if g not in best or p.length < best[g]:
-            best[g] = p.length
-    pts = sorted((g, float(tau)) for g, tau in best.items())
-    used = len(fitted)
-    span = pts[-1][0] - pts[0][0] if pts else 0.0
-    if len(pts) < 2 or span <= 1e-12 * max(1.0, abs(pts[-1][0])):
-        return PhaseLengthFit(None, None, None, True, used)
-
-    hull: List[Tuple[float, float]] = []
-    for p in pts:
-        while len(hull) >= 2:
-            (x1, y1), (x2, y2) = hull[-2], hull[-1]
-            if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(p)
-    slopes = [
-        (hull[k + 1][1] - hull[k][1]) / (hull[k + 1][0] - hull[k][0])
-        for k in range(len(hull) - 1)
-    ]
-    alpha = max((s for s in slopes if s > 0), default=None)
-    if alpha is None:
-        return PhaseLengthFit(None, None, None, True, used)
-    beta = max(0.0, max(alpha * g - tau for g, tau in pts))
-    resid = min(tau - alpha * g + beta for g, tau in pts)
-    return PhaseLengthFit(alpha, beta, resid, False, used)
-
-
 # ---------------------------------------------------------------------------
 # Energy-growth ledger
 
 
-INITIAL = "initial"
-FP_SAME = "fp_same"
-FP_SWITCH = "fp_switch"
-GD_VERTEX_SAME = "gd_vertex_same"
-GD_VERTEX_ADVANCE = "gd_vertex_advance"
-GD_VERTEX_TO_EDGE = "gd_vertex_to_edge"
-GD_EDGE_TO_VERTEX = "gd_edge_to_vertex"
-GD_EDGE_ADVANCE = "gd_edge_advance"
+# Codes of ``Ledger.cls``: position in LEDGER_CLASSES; UNCOVERED marks a step
+# that matches no tabulated case.
+LEDGER_CLASSES: Tuple[str, ...] = (
+    "initial", "fp_same", "fp_switch", "gd_vertex_same", "gd_vertex_advance",
+    "gd_vertex_to_edge", "gd_edge_to_vertex", "gd_edge_advance",
+)
+(INITIAL, FP_SAME, FP_SWITCH, GD_VERTEX_SAME, GD_VERTEX_ADVANCE,
+ GD_VERTEX_TO_EDGE, GD_EDGE_TO_VERTEX, GD_EDGE_ADVANCE) = range(len(LEDGER_CLASSES))
+UNCOVERED = -1
 
 # Classes whose bound is an exact point get a tighter float tolerance.
-_EXACT_CLASSES = (FP_SAME, GD_VERTEX_SAME)
+_POINT_CLASSES = (FP_SAME, GD_VERTEX_SAME)
+# Classes whose bounds exclude their ends in exact runs.
+_OPEN_CLASSES = (GD_VERTEX_ADVANCE,)
+
+# Gradient-descent steps by (source region, destination region, destination
+# index minus source index mod n), with the bounds on the energy gain given
+# b = eta_t * a_max and a number type ``d``.  Lingering on one edge never
+# happens under a large stepsize, so it stays uncovered rather than get an
+# invented bound.
+_GD_CASES = (
+    (GD_VERTEX_SAME, VERTEX, VERTEX, (0,), lambda b, d: (0, 0)),
+    (GD_VERTEX_ADVANCE, VERTEX, VERTEX, (1,), lambda b, d: (1, b)),
+    (GD_VERTEX_TO_EDGE, VERTEX, EDGE, (0,), lambda b, d: (0, 1)),
+    (GD_EDGE_TO_VERTEX, EDGE, VERTEX, (1, 2), lambda b, d: (0, b * b / d(4))),
+    (GD_EDGE_ADVANCE, EDGE, EDGE, (1,), lambda b, d: (0, b + d(5) / d(4))),
+)
 
 
-@dataclass(frozen=True, slots=True)
-class LedgerEntry:
-    """One audited dual step y^t -> y^{t+1}.
+@dataclass(frozen=True, eq=False)  # array fields: == would be ambiguous
+class Ledger:
+    """The audited dual steps y^t -> y^{t+1}, t = 0..T, as read-only columns.
 
-    ``ok`` is None for rows without bounds (the initial step and transitions
-    outside the tabulated cases); ``ambiguous`` marks float steps whose region
-    assignment sits within the ambiguity tolerance of a boundary.
+    ``delta`` is the energy gain H(y^{t+1}) - H(y^t); ``cls`` holds codes into
+    ``LEDGER_CLASSES``, or ``UNCOVERED`` for a step outside the case table.
+    ``lo`` and ``hi`` are the case bounds and ``ok`` says whether delta keeps
+    them; rows with ``cls <= INITIAL`` have no bounds (NaN or None) and
+    ``ok`` False.  ``delta``, ``lo`` and ``hi`` share the trajectory's column
+    dtype.  ``ambiguous`` marks float gradient-descent steps with an end
+    within ``LEDGER_BAND`` of a region boundary.
     """
 
-    t: int
-    delta: Number
-    transition: str
-    bound_lo: Optional[Number]
-    bound_hi: Optional[Number]
-    ok: Optional[bool]
-    ambiguous: bool
+    delta: np.ndarray
+    cls: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    ok: np.ndarray
+    ambiguous: np.ndarray
+    trace: Optional[RegionTrace]  # gradient descent only
+
+    def transition(self, t: int) -> str:
+        code = int(self.cls[t])
+        if code != UNCOVERED:
+            return LEDGER_CLASSES[code]
+        return f"uncovered:{self.trace.label(t)}->{self.trace.label(t + 1)}"
 
 
-def _within(delta, lo, hi, exact: bool, strict: bool, cls: str) -> bool:
-    if exact:
-        if strict:
-            return lo < delta < hi
-        return lo <= delta <= hi
-    tol = EXACT_CLASS_TOL if cls in _EXACT_CLASSES else LEDGER_BAND
-    return lo - tol <= delta <= hi + tol
-
-
-def energy_growth_ledger(
-    traj: Trajectory,
-    ambiguity_tol: float = LEDGER_BAND,
-    on_unclassifiable: str = "record",
-) -> List[LedgerEntry]:
+def energy_growth_ledger(traj: Trajectory) -> Ledger:
     """Classify every dual step and check it against its case bound.
 
     FP steps split on whether the best response changed: an unchanged response
@@ -558,122 +509,95 @@ def energy_growth_ledger(
     eta*a_max + 5/4.  The step from y^0 is recorded as "initial" with no
     bound, since x^0 is chosen by the experimenter rather than the dynamics.
 
-    Transitions outside the table are recorded with class
-    ``uncovered:<src>-><dst>`` (or raised, with on_unclassifiable="raise").
+    Exact runs compare exactly, and the forward jump's interval is open.
+    Float runs allow ``EXACT_CLASS_TOL`` around the point bounds and
+    ``LEDGER_BAND`` around the others.
     """
-    if on_unclassifiable not in ("record", "raise"):
-        raise ConfigInvalid(f"unknown on_unclassifiable {on_unclassifiable!r}")
     T = traj.horizon
     cfg = traj.config
     exact = traj.is_exact
-    is_fp = cfg.algorithm == Algorithm.FICTITIOUS_PLAY
     a_max = traj.matrix.a_max if exact else float(traj.matrix.a_max)
-    energies = traj.energies.tolist()
+    energies = traj.energies
+    delta = energies[1:] - energies[:-1]
+    cls = np.full(T + 1, UNCOVERED, dtype=np.int8)
+    cls[0] = INITIAL
+    lo = np.full(T + 1, None if exact else np.nan, dtype=energies.dtype)
+    hi = lo.copy()
+    ambiguous = np.zeros(T + 1, dtype=bool)
+    trace = None
 
-    if is_fp:
-        masks = traj.supports.tolist()
+    if cfg.algorithm == Algorithm.FICTITIOUS_PLAY:
+        masks = traj.supports
+        same = np.zeros(T + 1, dtype=bool)
+        same[1:T] = masks[1:T] == masks[2:]
+        if T >= 1:
+            # No stored x^{T+1}; classify the final dual step against the
+            # response the dynamics would have played next.
+            cur = int(masks[T]).bit_length() - 1
+            same[T] = cur == fp_primal(
+                traj.y(T + 1),
+                cfg.effective_tiebreak,
+                incumbent=cur,
+                tol=cfg.effective_tie_tolerance,
+                step=T + 1,
+            )
+        switch = ~same
+        switch[0] = False
+        cases = [(FP_SAME, same, 0, 0), (FP_SWITCH, switch, 0, a_max)]
     else:
         trace = region_trace(traj)
-        kinds = trace.kind.tolist()
-        indices = trace.index.tolist()
-        # Float step t is ambiguous when y^t or y^{t+1} sits within the band.
-        if exact:
-            ambiguous_at = [False] * (T + 1)
-        else:
+        src, dst = trace.kind[:-1], trace.kind[1:]
+        advance = (trace.index[1:] - trace.index[:-1]) % traj.n
+        b = cfg.etas() * a_max
+        number = Fraction if exact else float
+        cases = []
+        for code, src_kind, dst_kind, advances, bounds in _GD_CASES:
+            rows = (src == src_kind) & (dst == dst_kind) & np.isin(advance, advances)
+            rows[0] = False
+            cases.append((code, rows, *bounds(b[rows], number)))
+        if not exact:
+            # Step t is ambiguous when y^t or y^{t+1} sits within the band.
             margins = trace.min_abs_margin
-            ambiguous_at = (np.minimum(margins[:-1], margins[1:]) <= ambiguity_tol).tolist()
+            ambiguous[1:] = np.minimum(margins[1:-1], margins[2:]) <= LEDGER_BAND
 
-    entries: List[LedgerEntry] = []
-    for t in range(T + 1):
-        delta = energies[t + 1] - energies[t]
-        if t == 0:
-            entries.append(LedgerEntry(0, delta, INITIAL, None, None, None, False))
-            continue
+    for code, rows, low, high in cases:
+        cls[rows] = code
+        lo[rows] = low
+        hi[rows] = high
 
-        if is_fp:
-            cur = masks[t].bit_length() - 1
-            if t < T:
-                nxt = masks[t + 1].bit_length() - 1
-            else:
-                # No stored x^{T+1}; classify the final dual step against the
-                # response the dynamics would have played next.
-                nxt = fp_primal(
-                    traj.y(T + 1),
-                    cfg.effective_tiebreak,
-                    incumbent=cur,
-                    tol=cfg.effective_tie_tolerance,
-                    step=T + 1,
-                )
-            if nxt == cur:
-                cls, lo, hi, strict = FP_SAME, 0, 0, False
-            else:
-                cls, lo, hi, strict = FP_SWITCH, 0, a_max, False
-            ok = _within(delta, lo, hi, exact, strict, cls)
-            entries.append(LedgerEntry(t, delta, cls, lo, hi, ok, False))
-            continue
-
-        src, dst = kinds[t], kinds[t + 1]
-        src_i, dst_i = indices[t], indices[t + 1]
-        eta_t = cfg.eta_at(t)
-        b = eta_t * a_max
-        n = traj.n
-        cls = None
-        strict = False
-        if src == VERTEX and dst == VERTEX:
-            if dst_i == src_i:
-                cls, lo, hi = GD_VERTEX_SAME, 0, 0
-            elif dst_i == (src_i + 1) % n:
-                cls, lo, hi, strict = GD_VERTEX_ADVANCE, 1, b, True
-        elif src == VERTEX and dst == EDGE:
-            if dst_i == src_i:
-                cls, lo, hi = GD_VERTEX_TO_EDGE, 0, 1
-        elif src == EDGE and dst == VERTEX:
-            if dst_i in ((src_i + 1) % n, (src_i + 2) % n):
-                cls, lo, hi = GD_EDGE_TO_VERTEX, 0, _div(b * b, 4, exact)
-        elif src == EDGE and dst == EDGE:
-            if dst_i == (src_i + 1) % n:
-                cls, lo, hi = GD_EDGE_ADVANCE, 0, b + _div(5, 4, exact)
-            elif dst_i == src_i:
-                # Lingering on one edge never happens under a large stepsize;
-                # leave it uncovered rather than invent a bound.
-                cls = None
-        ambiguous = ambiguous_at[t]
-        if cls is None:
-            name = f"uncovered:{trace.label(t)}->{trace.label(t + 1)}"
-            if on_unclassifiable == "raise":
-                raise UnclassifiableTransition(f"step {t}: {name}")
-            entries.append(LedgerEntry(t, delta, name, None, None, None, ambiguous))
-        else:
-            ok = _within(delta, lo, hi, exact, strict, cls)
-            entries.append(LedgerEntry(t, delta, cls, lo, hi, ok, ambiguous))
-    return entries
+    bounded = cls > INITIAL
+    c, d = cls[bounded], delta[bounded]
+    tol = np.where(
+        np.isin(c, _POINT_CLASSES),
+        tolerance(exact, EXACT_CLASS_TOL),
+        tolerance(exact, LEDGER_BAND),
+    )
+    low, high = lo[bounded] - tol, hi[bounded] + tol
+    strict = np.isin(c, _OPEN_CLASSES) & exact
+    ok = np.zeros(T + 1, dtype=bool)
+    ok[bounded] = np.where(strict, (low < d) & (d < high), (low <= d) & (d <= high))
+    for column in (delta, cls, lo, hi, ok, ambiguous):
+        column.flags.writeable = False
+    return Ledger(delta, cls, lo, hi, ok, ambiguous, trace)
 
 
-def ledger_summary(entries: Sequence[LedgerEntry]) -> Dict[str, int]:
-    """Counts used by reports: audited steps, violations, exclusions."""
-    out = {
-        "steps": 0,
-        "in_bounds": 0,
-        "violations": 0,
-        "uncovered": 0,
-        "ambiguous": 0,
-        "initial": 0,
+def ledger_summary(ledger: Ledger) -> Dict[str, int]:
+    """Counts used by reports: audited steps, violations, exclusions.
+
+    An ambiguous step counts as ambiguous and nothing else.
+    """
+    cls = ledger.cls
+    clear = ~ledger.ambiguous
+    bounded = clear & (cls > INITIAL)
+    initial = int(np.count_nonzero(cls == INITIAL))
+    return {
+        "steps": cls.size - initial,
+        "in_bounds": int(np.count_nonzero(bounded & ledger.ok)),
+        "violations": int(np.count_nonzero(bounded & ~ledger.ok)),
+        "uncovered": int(np.count_nonzero(clear & (cls == UNCOVERED))),
+        "ambiguous": int(np.count_nonzero(ledger.ambiguous)),
+        "initial": initial,
     }
-    for e in entries:
-        if e.transition == INITIAL:
-            out["initial"] += 1
-            continue
-        out["steps"] += 1
-        if e.ambiguous:
-            out["ambiguous"] += 1
-            continue
-        if e.ok is None:
-            out["uncovered"] += 1
-        elif e.ok:
-            out["in_bounds"] += 1
-        else:
-            out["violations"] += 1
-    return out
 
 
 # ---------------------------------------------------------------------------

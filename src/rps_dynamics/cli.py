@@ -161,10 +161,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except IoError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 3
-    except OSError as exc:
+    except (IoError, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 3
     except RpsDynamicsError as exc:

@@ -364,6 +364,12 @@ class LearnerConfig:
             return 1.0 / math.sqrt(step + 1)
         return self.eta
 
+    def etas(self) -> np.ndarray:
+        """``eta_at(t)`` for t = 0..horizon as one column (object if exact)."""
+        if self.eta_schedule == "inv_sqrt_t":
+            return 1.0 / np.sqrt(np.arange(1, self.horizon + 2))
+        return np.full(self.horizon + 1, self.eta, dtype=object if self.is_exact else float)
+
 
 def _check_bits(values: Sequence[Number], budget: int, step: int) -> None:
     for v in values:

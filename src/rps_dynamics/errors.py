@@ -57,9 +57,5 @@ class ProjectionInfeasible(RpsDynamicsError):
     """A support set passed to the simplex projection gives a negative coordinate."""
 
 
-class UnclassifiableTransition(RpsDynamicsError):
-    """A dual-space step does not match any tabulated transition class."""
-
-
 class IoError(RpsDynamicsError):
     """Reading or writing an artifact failed."""

@@ -30,13 +30,16 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from . import analysis, oracle
 from .analysis import (
-    LedgerEntry,
+    INITIAL,
+    LEDGER_CLASSES,
+    UNCOVERED,
+    Ledger,
     PhaseSummary,
     RegretReport,
     detect_phases,
@@ -174,8 +177,7 @@ def parse_config(data: dict) -> ExperimentSpec:
     except KeyError as exc:
         raise ConfigInvalid(f"missing config key {exc}") from exc
 
-    allowed_learner = _LEARNER_FIELDS
-    unknown = set(raw_learner) - allowed_learner
+    unknown = set(raw_learner) - _LEARNER_FIELDS
     if unknown:
         raise ConfigInvalid(f"unknown learner keys: {sorted(unknown)}")
     try:
@@ -262,20 +264,17 @@ def parse_config(data: dict) -> ExperimentSpec:
         x0 = SimplexPoint(x0_coords)
     except ValueError as exc:
         raise ConfigInvalid(f"x0 is not a simplex point: {exc}") from exc
-    try:
-        learner = LearnerConfig(
-            algorithm=algorithm,
-            horizon=horizon,
-            x0=x0,
-            eta=eta,
-            tiebreak=tiebreak,
-            arithmetic=arithmetic,
-            tie_tolerance=tie_tol,
-            bit_budget=bit_budget,
-            eta_schedule=eta_schedule,
-        )
-    except ConfigInvalid:
-        raise
+    learner = LearnerConfig(
+        algorithm=algorithm,
+        horizon=horizon,
+        x0=x0,
+        eta=eta,
+        tiebreak=tiebreak,
+        arithmetic=arithmetic,
+        tie_tolerance=tie_tol,
+        bit_budget=bit_budget,
+        eta_schedule=eta_schedule,
+    )
 
     outputs = tuple(data.get("outputs", OUTPUT_KINDS))
     return ExperimentSpec(
@@ -360,8 +359,6 @@ def format_value(v) -> str:
         return f"{v:.17g}"
     if isinstance(v, Fraction):
         return f"{v.numerator}/{v.denominator}"
-    if isinstance(v, int):
-        return str(v)
     return str(v)
 
 
@@ -437,23 +434,33 @@ def write_phases_csv(summary: Optional[PhaseSummary], path: str, exact: bool = F
             )
 
 
-def write_ledger_csv(entries: Sequence[LedgerEntry], path: str, exact: bool = False) -> None:
-    cell = _rational_cell if exact else format_value
+def write_ledger_csv(ledger: Ledger, path: str) -> None:
+    # "%.17g" prints a float as format_value does, without its type tests.
+    cell = _rational_cell if ledger.delta.dtype == object else "%.17g".__mod__
     fh, w = _open_writer(path)
     with fh:
         w.writerow(["t", "class", "delta", "bound_lo", "bound_hi", "ok"])
-        for e in entries:
-            cls = f"ambiguous:{e.transition}" if e.ambiguous else e.transition
-            w.writerow(
-                [
-                    e.t,
-                    cls,
-                    cell(e.delta),
-                    cell(e.bound_lo) if e.bound_lo is not None else "",
-                    cell(e.bound_hi) if e.bound_hi is not None else "",
-                    "" if e.ok is None else ("true" if e.ok else "false"),
-                ]
-            )
+        for start in range(0, ledger.cls.size, _CSV_BLOCK):
+            block = slice(start, start + _CSV_BLOCK)
+            lines = []
+            for t, code, ambiguous, delta, lo, hi, ok in zip(
+                range(start, start + _CSV_BLOCK),
+                ledger.cls[block].tolist(),
+                ledger.ambiguous[block].tolist(),
+                ledger.delta[block].tolist(),
+                ledger.lo[block].tolist(),
+                ledger.hi[block].tolist(),
+                ledger.ok[block].tolist(),
+            ):
+                name = ledger.transition(t) if code == UNCOVERED else LEDGER_CLASSES[code]
+                if ambiguous:
+                    name = "ambiguous:" + name
+                if code > INITIAL:
+                    bounds = (cell(lo), cell(hi), "true" if ok else "false")
+                else:
+                    bounds = ("", "", "")
+                lines.append("%d,%s,%s,%s,%s,%s\n" % (t, name, cell(delta), *bounds))
+            fh.writelines(lines)
 
 
 def write_report_json(report: dict, path: str) -> None:
@@ -513,7 +520,7 @@ def dual_replay(traj: Trajectory) -> Tuple[bool, Number]:
     """Whether y^{t+1} = y^t + eta_t A x^t holds on the stored columns, and
     the largest residual."""
     ys = traj.ys
-    etas = np.array([traj.config.eta_at(t) for t in range(traj.horizon + 1)], dtype=ys.dtype)
+    etas = traj.config.etas()
     resid = np.abs(ys[1:] - ys[:-1] - traj.payoffs() * etas[:, None]).max()
     return resid <= tolerance(traj.is_exact, REL_TOL), resid
 
@@ -598,8 +605,8 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunResult:
     except NoVertexReached as exc:
         phases_note = str(exc)
 
-    entries = energy_growth_ledger(traj)
-    led = ledger_summary(entries)
+    ledger = energy_growth_ledger(traj)
+    led = ledger_summary(ledger)
 
     slope_fit = None
     try:
@@ -654,7 +661,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunResult:
         write_phases_csv(phases, paths["phases_csv"], exact=traj.is_exact)
     if "ledger_csv" in spec.outputs:
         paths["ledger_csv"] = base + "__ledger.csv"
-        write_ledger_csv(entries, paths["ledger_csv"], exact=traj.is_exact)
+        write_ledger_csv(ledger, paths["ledger_csv"])
     if "report_json" in spec.outputs:
         paths["report_json"] = base + "__report.json"
         write_report_json(report, paths["report_json"])

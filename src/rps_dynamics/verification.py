@@ -224,6 +224,15 @@ def _horizons(cap: int) -> List[int]:
     return [T for T in (10**2, 10**3, 10**4, 10**5) if T <= cap]
 
 
+def _sqrt_regret_envelope(traj: Trajectory, Ts: List[int]) -> Tuple[float, Optional[float]]:
+    """Largest Reg(T)/sqrt(T) over the horizons, and the log-log slope of
+    Reg(T) against T (None with fewer than 3 horizons)."""
+    pts = [(T, float(regret_at(traj, T))) for T in Ts]
+    ratio = max(r / math.sqrt(T) for T, r in pts)
+    slope = fit_regret_slope(pts)[0] if len(pts) >= 3 else None
+    return ratio, slope
+
+
 def check_fp_sqrt_regret(store: TrajectoryStore, level: str) -> CheckResult:
     """FP regret grows like sqrt(T) under every tiebreak rule tried."""
     Ts = _horizons(store.cap)
@@ -233,13 +242,10 @@ def check_fp_sqrt_regret(store: TrajectoryStore, level: str) -> CheckResult:
     ok = True
     for n in (3, 4):
         for rule_name in _FP_RULES:
-            traj = store.get(f"fp{n}_{rule_name}")
-            pts = [(T, float(regret_at(traj, T))) for T in Ts]
+            ratio, slope = _sqrt_regret_envelope(store.get(f"fp{n}_{rule_name}"), Ts)
             runs += 1
-            for T, r in pts:
-                worst_ratio = max(worst_ratio, r / math.sqrt(T))
-            if len(pts) >= 3:
-                slope, _ = fit_regret_slope(pts)
+            worst_ratio = max(worst_ratio, ratio)
+            if slope is not None:
                 slopes.append(slope)
                 # Constant-regret runs (energy-conserving tiebreaks) sit on
                 # the interval's closed 0.0 endpoint; least squares returns
@@ -313,17 +319,14 @@ def check_gd_cycling(store: TrajectoryStore, level: str) -> CheckResult:
 
 def check_gd_sqrt_regret(store: TrajectoryStore, level: str) -> CheckResult:
     """Large-stepsize GD regret also grows like sqrt(T)."""
-    traj = store.get("gd4_main")
     Ts = _horizons(store.cap)
-    pts = [(T, float(regret_at(traj, T))) for T in Ts]
-    worst_ratio = max(r / math.sqrt(T) for T, r in pts)
+    worst_ratio, slope = _sqrt_regret_envelope(store.get("gd4_main"), Ts)
     ok = worst_ratio <= 10.0
-    if len(pts) >= 3:
-        slope, _ = fit_regret_slope(pts)
+    if slope is not None:
         ok = ok and slope <= 0.6
         stext = f"slope {slope:.3f}"
     else:
-        stext = f"slope fit skipped ({len(pts)} horizons)"
+        stext = f"slope fit skipped ({len(Ts)} horizons)"
     return CheckResult(
         "c05-gd-sqrt-regret",
         ok,

@@ -1,3 +1,4 @@
+import csv
 import math
 import random
 from fractions import Fraction
@@ -18,24 +19,27 @@ from rps_dynamics import (
     TiebreakKind,
     TiebreakRule,
     TooFewPhases,
-    UnclassifiableTransition,
+    Trajectory,
     boundary_invariance_check,
     check_dual_subspace,
     classify_region,
     detect_phases,
     duality_gap,
     energy_growth_ledger,
+    fp_primal,
     fit_regret_slope,
     interior_nash,
     ledger_summary,
     make_rps,
-    phase_length_check,
     regret,
     regret_at,
     run,
     small_stepsize_energy_check,
     verify_cycling,
 )
+from rps_dynamics.analysis import FP_SWITCH, INITIAL
+from rps_dynamics.dynamics import EXACT_CLASS_TOL, LEDGER_BAND
+from rps_dynamics.experiment import write_ledger_csv
 from rps_dynamics.oracle import regret_direct
 
 
@@ -263,58 +267,18 @@ def test_verify_cycling_detects_breaks():
         verify_cycling(mk([0]), 3)
 
 
-def test_phase_length_fit_linear_growth():
-    # tau = 2*gamma + 1 exactly, plus a horizon-truncated final phase that the
-    # fit must ignore.
-    phases = tuple(
-        Phase(index=k, t_start=0, length=2 * g + 1, vertex=k % 3,
-              start_energy=float(g), energy_increased=True)
-        for k, g in enumerate([1, 2, 3, 4])
-    ) + (Phase(index=4, t_start=0, length=2, vertex=1, start_energy=5.0,
-               energy_increased=True),)
-    summary = PhaseSummary(phases=phases, t0=0, start_rule="first_vertex")
-    fit = phase_length_check(summary)
-    assert not fit.degenerate
-    assert abs(fit.alpha - 2.0) < 1e-12
-    assert fit.beta == 0.0
-    assert abs(fit.min_residual - 1.0) < 1e-12
-    assert fit.phases_used == 4
-
-
-def test_phase_length_fit_degenerate_single_abscissa():
-    phases = tuple(
-        Phase(index=k, t_start=0, length=3, vertex=k % 3,
-              start_energy=1.0, energy_increased=False)
-        for k in range(5)
-    )
-    fit = phase_length_check(PhaseSummary(phases=phases, t0=0, start_rule="first_vertex"))
-    assert fit.degenerate
-
-
-def test_phase_length_check_min_count():
-    phases = tuple(
-        Phase(index=k, t_start=0, length=3, vertex=k % 3,
-              start_energy=float(k), energy_increased=False)
-        for k in range(5)
-    )
-    summary = PhaseSummary(phases=phases, t0=0, start_rule="first_vertex")
-    with pytest.raises(TooFewPhases):
-        phase_length_check(summary, n=3)   # needs 2n = 6
-
-
 # ---------------------------------------------------------------------------
 # Energy-growth ledger
 
 
 def test_ledger_fp_reference_run():
     traj = _fp(T=30)
-    entries = energy_growth_ledger(traj)
-    assert entries[0].transition == "initial"
-    assert entries[0].ok is None
-    by_t = {e.t: e for e in entries}
-    assert by_t[1].transition == "fp_same" and by_t[1].delta == 0
-    assert by_t[3].transition == "fp_switch" and by_t[3].delta == 1.0
-    summary = ledger_summary(entries)
+    ledger = energy_growth_ledger(traj)
+    assert ledger.transition(0) == "initial"
+    assert ledger.cls[0] == INITIAL and np.isnan(ledger.lo[0]) and not ledger.ok[0]
+    assert ledger.transition(1) == "fp_same" and ledger.delta[1] == 0
+    assert ledger.transition(3) == "fp_switch" and ledger.delta[3] == 1.0
+    summary = ledger_summary(ledger)
     assert summary["violations"] == 0 and summary["uncovered"] == 0
     assert summary["steps"] == 30
     assert summary["in_bounds"] == 30 - summary["ambiguous"]
@@ -322,21 +286,20 @@ def test_ledger_fp_reference_run():
 
 def test_ledger_fp_switch_bound_is_a_max():
     traj = _fp(T=120, weights=(1, 2, 3), exact=True)
-    entries = energy_growth_ledger(traj)
-    for e in entries[1:]:
-        assert e.transition in ("fp_same", "fp_switch")
-        assert e.ok
-        if e.transition == "fp_switch":
-            assert 0 <= e.delta <= 3
+    ledger = energy_growth_ledger(traj)
+    assert {ledger.transition(t) for t in range(1, 121)} <= {"fp_same", "fp_switch"}
+    assert ledger.ok[1:].all()
+    switch = ledger.delta[1:][ledger.cls[1:] == FP_SWITCH]
+    assert all(0 <= d <= 3 for d in switch)
 
 
 def test_ledger_gd_large_step_classes():
     traj = _gd(n=4, T=400, eta=6.0, x0=SimplexPoint((0.05, 0.35, 0.39, 0.21)))
-    entries = energy_growth_ledger(traj)
-    summary = ledger_summary(entries)
+    ledger = energy_growth_ledger(traj)
+    summary = ledger_summary(ledger)
     assert summary["violations"] == 0
     assert summary["uncovered"] == 0
-    seen = {e.transition for e in entries[1:] if not e.ambiguous}
+    seen = {ledger.transition(t) for t in range(1, 401) if not ledger.ambiguous[t]}
     assert "gd_vertex_same" in seen
     assert "gd_vertex_to_edge" in seen or "gd_vertex_advance" in seen
 
@@ -345,18 +308,181 @@ def test_ledger_small_step_is_uncovered():
     # Tiny stepsize keeps iterates interior: no tabulated transition applies,
     # and the ledger says so instead of inventing bounds.
     traj = _gd(T=20, eta=0.01, x0=SimplexPoint((0.3, 0.4, 0.3)))
-    entries = energy_growth_ledger(traj)
-    assert any(e.transition.startswith("uncovered:interior") for e in entries)
-    assert ledger_summary(entries)["uncovered"] > 0
-    with pytest.raises(UnclassifiableTransition):
-        energy_growth_ledger(traj, on_unclassifiable="raise")
+    ledger = energy_growth_ledger(traj)
+    assert any(ledger.transition(t).startswith("uncovered:interior") for t in range(21))
+    assert ledger_summary(ledger)["uncovered"] > 0
 
 
 def test_ledger_delta_sums_to_energy_gain():
     traj = _gd(n=4, T=200, eta=6.0, x0=SimplexPoint((0.05, 0.35, 0.39, 0.21)))
-    entries = energy_growth_ledger(traj)
-    total = sum(float(e.delta) for e in entries)
+    ledger = energy_growth_ledger(traj)
+    total = sum(ledger.delta.tolist())
     assert abs(total - (float(traj.energy(201)) - float(traj.energy(0)))) < 1e-9
+
+
+def _doctored(algorithm, ys, energies, supports, exact, eta=1):
+    """A one-step trajectory built from given columns, not from a run."""
+    dtype = object if exact else float
+    cfg = LearnerConfig(
+        algorithm=algorithm,
+        horizon=1,
+        x0=SimplexPoint.vertex(3, 0),
+        eta=eta if exact else float(eta),
+        arithmetic=Arithmetic.EXACT_RATIONAL if exact else Arithmetic.FLOAT64,
+    )
+    return Trajectory(
+        cfg,
+        make_rps((1, 1, 1)),
+        np.array([[1, 0, 0], [1, 0, 0]], dtype=dtype),
+        np.array(ys, dtype=dtype),
+        np.array(energies, dtype=dtype),
+        np.array(supports, dtype=np.uint64),
+        exact,
+    )
+
+
+def _ledger_csv_row(ledger, path, t):
+    write_ledger_csv(ledger, str(path))
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[t + 1]
+
+
+def test_ledger_violations_read_false(tmp_path):
+    # FP: the final step switches response (y^2 favours action 3) and gains
+    # 2 > a_max = 1.
+    fp = energy_growth_ledger(
+        _doctored(Algorithm.FICTITIOUS_PLAY, [[0, 0, 0], [0, 1, 0], [0, 0, 5]],
+                  [0, 1, 3], [1, 2], exact=True)
+    )
+    # GD: vertex 1 -> vertex 2 gaining exactly its lower bound 1, which the
+    # open exact interval (1, eta*a_max) excludes.  y^0 sits on vertex 1 as
+    # well, and row 0 still reads initial.
+    advance = ([[3, 0, 0], [3, 0, 0], [0, 3, 0]], [2, 2, 3], [1, 1])
+    gd = energy_growth_ledger(
+        _doctored(Algorithm.GRADIENT_DESCENT, *advance, exact=True, eta=4)
+    )
+    assert fp.transition(1) == "fp_switch" and not fp.ok[1]
+    assert gd.transition(0) == "initial" and ledger_summary(gd)["initial"] == 1
+    assert gd.transition(1) == "gd_vertex_advance" and not gd.ok[1]
+    assert (fp.lo[1], fp.hi[1], gd.lo[1], gd.hi[1]) == (0, 1, 1, 4)
+    assert ledger_summary(fp)["violations"] + ledger_summary(gd)["violations"] == 2
+    assert _ledger_csv_row(fp, tmp_path / "fp.csv", 1) == [
+        "1", "fp_switch", "2/1", "0/1", "1/1", "false"
+    ]
+    assert _ledger_csv_row(gd, tmp_path / "gd.csv", 1) == [
+        "1", "gd_vertex_advance", "1/1", "1/1", "4/1", "false"
+    ]
+    # Float runs close the interval and widen it by the band.
+    gd_float = energy_growth_ledger(
+        _doctored(Algorithm.GRADIENT_DESCENT, *advance, exact=False, eta=4)
+    )
+    assert gd_float.ok[1] and ledger_summary(gd_float)["violations"] == 0
+    assert _ledger_csv_row(gd_float, tmp_path / "gd_float.csv", 1) == [
+        "1", "gd_vertex_advance", "1", "1", "4", "true"
+    ]
+    # A zero bound allows float runs only 1e-12, not the 1e-9 band.
+    fp_float = energy_growth_ledger(
+        _doctored(Algorithm.FICTITIOUS_PLAY, [[0, 0, 0], [1, 0, 0], [2, 0, 0]],
+                  [0, 1, 1 + 1e-10], [1, 1], exact=False)
+    )
+    assert fp_float.transition(1) == "fp_same" and not fp_float.ok[1]
+
+
+def _reference_ledger(traj):
+    """The ledger step by step from ``classify_region``: one (class, lo, hi,
+    ok, ambiguous) tuple per t, None where a row has no bounds."""
+    T, cfg, exact, n = traj.horizon, traj.config, traj.is_exact, traj.n
+    a_max = traj.matrix.a_max if exact else float(traj.matrix.a_max)
+    number = Fraction if exact else float
+    tags = [classify_region(traj.y(t)) for t in range(T + 2)]
+    rows = [("initial", None, None, None, False)]
+    for t in range(1, T + 1):
+        delta = traj.energy(t + 1) - traj.energy(t)
+        cls, lo, hi, strict, ambiguous = None, None, None, False, False
+        if cfg.algorithm == Algorithm.FICTITIOUS_PLAY:
+            cur = traj.support(t)[0]
+            if t < T:
+                nxt = traj.support(t + 1)[0]
+            else:
+                nxt = fp_primal(traj.y(T + 1), cfg.effective_tiebreak, incumbent=cur,
+                                tol=cfg.effective_tie_tolerance, step=T + 1)
+            cls, lo, hi = ("fp_same", 0, 0) if nxt == cur else ("fp_switch", 0, a_max)
+        else:
+            src, dst = tags[t], tags[t + 1]
+            if not exact:
+                ambiguous = min(src.min_abs_margin, dst.min_abs_margin) <= LEDGER_BAND
+            b = cfg.eta_at(t) * a_max
+            vertex, edge = RegionKind.VERTEX, RegionKind.EDGE
+            i, j = src.index, dst.index
+            if src.kind == dst.kind == vertex and j == i:
+                cls, lo, hi = "gd_vertex_same", 0, 0
+            elif src.kind == dst.kind == vertex and j == (i + 1) % n:
+                cls, lo, hi, strict = "gd_vertex_advance", 1, b, True
+            elif (src.kind, dst.kind) == (vertex, edge) and j == i:
+                cls, lo, hi = "gd_vertex_to_edge", 0, 1
+            elif (src.kind, dst.kind) == (edge, vertex) and j in ((i + 1) % n, (i + 2) % n):
+                cls, lo, hi = "gd_edge_to_vertex", 0, b * b / number(4)
+            elif src.kind == dst.kind == edge and j == (i + 1) % n:
+                cls, lo, hi = "gd_edge_advance", 0, b + number(5) / number(4)
+            else:
+                cls = f"uncovered:{src.label()}->{dst.label()}"
+        ok = None
+        if lo is not None:
+            if exact:
+                ok = lo < delta < hi if strict else lo <= delta <= hi
+            else:
+                tol = EXACT_CLASS_TOL if cls in ("fp_same", "gd_vertex_same") else LEDGER_BAND
+                ok = lo - tol <= delta <= hi + tol
+        rows.append((cls, lo, hi, ok, ambiguous))
+    return rows
+
+
+def _reference_run(index):
+    x0_gd4 = SimplexPoint((0.05, 0.35, 0.39, 0.21))
+    if index == 0:
+        return _fp(n=4, T=300)
+    if index == 1:
+        return _fp(n=4, T=300, rule=TiebreakRule(TiebreakKind.RANDOM_SEEDED, seed=3))
+    if index == 2:
+        return _fp(n=3, T=200, weights=(1, 2, 3), exact=True)
+    if index == 3:
+        return _gd(n=4, T=400, eta=6.0, x0=x0_gd4)
+    if index == 4:
+        return _gd(n=4, T=300, eta=1.0, weights=(1.0, 2.0, 3.0, 4.0), x0=x0_gd4)
+    if index == 5:
+        return _gd(T=50, eta=0.01, x0=SimplexPoint((0.3, 0.4, 0.3)))
+    if index == 6:
+        cfg = LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=200,
+                            x0=SimplexPoint((0.3, 0.4, 0.3)), eta_schedule="inv_sqrt_t")
+        return run(cfg, make_rps((1.0, 1.0, 1.0)))
+    if index == 7:
+        return _gd(T=200, eta=Fraction(1, 2), exact=True)
+    x0 = SimplexPoint(tuple(Fraction(k, 100) for k in (5, 35, 39, 21)))
+    return _gd(n=4, T=200, eta=1, weights=(1, 2, 3, 4), x0=x0, exact=True)
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_ledger_columns_match_step_by_step_reference(index):
+    traj = _reference_run(index)
+    ledger = energy_growth_ledger(traj)
+    expected = _reference_ledger(traj)
+    for t, (cls, lo, hi, ok, ambiguous) in enumerate(expected):
+        assert ledger.transition(t) == cls, t
+        assert ledger.delta[t] == traj.energy(t + 1) - traj.energy(t), t
+        assert bool(ledger.ambiguous[t]) == ambiguous, t
+        if lo is None:
+            assert ledger.cls[t] <= INITIAL and not ledger.ok[t], t
+        else:
+            assert (ledger.lo[t], ledger.hi[t], bool(ledger.ok[t])) == (lo, hi, ok), t
+    clear = [row for row in expected[1:] if not row[4]]
+    assert ledger_summary(ledger) == {
+        "steps": traj.horizon,
+        "in_bounds": sum(row[3] is True for row in clear),
+        "violations": sum(row[3] is False for row in clear),
+        "uncovered": sum(row[3] is None for row in clear),
+        "ambiguous": traj.horizon - len(clear),
+        "initial": 1,
+    }
 
 
 # ---------------------------------------------------------------------------
