@@ -112,7 +112,8 @@ __all__ = [
     "RegionKind", "RegionTag", "classify_region", "RegionTrace", "region_trace",
     "RegretReport", "regret",
     "regret_at", "fit_regret_slope", "Phase", "PhaseSummary", "detect_phases",
-    "verify_cycling", "Ledger", "energy_growth_ledger", "ledger_summary", "check_dual_subspace",
+    "verify_cycling", "Ledger", "energy_growth_ledger", "ledger_summary",
+    "check_dual_subspace",
     "BoundaryInvariance", "boundary_invariance_check", "SmallStepVerdict",
     "small_stepsize_energy_check",
     # oracle
