@@ -337,36 +337,26 @@ class Phase:
     start_energy: Number        # gamma_k = H(y^{t_k})
     energy_increased: bool      # c_k; False for the first phase
 
-    @property
-    def t_end(self) -> int:
-        return self.t_start + self.length
-
 
 @dataclass(frozen=True)
 class PhaseSummary:
     phases: Tuple[Phase, ...]
     t0: int
-    start_rule: str
 
     @property
     def count(self) -> int:
         return len(self.phases)
 
 
-def detect_phases(traj: Trajectory, start_rule: str = "first_vertex") -> PhaseSummary:
+def detect_phases(traj: Trajectory) -> PhaseSummary:
     """Segment a trajectory into vertex phases.
 
-    ``start_rule`` picks t0: ``"first_vertex"`` (default) takes the first
-    t >= 1 whose iterate sits at a vertex; ``"energy_increase"`` takes the
-    first t whose energy strictly exceeds H(y^1) (then advances to the next
-    vertex if that iterate is not one).  A phase ends at the first later
-    iterate sitting at a *different* vertex; edge or boundary iterates in
-    between extend the current phase.  The final phase is truncated by the
+    The first phase starts at t0, the first t >= 1 whose iterate sits at a
+    vertex.  A phase ends at the first later iterate sitting at a *different*
+    vertex; edge or boundary iterates in between extend the current phase.  The final phase is truncated by the
     horizon: its length counts through iterate T, so lengths plus t0 tile
     [t0, T] exactly.
     """
-    if start_rule not in ("first_vertex", "energy_increase"):
-        raise ConfigInvalid(f"unknown start_rule {start_rule!r}")
     T = traj.horizon
     is_fp = traj.config.algorithm == Algorithm.FICTITIOUS_PLAY
     if T < 1:
@@ -383,20 +373,7 @@ def detect_phases(traj: Trajectory, start_rule: str = "first_vertex") -> PhaseSu
         trace = region_trace(traj)
         labels = np.where(trace.kind == VERTEX, trace.index, -1).tolist()
 
-    tol = tolerance(traj.is_exact, REL_TOL)
-
-    def increased(curr: Number, prev: Number) -> bool:
-        return curr > prev + tol * max(1, abs(prev))
-
-    start_at = 1
-    if start_rule == "energy_increase":
-        h1 = traj.energy(1)
-        start_at = next(
-            (t for t in range(2, T + 1) if increased(traj.energy(t), h1)), None
-        )
-        if start_at is None:
-            raise NoVertexReached("energy never increased beyond H(y^1)")
-    t0 = next((t for t in range(start_at, T + 1) if labels[t] >= 0), None)
+    t0 = next((t for t in range(1, T + 1) if labels[t] >= 0), None)
     if t0 is None:
         raise NoVertexReached("no vertex-region iterate found")
 
@@ -405,6 +382,11 @@ def detect_phases(traj: Trajectory, start_rule: str = "first_vertex") -> PhaseSu
         lab = labels[t]
         if lab >= 0 and lab != starts[-1][1]:
             starts.append((t, lab))
+
+    tol = tolerance(traj.is_exact, REL_TOL)
+
+    def increased(curr: Number, prev: Number) -> bool:
+        return curr > prev + tol * max(1, abs(prev))
 
     phases: List[Phase] = []
     for k, (tk, vk) in enumerate(starts):
@@ -421,7 +403,7 @@ def detect_phases(traj: Trajectory, start_rule: str = "first_vertex") -> PhaseSu
                 energy_increased=c_k,
             )
         )
-    return PhaseSummary(phases=tuple(phases), t0=t0, start_rule=start_rule)
+    return PhaseSummary(phases=tuple(phases), t0=t0)
 
 
 def verify_cycling(phases: PhaseSummary, n: int) -> Optional[int]:

@@ -93,24 +93,25 @@ def _report_run(res) -> None:
         print(f"  wrote {path}")
 
 
-def _cmd_run(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
-    res = run_experiment(spec, args.out or default_out_dir())
-    _report_run(res)
-    if args.strict and not res.all_passed:
-        return 1
-    return 0
-
-
-def _cmd_sweep(args) -> int:
-    spec = _apply_overrides(load_config(args.config), args)
-    sw = run_sweep(spec, args.out or default_out_dir())
+def _execute(spec, out: str, sweep: bool) -> bool:
+    """Run one spec, or its sweep, print the report, and say whether every
+    per-run verdict passed."""
+    if not sweep:
+        res = run_experiment(spec, out)
+        _report_run(res)
+        return res.all_passed
+    sw = run_sweep(spec, out)
     for res in sw.results:
         _report_run(res)
     print(f"aggregate: {sw.csv_path}")
-    if args.strict and not sw.all_passed:
-        return 1
-    return 0
+    return sw.all_passed
+
+
+def _cmd_run(args) -> int:
+    """``run`` and ``sweep``: one config file."""
+    spec = _apply_overrides(load_config(args.config), args)
+    ok = _execute(spec, args.out or default_out_dir(), sweep=args.command == "sweep")
+    return 1 if args.strict and not ok else 0
 
 
 def _cmd_verify(args) -> int:
@@ -125,34 +126,20 @@ def _cmd_preset(args) -> int:
             print(f"{preset.id:<22} {preset.description}")
             print(f"{'':<22} runs: {names}")
         return 0
-    preset = get_preset(args.preset_id)
     out = args.out or default_out_dir()
-    ok = True
-    for spec in preset.specs:
+    passed = []
+    for spec in get_preset(args.preset_id).specs:
         spec = _apply_overrides(spec, args)
-        if spec.sweep:
-            sw = run_sweep(spec, out)
-            for res in sw.results:
-                _report_run(res)
-            print(f"aggregate: {sw.csv_path}")
-            ok = ok and sw.all_passed
-        else:
-            res = run_experiment(spec, out)
-            _report_run(res)
-            ok = ok and res.all_passed
-    if args.strict and not ok:
-        return 1
-    return 0
+        passed.append(_execute(spec, out, sweep=bool(spec.sweep)))
+    return 1 if args.strict and not all(passed) else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "run":
+        if args.command in ("run", "sweep"):
             return _cmd_run(args)
-        if args.command == "sweep":
-            return _cmd_sweep(args)
         if args.command == "verify":
             return _cmd_verify(args)
         if args.command == "preset":

@@ -288,6 +288,20 @@ def parse_config(data: dict) -> ExperimentSpec:
     )
 
 
+def config_document(
+    name: str, weights, algorithm: str, horizon: int, x0, sweep=(), note: str = "", **learner
+) -> dict:
+    """A config document as ``parse_config`` reads it; ``learner`` holds the
+    optional learner keys (``eta``, ``tiebreak``, ``arithmetic``, ...)."""
+    return {
+        "name": name,
+        "weights": list(weights),
+        "learner": {"algorithm": algorithm, "horizon": horizon, "x0": list(x0), **learner},
+        "sweep": list(sweep),
+        "note": note,
+    }
+
+
 def load_config(path: str) -> ExperimentSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -639,7 +653,9 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunResult:
         else {
             "t0": phases.t0,
             "count": phases.count,
-            "start_rule": phases.start_rule,
+            # Phases always start at the first vertex iterate; the field stays
+            # in the report's schema.
+            "start_rule": "first_vertex",
             "vertices": [p.vertex + 1 for p in phases.phases],
         },
         "phases_note": phases_note,

@@ -1,6 +1,7 @@
 """Pinned experiment presets for the standard figures.
 
-Each preset bundles one or more fully-resolved :class:`ExperimentSpec`s; the
+Each preset is a list of config documents in the format ``rpsdyn run
+--config`` reads, parsed by :func:`parse_config` like any other config; the
 CLI can list them (``rpsdyn preset list``) and run them (``rpsdyn preset run
 <id>``).  Parameters are pinned, not defaults — editing them changes the
 figures they reproduce.
@@ -10,10 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .dynamics import Algorithm, LearnerConfig, TiebreakKind, TiebreakRule
 from .errors import ConfigInvalid
-from .experiment import ExperimentSpec
-from .game import SimplexPoint
+from .experiment import ExperimentSpec, config_document, parse_config
 
 
 @dataclass(frozen=True)
@@ -23,162 +22,58 @@ class FigurePreset:
     specs: Tuple[ExperimentSpec, ...]
 
 
-def _fp(name, n, horizon, tiebreak=None, x0=None, note=""):
-    return ExperimentSpec(
-        name=name,
-        weights=(1,) * n,
-        learner=LearnerConfig(
-            algorithm=Algorithm.FICTITIOUS_PLAY,
-            horizon=horizon,
-            x0=x0 if x0 is not None else SimplexPoint.vertex(n, 0),
-            eta=1,
-            tiebreak=tiebreak,
-        ),
-        note=note,
-    )
+_LEX = {"kind": "lexicographic"}
+_X0_GD3 = (0.3, 0.4, 0.3)
+_doc = config_document
 
+_FIGURES = (
+    ("fig1a",
+     "Fictitious play on the unit 3-cycle from a vertex: dual spiral, "
+     "growing phases, staircase energy.",
+     [_doc("fig1a", [1] * 3, "fp", 200, [1, 0, 0], tiebreak=_LEX)]),
+    ("fig1b",
+     "Gradient descent, eta=0.5, on the unit 3-cycle from a vertex: the "
+     "same outward spiral with smooth edge segments.",
+     [_doc("fig1b", [1] * 3, "gd", 200, [1, 0, 0], eta=0.5)]),
+    ("fig1c",
+     "Gradient descent, eta=1, on the unit 4-cycle from an interior "
+     "point close to uniform.",
+     [_doc("fig1c", [1] * 4, "gd", 200, [0.05, 0.35, 0.39, 0.21], eta=1,
+          note="companion run: same weights with x0 cyclically "
+          "permuted one step gives the same picture rotated")]),
+    ("fig_gd_eta_compare",
+     "Gradient descent on the unit 4-cycle, one interior start, three "
+     "stepsizes: sublinear drift vs. fast lock-in to the cycling regime.",
+     [_doc("fig_gd_eta_compare", [1] * 4, "gd", 100, [0.2, 0.2, 0.25, 0.35], eta=0.1,
+          sweep=[["eta", [0.1, 0.3, 10]]])]),
+    ("fig_fp_regret",
+     "Fictitious play regret growth over T=1000 from a vertex, "
+     "dimensions 3 and 4.",
+     [_doc("fig_fp_regret_n3", [1] * 3, "fp", 1000, [1, 0, 0]),
+      _doc("fig_fp_regret_n4", [1] * 4, "fp", 1000, [1, 0, 0, 0])]),
+    ("fig_tournament",
+     "Fictitious play on the unit 3-cycle under lexicographic vs. "
+     "cyclic-successor tie breaking: the latter freezes the energy.",
+     [_doc("fig_tournament_lex", [1] * 3, "fp", 1000, [1, 0, 0], tiebreak=_LEX),
+      _doc("fig_tournament_cyclic", [1] * 3, "fp", 1000, [1, 0, 0],
+          tiebreak={"kind": "tournament"})]),
+    ("fig_gd_regret",
+     "Gradient descent regret over T=1000 on the unit 3-cycle for a "
+     "theory-scaled, a moderate, and a large constant stepsize.",
+     [_doc("fig_gd_regret", [1] * 3, "gd", 1000, _X0_GD3, eta=0.3,
+          sweep=[["eta", [1 / math.sqrt(1000), 0.3, 10]]])]),
+    ("fig_decreasing",
+     "Gradient descent on the unit 3-cycle over T=5000: the decreasing "
+     "stepsize 1/sqrt(t+1) converges inward while constant eta=10 cycles.",
+     [_doc("fig_decreasing_schedule", [1] * 3, "gd", 5000, _X0_GD3, eta=1,
+          eta_schedule="inv_sqrt_t"),
+      _doc("fig_decreasing_constant", [1] * 3, "gd", 5000, _X0_GD3, eta=10)]),
+)
 
-def _gd(name, n, horizon, eta, x0, sweep=(), eta_schedule=None, note=""):
-    return ExperimentSpec(
-        name=name,
-        weights=(1,) * n,
-        learner=LearnerConfig(
-            algorithm=Algorithm.GRADIENT_DESCENT,
-            horizon=horizon,
-            x0=SimplexPoint(tuple(x0)),
-            eta=eta,
-            eta_schedule=eta_schedule,
-        ),
-        sweep=sweep,
-        note=note,
-    )
-
-
-def _build() -> List[FigurePreset]:
-    presets = []
-
-    presets.append(
-        FigurePreset(
-            "fig1a",
-            "Fictitious play on the unit 3-cycle from a vertex: dual spiral, "
-            "growing phases, staircase energy.",
-            (_fp("fig1a", 3, 200, tiebreak=TiebreakRule(TiebreakKind.LEXICOGRAPHIC)),),
-        )
-    )
-    presets.append(
-        FigurePreset(
-            "fig1b",
-            "Gradient descent, eta=0.5, on the unit 3-cycle from a vertex: the "
-            "same outward spiral with smooth edge segments.",
-            (_gd("fig1b", 3, 200, 0.5, (1, 0, 0)),),
-        )
-    )
-    presets.append(
-        FigurePreset(
-            "fig1c",
-            "Gradient descent, eta=1, on the unit 4-cycle from an interior "
-            "point close to uniform.",
-            (
-                _gd(
-                    "fig1c",
-                    4,
-                    200,
-                    1,
-                    (0.05, 0.35, 0.39, 0.21),
-                    note="companion run: same weights with x0 cyclically "
-                    "permuted one step gives the same picture rotated",
-                ),
-            ),
-        )
-    )
-    presets.append(
-        FigurePreset(
-            "fig_gd_eta_compare",
-            "Gradient descent on the unit 4-cycle, one interior start, three "
-            "stepsizes: sublinear drift vs. fast lock-in to the cycling regime.",
-            (
-                _gd(
-                    "fig_gd_eta_compare",
-                    4,
-                    100,
-                    0.1,
-                    (0.2, 0.2, 0.25, 0.35),
-                    sweep=(("eta", (0.1, 0.3, 10)),),
-                ),
-            ),
-        )
-    )
-    presets.append(
-        FigurePreset(
-            "fig_fp_regret",
-            "Fictitious play regret growth over T=1000 from a vertex, "
-            "dimensions 3 and 4.",
-            (
-                _fp("fig_fp_regret_n3", 3, 1000),
-                _fp("fig_fp_regret_n4", 4, 1000),
-            ),
-        )
-    )
-    presets.append(
-        FigurePreset(
-            "fig_tournament",
-            "Fictitious play on the unit 3-cycle under lexicographic vs. "
-            "cyclic-successor tie breaking: the latter freezes the energy.",
-            (
-                _fp(
-                    "fig_tournament_lex",
-                    3,
-                    1000,
-                    tiebreak=TiebreakRule(TiebreakKind.LEXICOGRAPHIC),
-                ),
-                _fp(
-                    "fig_tournament_cyclic",
-                    3,
-                    1000,
-                    tiebreak=TiebreakRule(TiebreakKind.TOURNAMENT),
-                ),
-            ),
-        )
-    )
-    presets.append(
-        FigurePreset(
-            "fig_gd_regret",
-            "Gradient descent regret over T=1000 on the unit 3-cycle for a "
-            "theory-scaled, a moderate, and a large constant stepsize.",
-            (
-                _gd(
-                    "fig_gd_regret",
-                    3,
-                    1000,
-                    0.3,
-                    (0.3, 0.4, 0.3),
-                    sweep=(("eta", (1 / math.sqrt(1000), 0.3, 10)),),
-                ),
-            ),
-        )
-    )
-    presets.append(
-        FigurePreset(
-            "fig_decreasing",
-            "Gradient descent on the unit 3-cycle over T=5000: the decreasing "
-            "stepsize 1/sqrt(t+1) converges inward while constant eta=10 cycles.",
-            (
-                _gd(
-                    "fig_decreasing_schedule",
-                    3,
-                    5000,
-                    1,
-                    (0.3, 0.4, 0.3),
-                    eta_schedule="inv_sqrt_t",
-                ),
-                _gd("fig_decreasing_constant", 3, 5000, 10, (0.3, 0.4, 0.3)),
-            ),
-        )
-    )
-    return presets
-
-
-_PRESETS: Dict[str, FigurePreset] = {p.id: p for p in _build()}
+_PRESETS: Dict[str, FigurePreset] = {
+    pid: FigurePreset(pid, description, tuple(map(parse_config, docs)))
+    for pid, description, docs in _FIGURES
+}
 
 
 def all_presets() -> List[FigurePreset]:

@@ -38,30 +38,25 @@ from .analysis import (
     small_stepsize_energy_check,
     verify_cycling,
 )
-from .dynamics import (
-    REL_TOL,
-    Algorithm,
-    Arithmetic,
-    LearnerConfig,
-    TiebreakKind,
-    TiebreakRule,
-    Trajectory,
-    energy_gd,
-    find_support,
-    gd_primal,
-    run,
-)
+from .dynamics import REL_TOL, Trajectory, energy_gd, find_support, gd_primal, run
 from .errors import SingularSystem, TooCloseToBoundary
-from .experiment import energy_drops, regret_bound_slack, regret_route_gaps
+from .experiment import (
+    config_document,
+    energy_drops,
+    parse_config,
+    regret_bound_slack,
+    regret_route_gaps,
+)
 from .game import SimplexPoint, gamma, interior_nash, make_rps
 
 QUICK_CAP = 10**3
 FULL_CAP = 10**5
 
+# Tiebreak documents of the FP slots, by slot-name suffix.
 _FP_RULES = {
-    "lex": TiebreakRule(TiebreakKind.LEXICOGRAPHIC),
-    "random": TiebreakRule(TiebreakKind.RANDOM_SEEDED, seed=0),
-    "switch": TiebreakRule(TiebreakKind.PREFER_SWITCH),
+    "lex": {"kind": "lexicographic"},
+    "random": {"kind": "random_seeded", "seed": 0},
+    "switch": {"kind": "prefer_switch"},
 }
 
 # x0 values pinned by the figure configurations the criteria refer to.
@@ -78,142 +73,63 @@ class CheckResult:
     elapsed: float = 0.0
 
 
+def _vertex(n: int) -> List[int]:
+    return [1] + [0] * (n - 1)
+
+
 class TrajectoryStore:
     """Lazily built, memoized runs shared by the checks.
 
     Every trajectory used anywhere in the suite has a named slot here, so
     "every stored trajectory" checks (energy monotonicity, regret identities)
-    have a well-defined, reproducible universe to quantify over.
+    have a well-defined, reproducible universe to quantify over.  Each slot is
+    a config document in the format ``rpsdyn run --config`` reads, kept in
+    ``configs`` under its ``name``.
     """
 
     def __init__(self, cap: int = FULL_CAP):
         self.cap = cap
         self._cache: Dict[str, Trajectory] = {}
-        self._builders: Dict[str, Callable[[], Trajectory]] = {}
-        for n in (3, 4):
-            for rule_name, rule in _FP_RULES.items():
-                self._builders[f"fp{n}_{rule_name}"] = self._make_fp(n, rule)
-        for n in (3, 4, 5):
-            self._builders[f"fp_tournament_{n}"] = self._make_tournament(n)
-        self._builders["gd4_main"] = self._make_gd4_main
-        self._builders["gd4_eta10"] = self._make_gd4_eta10
-        self._builders["gd3_small"] = self._make_gd3_small
-        self._builders["gd3_boundary"] = self._make_gd_boundary(3, _X0_GD3)
-        self._builders["gd4_boundary"] = self._make_gd_boundary(4, _X0_GD4_COMPARE)
-        self._builders["fp_weighted_exact"] = self._make_fp_weighted_exact
-        self._builders["gd3_exact"] = self._make_gd3_exact
-        self._builders["gd_weighted_float"] = self._make_gd_weighted_float
+        mid = min(cap, 10**4)
+        short = min(cap, 10**3)
+        unit3, unit4 = (1.0,) * 3, (1.0,) * 4
+        doc = config_document
+        docs = [
+            doc(f"fp{n}_{rule_name}", (1,) * n, "fp", cap, _vertex(n), tiebreak=rule)
+            for n in (3, 4)
+            for rule_name, rule in _FP_RULES.items()
+        ] + [
+            doc(f"fp_tournament_{n}", (1,) * n, "fp", mid, _vertex(n),
+                tiebreak={"kind": "tournament"}, arithmetic="rational")
+            for n in (3, 4, 5)
+        ] + [
+            doc("gd4_main", unit4, "gd", cap, _X0_GD4, eta=self.gd4_eta()),
+            doc("gd4_eta10", unit4, "gd", short, _X0_GD4, eta=10.0),
+            doc("gd3_small", unit3, "gd", mid, _X0_GD3, eta=1.0 / math.sqrt(mid)),
+            doc("gd3_boundary", unit3, "gd", mid, _X0_GD3, eta=0.3),
+            doc("gd4_boundary", unit4, "gd", mid, _X0_GD4_COMPARE, eta=0.3),
+            doc("fp_weighted_exact", (1, 2, 3), "fp", short, _vertex(3), arithmetic="rational"),
+            doc("gd3_exact", (1, 1, 1), "gd", short, _vertex(3), eta=1, arithmetic="rational"),
+            doc("gd_weighted_float", (1.0, 2.0, 3.0), "gd", mid, (1.0 / 3,) * 3, eta=0.3),
+        ]
+        self.configs: Dict[str, dict] = {d["name"]: d for d in docs}
 
     def catalog(self) -> List[str]:
-        return sorted(self._builders)
+        return sorted(self.configs)
 
     def get(self, key: str) -> Trajectory:
         if key not in self._cache:
-            self._cache[key] = self._builders[key]()
+            spec = parse_config(self.configs[key])
+            self._cache[key] = run(spec.learner, make_rps(spec.weights))
         return self._cache[key]
 
     def build_all(self) -> List[Tuple[str, Trajectory]]:
         return [(key, self.get(key)) for key in self.catalog()]
 
-    # -- builders ----------------------------------------------------------
-
-    def _make_fp(self, n: int, rule: TiebreakRule):
-        def build():
-            cfg = LearnerConfig(
-                algorithm=Algorithm.FICTITIOUS_PLAY,
-                horizon=self.cap,
-                x0=SimplexPoint.vertex(n, 0),
-                tiebreak=rule,
-            )
-            return run(cfg, make_rps((1,) * n))
-
-        return build
-
-    def _make_tournament(self, n: int):
-        def build():
-            cfg = LearnerConfig(
-                algorithm=Algorithm.FICTITIOUS_PLAY,
-                horizon=min(self.cap, 10**4),
-                x0=SimplexPoint.vertex(n, 0),
-                tiebreak=TiebreakRule(TiebreakKind.TOURNAMENT),
-                arithmetic=Arithmetic.EXACT_RATIONAL,
-            )
-            return run(cfg, make_rps((1,) * n))
-
-        return build
-
     def gd4_eta(self) -> float:
         matrix = make_rps((1.0,) * 4)
         x0 = SimplexPoint(_X0_GD4)
         return max(2.0 / float(matrix.a_min), 1.0 / float(gamma(matrix, x0))) + 1.0
-
-    def _make_gd4_main(self):
-        cfg = LearnerConfig(
-            algorithm=Algorithm.GRADIENT_DESCENT,
-            horizon=self.cap,
-            x0=SimplexPoint(_X0_GD4),
-            eta=self.gd4_eta(),
-        )
-        return run(cfg, make_rps((1.0,) * 4))
-
-    def _make_gd4_eta10(self):
-        cfg = LearnerConfig(
-            algorithm=Algorithm.GRADIENT_DESCENT,
-            horizon=min(self.cap, 10**3),
-            x0=SimplexPoint(_X0_GD4),
-            eta=10.0,
-        )
-        return run(cfg, make_rps((1.0,) * 4))
-
-    def _make_gd3_small(self):
-        T = min(self.cap, 10**4)
-        cfg = LearnerConfig(
-            algorithm=Algorithm.GRADIENT_DESCENT,
-            horizon=T,
-            x0=SimplexPoint(_X0_GD3),
-            eta=1.0 / math.sqrt(T),
-        )
-        return run(cfg, make_rps((1.0,) * 3))
-
-    def _make_gd_boundary(self, n: int, x0):
-        def build():
-            cfg = LearnerConfig(
-                algorithm=Algorithm.GRADIENT_DESCENT,
-                horizon=min(self.cap, 10**4),
-                x0=SimplexPoint(x0),
-                eta=0.3,
-            )
-            return run(cfg, make_rps((1.0,) * n))
-
-        return build
-
-    def _make_fp_weighted_exact(self):
-        cfg = LearnerConfig(
-            algorithm=Algorithm.FICTITIOUS_PLAY,
-            horizon=min(self.cap, 10**3),
-            x0=SimplexPoint.vertex(3, 0),
-            arithmetic=Arithmetic.EXACT_RATIONAL,
-        )
-        return run(cfg, make_rps((1, 2, 3)))
-
-    def _make_gd3_exact(self):
-        cfg = LearnerConfig(
-            algorithm=Algorithm.GRADIENT_DESCENT,
-            horizon=min(self.cap, 10**3),
-            x0=SimplexPoint.vertex(3, 0),
-            eta=1,
-            arithmetic=Arithmetic.EXACT_RATIONAL,
-        )
-        return run(cfg, make_rps((1, 1, 1)))
-
-    def _make_gd_weighted_float(self):
-        cfg = LearnerConfig(
-            algorithm=Algorithm.GRADIENT_DESCENT,
-            horizon=min(self.cap, 10**4),
-            x0=SimplexPoint.uniform(3),
-            eta=0.3,
-        )
-        return run(cfg, make_rps((1.0, 2.0, 3.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -461,11 +377,8 @@ def check_dual_subspace_confinement(store: TrajectoryStore, level: str) -> Check
         parts.append(f"{key}: max |<x*,y>| = {worst}")
     for key in ("fp4_lex", "gd_weighted_float"):
         traj = store.get(key)
-        Teff = min(traj.horizon, 10**4)
-        star = interior_nash(traj.matrix).point
-        prods = traj.ys_array[: Teff + 2] @ star.as_array()
-        worst = float(np.abs(prods).max())
-        bound = 1e-8 * Teff
+        worst = check_dual_subspace(traj, interior_nash(traj.matrix).point)
+        bound = 1e-8 * min(traj.horizon, 10**4)
         ok = ok and worst <= bound
         parts.append(f"{key}: {worst:.2e} <= {bound:.0e}")
     return CheckResult("c11-dual-subspace", ok, "; ".join(parts))

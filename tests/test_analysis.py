@@ -241,16 +241,6 @@ def test_phase_detection_gd():
     assert all(b >= a - 1e-9 for a, b in zip(starts, starts[1:]))
 
 
-def test_phase_start_rule_energy_increase():
-    traj = _fp(T=30)
-    ph = detect_phases(traj, start_rule="energy_increase")
-    # First energy increase happens entering y^4 (energy 2 > 1).
-    assert ph.t0 == 4
-    assert ph.phases[0].vertex == 2
-    with pytest.raises(ConfigInvalid):
-        detect_phases(traj, start_rule="whenever")
-
-
 def test_verify_cycling_detects_breaks():
     def mk(vertices):
         phases = tuple(
@@ -258,7 +248,7 @@ def test_verify_cycling_detects_breaks():
                   start_energy=float(k), energy_increased=k > 0)
             for k, v in enumerate(vertices)
         )
-        return PhaseSummary(phases=phases, t0=0, start_rule="first_vertex")
+        return PhaseSummary(phases=phases, t0=0)
 
     assert verify_cycling(mk([0, 1, 2, 0, 1]), 3) is None
     assert verify_cycling(mk([0, 1, 0]), 3) == 2

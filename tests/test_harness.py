@@ -20,6 +20,7 @@ from rps_dynamics import (
 from rps_dynamics.cli import main
 from rps_dynamics.experiment import OUT_ENV, OUTPUT_KINDS, default_out_dir
 from rps_dynamics.presets import all_presets, get_preset
+from rps_dynamics.verification import FULL_CAP, QUICK_CAP, TrajectoryStore
 
 
 def fp_config(**over):
@@ -379,6 +380,22 @@ def test_preset_catalog():
         assert p.specs
         for spec in p.specs:
             config_hash(spec)    # every preset is a valid, hashable spec
+
+
+def test_preset_specs_round_trip_through_json():
+    for p in all_presets():
+        for spec in p.specs:
+            again = parse_config(json.loads(json.dumps(spec.to_json())))
+            assert config_hash(again) == config_hash(spec), spec.name
+
+
+@pytest.mark.parametrize("cap", [QUICK_CAP, FULL_CAP])
+def test_store_configs_round_trip_through_json(cap):
+    store = TrajectoryStore(cap)
+    assert store.catalog() == sorted(store.configs)
+    for key, doc in store.configs.items():
+        assert doc["name"] == key
+        assert parse_config(json.loads(json.dumps(doc))) == parse_config(doc), key
 
 
 def test_get_preset_unknown():
