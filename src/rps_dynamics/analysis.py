@@ -353,9 +353,9 @@ def detect_phases(traj: Trajectory) -> PhaseSummary:
 
     The first phase starts at t0, the first t >= 1 whose iterate sits at a
     vertex.  A phase ends at the first later iterate sitting at a *different*
-    vertex; edge or boundary iterates in between extend the current phase.  The final phase is truncated by the
-    horizon: its length counts through iterate T, so lengths plus t0 tile
-    [t0, T] exactly.
+    vertex; edge or boundary iterates in between extend the current phase.
+    The final phase is truncated by the horizon: its length counts through
+    iterate T, so lengths plus t0 tile [t0, T] exactly.
     """
     T = traj.horizon
     is_fp = traj.config.algorithm == Algorithm.FICTITIOUS_PLAY
@@ -373,6 +373,11 @@ def detect_phases(traj: Trajectory) -> PhaseSummary:
         trace = region_trace(traj)
         labels = np.where(trace.kind == VERTEX, trace.index, -1).tolist()
 
+    tol = tolerance(traj.is_exact, REL_TOL)
+
+    def increased(curr: Number, prev: Number) -> bool:
+        return curr > prev + tol * max(1, abs(prev))
+
     t0 = next((t for t in range(1, T + 1) if labels[t] >= 0), None)
     if t0 is None:
         raise NoVertexReached("no vertex-region iterate found")
@@ -382,11 +387,6 @@ def detect_phases(traj: Trajectory) -> PhaseSummary:
         lab = labels[t]
         if lab >= 0 and lab != starts[-1][1]:
             starts.append((t, lab))
-
-    tol = tolerance(traj.is_exact, REL_TOL)
-
-    def increased(curr: Number, prev: Number) -> bool:
-        return curr > prev + tol * max(1, abs(prev))
 
     phases: List[Phase] = []
     for k, (tk, vk) in enumerate(starts):
