@@ -314,10 +314,11 @@ class LearnerConfig:
     eta_schedule: Optional[str] = None
 
     def __post_init__(self):
-        if not isinstance(self.horizon, int) or self.horizon < 0:
+        if not isinstance(self.horizon, int) or isinstance(self.horizon, bool) or self.horizon < 0:
             raise ConfigInvalid(f"horizon must be a nonnegative int, got {self.horizon!r}")
-        if not self.eta > 0:
-            raise ConfigInvalid(f"eta must be positive, got {self.eta!r}")
+        # Not math.isfinite: it overflows on Fractions beyond the float range.
+        if not 0 < self.eta < math.inf:
+            raise ConfigInvalid(f"eta must be positive and finite, got {self.eta!r}")
         if self.eta_schedule not in (None, "inv_sqrt_t"):
             raise ConfigInvalid(f"unknown eta_schedule {self.eta_schedule!r}")
         if self.algorithm == Algorithm.FICTITIOUS_PLAY:

@@ -18,7 +18,7 @@ class DimensionMismatch(RpsDynamicsError):
 
 
 class NonpositiveWeight(RpsDynamicsError):
-    """All cycle weights must be strictly positive."""
+    """All cycle weights must be strictly positive and finite."""
 
 
 class SingularSystem(RpsDynamicsError):

@@ -28,7 +28,8 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import Enum
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -60,7 +61,7 @@ from .dynamics import (
     tolerance,
 )
 from .errors import ConfigInvalid, IoError, NoVertexReached
-from .game import Number, SimplexPoint, all_exact, is_exact, make_rps, number_to_json
+from .game import Number, SimplexPoint, all_exact, is_exact, make_rps
 
 OUT_ENV = "RPSDYN_OUT"
 OUTPUT_KINDS = ("trajectory_csv", "phases_csv", "ledger_csv", "report_json")
@@ -89,6 +90,10 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.name or not isinstance(self.name, str):
             raise ConfigInvalid("experiment needs a nonempty name")
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ConfigInvalid("seed must be an integer")
+        if self.learner.is_exact and not all_exact(self.weights):
+            raise ConfigInvalid("rational mode needs exact weights (int or p/q)")
         for kind in self.outputs:
             if kind not in OUTPUT_KINDS:
                 raise ConfigInvalid(f"unknown output kind {kind!r}")
@@ -104,33 +109,28 @@ class ExperimentSpec:
                 dataclasses.replace(self.learner, **{fname: v})
 
     def to_json(self) -> dict:
-        lc = self.learner
-        tb = None
-        if lc.tiebreak is not None:
-            tb = {"kind": lc.tiebreak.kind.value, "seed": lc.tiebreak.seed}
-        return {
-            "name": self.name,
-            "weights": [number_to_json(w) for w in self.weights],
-            "learner": {
-                "algorithm": lc.algorithm.value,
-                "eta": number_to_json(lc.eta),
-                "horizon": lc.horizon,
-                "x0": [number_to_json(c) for c in lc.x0.coords],
-                "tiebreak": tb,
-                "arithmetic": lc.arithmetic.value,
-                "tie_tolerance": number_to_json(lc.tie_tolerance)
-                if lc.tie_tolerance is not None
-                else None,
-                "bit_budget": lc.bit_budget,
-                "eta_schedule": lc.eta_schedule,
-            },
-            "sweep": [
-                [fname, [number_to_json(v) if not isinstance(v, str) else v for v in values]]
-                for fname, values in self.sweep
-            ],
-            "outputs": list(self.outputs),
-            "seed": self.seed,
-        }
+        """The spec as a config document; ``note`` is left out, so it does not
+        change the ``config_hash``."""
+        return {key: value for key, value in _encode(self).items() if key != "note"}
+
+
+def _encode(value):
+    """JSON form of a spec or report value: enums by value, dataclasses
+    (``LearnerConfig``, ``TiebreakRule``) as objects of their fields, simplex
+    points and tuples as lists, Fractions as ``"p/q"``."""
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, Fraction):
+        return f"{value.numerator}/{value.denominator}"
+    if isinstance(value, SimplexPoint):
+        value = value.coords
+    elif dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    if isinstance(value, dict):
+        return {k: _encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_encode(v) for v in value]
+    return value
 
 
 def config_hash(spec: ExperimentSpec) -> str:
@@ -142,7 +142,7 @@ def config_hash(spec: ExperimentSpec) -> str:
 # Config parsing
 
 
-def _parse_number(value, rational_seen: List[bool], where: str) -> Number:
+def _parse_number(value, where: str) -> Number:
     if isinstance(value, bool):
         raise ConfigInvalid(f"{where}: booleans are not numbers")
     if isinstance(value, (int, float)):
@@ -150,138 +150,106 @@ def _parse_number(value, rational_seen: List[bool], where: str) -> Number:
     if isinstance(value, str):
         s = value.strip()
         try:
-            if "/" in s:
-                rational_seen[0] = True
-                return Fraction(s)
-            return float(s)
+            return Fraction(s) if "/" in s else float(s)
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigInvalid(f"{where}: cannot parse number {value!r}") from exc
     raise ConfigInvalid(f"{where}: expected a number, got {type(value).__name__}")
 
 
+def _parse_list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigInvalid(f"{where} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _parse_enum(enum, value, where: str):
+    try:
+        return enum(value)
+    except ValueError as exc:
+        raise ConfigInvalid(f"{where} must be one of {[m.value for m in enum]}") from exc
+
+
+def _parse_tiebreak(raw, seed) -> TiebreakRule:
+    if not isinstance(raw, dict) or "kind" not in raw:
+        raise ConfigInvalid('tiebreak must be {"kind": ..., "seed": optional}')
+    kind = _parse_enum(TiebreakKind, raw["kind"], "tiebreak.kind")
+    tb_seed = raw.get("seed")
+    if kind == TiebreakKind.RANDOM_SEEDED and tb_seed is None:
+        tb_seed = seed
+    return TiebreakRule(kind, tb_seed)
+
+
+def _parse_sweep_item(item) -> Tuple[str, Tuple]:
+    if not isinstance(item, (list, tuple)) or len(item) != 2:
+        raise ConfigInvalid("sweep entries must be [field, [values...]] pairs")
+    fname, values = item
+    values = _parse_list(values, f"sweep.{fname}")
+    if fname not in ("horizon", "eta_schedule"):
+        values = [_parse_number(v, f"sweep.{fname}") for v in values]
+    return fname, tuple(values)
+
+
 def parse_config(data: dict) -> ExperimentSpec:
-    """Build a validated ExperimentSpec from a decoded JSON document."""
+    """Decode a JSON config document into an ExperimentSpec.
+
+    This only decodes: ``LearnerConfig`` and ``ExperimentSpec`` hold every
+    rule a run must satisfy, so a config file and the Python API reject the
+    same inputs.  A ``"p/q"`` number anywhere, sweep values included, makes
+    the whole experiment exact-rational.
+    """
     if not isinstance(data, dict):
         raise ConfigInvalid("config root must be a JSON object")
-    allowed = {"name", "weights", "learner", "sweep", "outputs", "seed", "note"}
-    unknown = set(data) - allowed
+    unknown = set(data) - {"name", "weights", "learner", "sweep", "outputs", "seed", "note"}
     if unknown:
         raise ConfigInvalid(f"unknown config keys: {sorted(unknown)}")
-    rational_seen = [False]
-    try:
-        name = data["name"]
-        weights = tuple(
-            _parse_number(w, rational_seen, "weights") for w in data["weights"]
-        )
-        raw_learner = dict(data["learner"])
-    except KeyError as exc:
-        raise ConfigInvalid(f"missing config key {exc}") from exc
-
-    unknown = set(raw_learner) - _LEARNER_FIELDS
+    for key in ("name", "weights", "learner"):
+        if key not in data:
+            raise ConfigInvalid(f"missing config key {key!r}")
+    learner = data["learner"]
+    if not isinstance(learner, dict):
+        raise ConfigInvalid(f"learner must be a JSON object, got {type(learner).__name__}")
+    unknown = set(learner) - _LEARNER_FIELDS
     if unknown:
         raise ConfigInvalid(f"unknown learner keys: {sorted(unknown)}")
-    try:
-        algorithm = Algorithm(raw_learner["algorithm"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigInvalid(f"learner.algorithm must be one of "
-                            f"{[a.value for a in Algorithm]}") from exc
-    horizon = raw_learner.get("horizon")
-    if not isinstance(horizon, int) or isinstance(horizon, bool):
-        raise ConfigInvalid("learner.horizon must be an integer")
-    try:
-        x0_raw = raw_learner["x0"]
-    except KeyError as exc:
-        raise ConfigInvalid("learner.x0 is required") from exc
-    x0_coords = tuple(_parse_number(c, rational_seen, "x0") for c in x0_raw)
-    eta = raw_learner.get("eta", 1)
-    if not isinstance(eta, (int, float)) or isinstance(eta, bool):
-        eta = _parse_number(eta, rational_seen, "eta")
-
-    tiebreak = None
+    missing = {"algorithm", "horizon", "x0"} - set(learner)
+    if missing:
+        raise ConfigInvalid(f"missing learner keys: {sorted(missing)}")
+    learner = dict(learner)
     seed = data.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigInvalid("seed must be an integer")
-    tb_raw = raw_learner.get("tiebreak")
-    if tb_raw is not None:
-        if not isinstance(tb_raw, dict) or "kind" not in tb_raw:
-            raise ConfigInvalid('tiebreak must be {"kind": ..., "seed": optional}')
-        try:
-            kind = TiebreakKind(tb_raw["kind"])
-        except ValueError as exc:
-            raise ConfigInvalid(
-                f"tiebreak.kind must be one of {[k.value for k in TiebreakKind]}"
-            ) from exc
-        tb_seed = tb_raw.get("seed")
-        if kind == TiebreakKind.RANDOM_SEEDED and tb_seed is None:
-            tb_seed = seed
-        tiebreak = TiebreakRule(kind, tb_seed)
-
-    tie_tol = raw_learner.get("tie_tolerance")
-    if tie_tol is not None:
-        tie_tol = _parse_number(tie_tol, rational_seen, "tie_tolerance")
-    bit_budget = raw_learner.get("bit_budget", 4096)
-    if not isinstance(bit_budget, int) or isinstance(bit_budget, bool):
-        raise ConfigInvalid("bit_budget must be an integer")
-    eta_schedule = raw_learner.get("eta_schedule")
-
-    # Sweep values count towards the arithmetic: a p/q among them makes the
-    # whole experiment rational.
-    sweep: List[Tuple[str, Tuple]] = []
-    for item in data.get("sweep", []):
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise ConfigInvalid("sweep entries must be [field, [values...]] pairs")
-        fname, values = item
-        parsed: List = []
-        for v in values:
-            if fname == "horizon":
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ConfigInvalid("horizon sweep values must be integers")
-                parsed.append(v)
-            elif fname == "eta_schedule":
-                parsed.append(v)
-            else:
-                parsed.append(_parse_number(v, rational_seen, f"sweep.{fname}"))
-        sweep.append((fname, tuple(parsed)))
-
     note = data.get("note", "")
-    explicit = raw_learner.get("arithmetic")
-    if explicit is not None:
-        try:
-            arithmetic = Arithmetic(explicit)
-        except ValueError as exc:
-            raise ConfigInvalid(
-                f"arithmetic must be one of {[a.value for a in Arithmetic]}"
-            ) from exc
-    else:
-        arithmetic = Arithmetic.FLOAT64
-    if rational_seen[0] and arithmetic != Arithmetic.EXACT_RATIONAL:
+    if not isinstance(note, str):
+        raise ConfigInvalid(f"note must be a string, got {type(note).__name__}")
+
+    weights = tuple(_parse_number(w, "weights") for w in _parse_list(data["weights"], "weights"))
+    x0 = tuple(_parse_number(c, "x0") for c in _parse_list(learner["x0"], "learner.x0"))
+    if "eta" in learner:
+        learner["eta"] = _parse_number(learner["eta"], "eta")
+    if learner.get("tie_tolerance") is not None:
+        learner["tie_tolerance"] = _parse_number(learner["tie_tolerance"], "tie_tolerance")
+    if learner.get("tiebreak") is not None:
+        learner["tiebreak"] = _parse_tiebreak(learner["tiebreak"], seed)
+    learner["algorithm"] = _parse_enum(Algorithm, learner["algorithm"], "learner.algorithm")
+    arithmetic = Arithmetic.FLOAT64
+    if learner.get("arithmetic") is not None:
+        arithmetic = _parse_enum(Arithmetic, learner["arithmetic"], "arithmetic")
+    sweep = tuple(map(_parse_sweep_item, _parse_list(data.get("sweep", []), "sweep")))
+    outputs = tuple(_parse_list(data["outputs"], "outputs")) if "outputs" in data else OUTPUT_KINDS
+
+    numbers = [*weights, *x0, learner.get("eta"), learner.get("tie_tolerance")]
+    numbers += [v for _, values in sweep for v in values]
+    if arithmetic != Arithmetic.EXACT_RATIONAL and any(isinstance(v, Fraction) for v in numbers):
         arithmetic = Arithmetic.EXACT_RATIONAL
         note = (note + "; " if note else "") + "arithmetic forced to rational by p/q values"
-    if arithmetic == Arithmetic.EXACT_RATIONAL and not all_exact(weights):
-        raise ConfigInvalid("rational mode needs exact weights (int or p/q)")
-
     try:
-        x0 = SimplexPoint(x0_coords)
+        learner["x0"] = SimplexPoint(x0)
     except ValueError as exc:
         raise ConfigInvalid(f"x0 is not a simplex point: {exc}") from exc
-    learner = LearnerConfig(
-        algorithm=algorithm,
-        horizon=horizon,
-        x0=x0,
-        eta=eta,
-        tiebreak=tiebreak,
-        arithmetic=arithmetic,
-        tie_tolerance=tie_tol,
-        bit_budget=bit_budget,
-        eta_schedule=eta_schedule,
-    )
-
-    outputs = tuple(data.get("outputs", OUTPUT_KINDS))
+    learner["arithmetic"] = arithmetic
     return ExperimentSpec(
-        name=name,
+        name=data["name"],
         weights=weights,
-        learner=learner,
-        sweep=tuple(sweep),
+        learner=LearnerConfig(**learner),
+        sweep=sweep,
         outputs=outputs,
         seed=seed,
         note=note,
@@ -329,8 +297,9 @@ def with_seed(spec: ExperimentSpec, seed: int) -> ExperimentSpec:
 def with_arithmetic(spec: ExperimentSpec, target: str) -> ExperimentSpec:
     """Reinterpret the experiment in the requested arithmetic.
 
-    Switching to rational requires every numeric input to already be exact;
-    float inputs are refused rather than silently reinterpreted bit-for-bit.
+    Switching to rational requires every numeric input to already be exact:
+    ``LearnerConfig`` and ``ExperimentSpec`` refuse float inputs rather than
+    reinterpret them bit-for-bit.
     """
     try:
         arith = Arithmetic(target)
@@ -340,23 +309,12 @@ def with_arithmetic(spec: ExperimentSpec, target: str) -> ExperimentSpec:
     if arith == lc.arithmetic:
         return spec
     if arith == Arithmetic.EXACT_RATIONAL:
-        if not all_exact(spec.weights) or not all_exact(lc.x0.coords) or not all_exact([lc.eta]):
-            raise ConfigInvalid(
-                "cannot switch to rational: config contains float values; "
-                "write them as p/q strings instead"
-            )
-        learner = dataclasses.replace(lc, arithmetic=arith)
-        return dataclasses.replace(spec, learner=learner)
-    weights = tuple(float(w) for w in spec.weights)
-    x0 = SimplexPoint(tuple(float(c) for c in lc.x0.coords))
+        return dataclasses.replace(spec, learner=dataclasses.replace(lc, arithmetic=arith))
     learner = dataclasses.replace(
-        lc,
-        arithmetic=arith,
-        x0=x0,
-        eta=float(lc.eta),
-        tie_tolerance=float(lc.tie_tolerance) if lc.tie_tolerance is not None else None,
+        lc, arithmetic=arith, x0=SimplexPoint(tuple(map(float, lc.x0.coords))), eta=float(lc.eta),
+        tie_tolerance=None if lc.tie_tolerance is None else float(lc.tie_tolerance),
     )
-    return dataclasses.replace(spec, weights=weights, learner=learner)
+    return dataclasses.replace(spec, weights=tuple(map(float, spec.weights)), learner=learner)
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +334,12 @@ def format_value(v) -> str:
     return str(v)
 
 
-def _rational_cell(v) -> str:
-    # In exact mode every numeric cell is explicit p/q, integers included.
-    fr = Fraction(v)
-    return f"{fr.numerator}/{fr.denominator}"
+def _number_cell(v) -> str:
+    """A float as ``format_value`` prints it; an exact value (a run's int or
+    Fraction) as explicit p/q, integers included."""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    return f"{v.numerator}/{v.denominator}"
 
 
 def _open_writer(path: str):
@@ -399,7 +359,6 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
     n = traj.n
     T = traj.horizon
     exact = traj.is_exact
-    cell = _rational_cell if exact else format_value
     # One %-format per row; "%.17g" prints what format_value does, and exact
     # cells arrive preformatted as p/q.
     row = ",".join(["%d"] + ["%s" if exact else "%.17g"] * (2 * n + 1) + ["%d"]) + "\n"
@@ -423,19 +382,18 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
             ):
                 cells = x + y + [e]
                 if exact:
-                    cells = [cell(v) for v in cells]
+                    cells = [_number_cell(v) for v in cells]
                 lines.append(row % (t, *cells, mask))
             fh.writelines(lines)
         w.writerow(
             [T + 1]
             + ["" for _ in range(n)]
-            + [cell(v) for v in traj.y(T + 1)]
-            + [cell(traj.energy(T + 1)), ""]
+            + [_number_cell(v) for v in traj.y(T + 1)]
+            + [_number_cell(traj.energy(T + 1)), ""]
         )
 
 
-def write_phases_csv(summary: Optional[PhaseSummary], path: str, exact: bool = False) -> None:
-    cell = _rational_cell if exact else format_value
+def write_phases_csv(summary: Optional[PhaseSummary], path: str) -> None:
     fh, w = _open_writer(path)
     with fh:
         w.writerow(["k", "t_k", "tau_k", "vertex", "gamma_k", "c_k"])
@@ -444,13 +402,13 @@ def write_phases_csv(summary: Optional[PhaseSummary], path: str, exact: bool = F
         for p in summary.phases:
             w.writerow(
                 [p.index, p.t_start, p.length, p.vertex + 1,
-                 cell(p.start_energy), 1 if p.energy_increased else 0]
+                 _number_cell(p.start_energy), 1 if p.energy_increased else 0]
             )
 
 
 def write_ledger_csv(ledger: Ledger, path: str) -> None:
     # "%.17g" prints a float as format_value does, without its type tests.
-    cell = _rational_cell if ledger.delta.dtype == object else "%.17g".__mod__
+    cell = _number_cell if ledger.delta.dtype == object else "%.17g".__mod__
     fh, w = _open_writer(path)
     with fh:
         w.writerow(["t", "class", "delta", "bound_lo", "bound_hi", "ok"])
@@ -502,18 +460,6 @@ class RunResult:
     @property
     def all_passed(self) -> bool:
         return all(v["pass"] for v in self.verdicts)
-
-
-def _jsonify(v):
-    if isinstance(v, Fraction):
-        return number_to_json(v)
-    if isinstance(v, (list, tuple)):
-        return [_jsonify(x) for x in v]
-    if isinstance(v, dict):
-        return {k: _jsonify(x) for k, x in v.items()}
-    if isinstance(v, float):
-        return float(v)
-    return v
 
 
 def _verdict(check: str, passed: bool, details: str, chash: str) -> dict:
@@ -635,7 +581,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunResult:
         "note": spec.note,
         "config": spec.to_json(),
         "config_hash": chash,
-        "regret": _jsonify(
+        "regret": _encode(
             {
                 "regret_total": rep.regret_total,
                 "regret_by_energy": rep.regret_by_energy,
@@ -674,7 +620,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunResult:
         write_trajectory_csv(traj, paths["trajectory_csv"])
     if "phases_csv" in spec.outputs:
         paths["phases_csv"] = base + "__phases.csv"
-        write_phases_csv(phases, paths["phases_csv"], exact=traj.is_exact)
+        write_phases_csv(phases, paths["phases_csv"])
     if "ledger_csv" in spec.outputs:
         paths["ledger_csv"] = base + "__ledger.csv"
         write_ledger_csv(ledger, paths["ledger_csv"])

@@ -37,13 +37,6 @@ def all_exact(values: Sequence[Number]) -> bool:
     return all(is_exact(v) for v in values)
 
 
-def number_to_json(value: Number):
-    """JSON-safe encoding: ints/floats pass through, Fractions become 'p/q'."""
-    if isinstance(value, Fraction):
-        return f"{value.numerator}/{value.denominator}"
-    return value
-
-
 class RpsMatrix:
     """Payoff matrix of a weighted cyclic game.
 
@@ -61,8 +54,8 @@ class RpsMatrix:
                 f"cyclic game needs at least 3 actions, got {len(ws)}"
             )
         for w in ws:
-            if not w > 0:
-                raise NonpositiveWeight(f"cycle weights must be positive, got {w!r}")
+            if not 0 < w < math.inf:
+                raise NonpositiveWeight(f"cycle weights must be positive and finite, got {w!r}")
         self.weights = ws
         self.n = len(ws)
         self.a_min = min(ws)
@@ -104,24 +97,6 @@ class RpsMatrix:
         for i in range(n):
             mat[i, (i + 1) % n] = -float(self.weights[i])
             mat[i, (i - 1) % n] = float(self.weights[(i - 1) % n])
-        return mat
-
-    def to_json(self) -> dict:
-        return {"n": self.n, "weights": [number_to_json(w) for w in self.weights]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "RpsMatrix":
-        weights = []
-        for w in data["weights"]:
-            if isinstance(w, str):
-                weights.append(Fraction(w))
-            else:
-                weights.append(w)
-        mat = cls(weights)
-        if "n" in data and data["n"] != mat.n:
-            raise DimensionMismatch(
-                f"declared n={data['n']} but got {mat.n} weights"
-            )
         return mat
 
 
@@ -171,12 +146,6 @@ class SimplexPoint:
     def vertex_index(self) -> Optional[int]:
         s = self.support
         return s[0] if len(s) == 1 else None
-
-    def as_floats(self) -> Tuple[float, ...]:
-        return tuple(float(c) for c in self.coords)
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.as_floats())
 
     @staticmethod
     def vertex(n: int, i: int) -> "SimplexPoint":

@@ -238,6 +238,23 @@ def test_config_rejects_bad_values():
                       eta=0.5, arithmetic=Arithmetic.EXACT_RATIONAL)
     with pytest.raises(ConfigInvalid):
         LearnerConfig(algorithm=gd, horizon=10, x0=x0, bit_budget=8)
+    with pytest.raises(ConfigInvalid):
+        LearnerConfig(algorithm=fp, horizon=True, x0=x0)
+
+
+@pytest.mark.parametrize("eta", [math.inf, math.nan])
+def test_config_rejects_non_finite_eta(eta):
+    with pytest.raises(ConfigInvalid):
+        LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=10,
+                      x0=SimplexPoint.vertex(3, 0), eta=eta)
+
+
+def test_config_accepts_fraction_eta_beyond_float_range():
+    # math.isfinite would overflow on this value; the check must not convert.
+    cfg = LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=10,
+                        x0=SimplexPoint.vertex(3, 0), eta=Fraction(10**400),
+                        arithmetic=Arithmetic.EXACT_RATIONAL)
+    assert cfg.eta == 10**400
 
 
 def test_run_dimension_checks():

@@ -1,14 +1,20 @@
 import csv
+import dataclasses
 import json
 from fractions import Fraction
 
 import pytest
 
 from rps_dynamics import (
+    Algorithm,
     Arithmetic,
     ConfigInvalid,
+    ExperimentSpec,
     IoError,
+    LearnerConfig,
+    SimplexPoint,
     TiebreakKind,
+    TiebreakRule,
     config_hash,
     load_config,
     parse_config,
@@ -224,9 +230,9 @@ def test_trajectory_csv_layout(tmp_path):
 
 def _trajectory_csv_by_cell(traj, path):
     """The per-cell csv.writer layout the bulk writer must reproduce."""
-    from rps_dynamics.experiment import _rational_cell, format_value
+    from rps_dynamics.experiment import _number_cell, format_value
 
-    cell = _rational_cell if traj.is_exact else format_value
+    cell = _number_cell if traj.is_exact else format_value
     n, T = traj.n, traj.horizon
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -398,6 +404,50 @@ def test_store_configs_round_trip_through_json(cap):
         assert parse_config(json.loads(json.dumps(doc))) == parse_config(doc), key
 
 
+# Specs covering both algorithms, every tiebreak kind, tie_tolerance set and
+# unset, a non-default bit_budget, eta_schedule, and float and rational runs
+# with and without a sweep.
+_FP, _GD = Algorithm.FICTITIOUS_PLAY, Algorithm.GRADIENT_DESCENT
+_RATIONAL = Arithmetic.EXACT_RATIONAL
+_X3 = SimplexPoint((0.2, 0.3, 0.5))
+_Q3 = SimplexPoint((Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)))
+CODEC_SPECS = [
+    ExperimentSpec("fp_plain", (1.0, 2.0, 3.0), LearnerConfig(_FP, 40, _X3)),
+    *(
+        ExperimentSpec(f"fp_{kind.value}", (1, 1, 1), LearnerConfig(
+            _FP, 40, SimplexPoint.vertex(3, 0),
+            tiebreak=TiebreakRule(kind, 7 if kind == TiebreakKind.RANDOM_SEEDED else None),
+        ), seed=3)
+        for kind in TiebreakKind
+    ),
+    ExperimentSpec("fp_tie_tolerance", (1.0, 1.0, 1.0),
+                   LearnerConfig(_FP, 40, _X3, tie_tolerance=1e-6, bit_budget=64)),
+    ExperimentSpec("fp_rational", (1, Fraction(2, 3), 3),
+                   LearnerConfig(_FP, 40, _Q3, arithmetic=_RATIONAL, tie_tolerance=0,
+                                 bit_budget=512),
+                   sweep=(("horizon", (10, 20)),)),
+    ExperimentSpec("gd_float", (1.0, 1.0, 1.0, 1.0),
+                   LearnerConfig(_GD, 40, SimplexPoint((0.1, 0.2, 0.3, 0.4)), eta=0.5),
+                   sweep=(("eta", (0.1, 10.0)), ("eta_schedule", (None, "inv_sqrt_t")))),
+    ExperimentSpec("gd_schedule", (1.0, 1.0, 1.0),
+                   LearnerConfig(_GD, 40, _X3, eta_schedule="inv_sqrt_t"),
+                   outputs=("report_json",)),
+    ExperimentSpec("gd_rational", (1, 2, 3),
+                   LearnerConfig(_GD, 40, _Q3, eta=Fraction(3, 2), arithmetic=_RATIONAL),
+                   sweep=(("eta", (Fraction(1, 2), 2)), ("bit_budget", (64, 128)))),
+]
+
+
+@pytest.mark.parametrize("spec", CODEC_SPECS, ids=lambda spec: spec.name)
+def test_config_codec_round_trip(spec):
+    doc = spec.to_json()
+    assert set(doc["learner"]) == {f.name for f in dataclasses.fields(LearnerConfig)}
+    again = parse_config(json.loads(json.dumps(doc)))
+    assert again.to_json() == doc
+    assert config_hash(again) == config_hash(spec)
+    assert again.learner == spec.learner and again.weights == spec.weights
+
+
 def test_get_preset_unknown():
     with pytest.raises(ConfigInvalid):
         get_preset("fig_nonexistent")
@@ -437,6 +487,37 @@ def test_cli_exit_codes(tmp_path):
     assert main(["sweep", "--config", vector_sweep, "--out", str(tmp_path)]) == 2
     with pytest.raises(SystemExit):
         main(["run"])                        # --config is required
+
+
+_WRONG_JSON_TYPES = {
+    "weights": lambda cfg: cfg.update(weights=5),
+    "learner": lambda cfg: cfg.update(learner=5),
+    "x0": lambda cfg: cfg["learner"].update(x0=5),
+    "sweep": lambda cfg: cfg.update(sweep=5),
+    "sweep_values": lambda cfg: cfg.update(sweep=[["eta", 5]]),
+    "outputs": lambda cfg: cfg.update(outputs=5),
+    "note_with_pq": lambda cfg: cfg.update(note=5, weights=["1/1", 1, 1]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_JSON_TYPES))
+def test_cli_run_rejects_wrong_json_types(tmp_path, case):
+    cfg = fp_config()
+    _WRONG_JSON_TYPES[case](cfg)
+    path = write_json(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("text", ['"inf"', "Infinity", "1e400"])
+@pytest.mark.parametrize("field", ["eta", "weight"])
+def test_cli_run_rejects_non_finite_numbers(tmp_path, field, text):
+    eta, weight = (text, "1") if field == "eta" else ("1", text)
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"name": "t", "weights": [1, %s, 1], "learner": {"algorithm": "gd", '
+        '"horizon": 5, "x0": [1, 0, 0], "eta": %s}}' % (weight, eta)
+    )
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
 def test_cli_sweep(tmp_path):
