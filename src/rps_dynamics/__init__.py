@@ -40,7 +40,6 @@ from .dynamics import (
     Algorithm,
     Arithmetic,
     LearnerConfig,
-    SupportSet,
     TiebreakKind,
     TiebreakRule,
     Trajectory,
@@ -105,7 +104,7 @@ __all__ = [
     "Number", "RpsMatrix", "make_rps", "SimplexPoint", "NashResult",
     "interior_nash", "gamma", "duality_gap",
     # dynamics
-    "Algorithm", "Arithmetic", "TiebreakKind", "TiebreakRule", "SupportSet",
+    "Algorithm", "Arithmetic", "TiebreakKind", "TiebreakRule",
     "LearnerConfig", "Trajectory", "run", "find_support",
     "gd_primal", "fp_primal", "energy_fp", "energy_gd",
     # analysis

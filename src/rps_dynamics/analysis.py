@@ -12,8 +12,8 @@ dual vector y:
 * ``other_boundary`` — everything else.
 
 ``classify_region`` assigns one vector; ``region_trace`` assigns every dual
-vector of a trajectory in one numpy pass, memoized on the trajectory, and is
-what phase detection, the ledger and the cycling check read.
+vector of a trajectory in one numpy pass, memoized here per trajectory, and
+is what phase detection, the ledger and the cycling check read.
 
 Phases segment a trajectory into maximal runs at one best-response vertex, and
 the energy-growth ledger classifies each dual step against the per-case growth
@@ -23,6 +23,7 @@ assertions; exact-rational trajectories are audited with exact comparisons.
 """
 
 import math
+import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -60,16 +61,13 @@ class RegionKind(str, Enum):
 class RegionTag:
     """Region assignment for one dual vector.
 
-    ``margin`` is how deeply the defining inequalities of the assigned region
-    are satisfied (for ``other_boundary``: how far the vector is from
-    qualifying for any named region).  ``min_abs_margin`` is the smallest
-    absolute slack over every region-defining inequality and measures distance
-    to the nearest classification boundary.
+    ``min_abs_margin`` is the smallest absolute slack over every
+    region-defining inequality and measures distance to the nearest
+    classification boundary.
     """
 
     kind: RegionKind
     index: Optional[int]
-    margin: Number
     min_abs_margin: Number
 
     def label(self) -> str:
@@ -83,7 +81,7 @@ def _div(q: Number, d: int, exact: bool) -> Number:
 
 
 def classify_region(y: Sequence[Number]) -> RegionTag:
-    """Assign a dual vector to its region, with margins.
+    """Assign a dual vector to its region.
 
     Checks vertex regions first, then edges, then the full-support region; the
     three families are pairwise disjoint, so order only decides how boundary
@@ -92,20 +90,15 @@ def classify_region(y: Sequence[Number]) -> RegionTag:
     n = len(y)
     exact = all_exact(y)
     abs_slacks: List[Number] = []
-    candidates: List[Number] = []
 
     vertex_hit: Optional[int] = None
-    vertex_margin: Optional[Number] = None
     for i in range(n):
         slacks = [y[i] - y[j] - 1 for j in range(n) if j != i]
-        m_i = min(slacks)
         abs_slacks.extend(abs(s) for s in slacks)
-        candidates.append(m_i)
-        if m_i > 0:
-            vertex_hit, vertex_margin = i, m_i
+        if min(slacks) > 0:
+            vertex_hit = i
 
     edge_hit: Optional[int] = None
-    edge_margin: Optional[Number] = None
     for i in range(n):
         j = (i + 1) % n
         d = y[i] - y[j]
@@ -115,27 +108,23 @@ def classify_region(y: Sequence[Number]) -> RegionTag:
             for k in range(n)
             if k != i and k != j
         ]
-        s2 = min(mids)
         abs_slacks.append(abs(s1))
         abs_slacks.extend(abs(s) for s in mids)
-        candidates.append(min(s1, s2))
-        if edge_hit is None and s1 >= 0 and s2 > 0:
-            edge_hit, edge_margin = i, min(s1, s2)
+        if edge_hit is None and s1 >= 0 and min(mids) > 0:
+            edge_hit = i
 
     total = sum(y)
     interior_slacks = [_div(n * y[i] - total + 1, n, exact) for i in range(n)]
-    interior_margin = min(interior_slacks)
     abs_slacks.extend(abs(s) for s in interior_slacks)
-    candidates.append(interior_margin)
 
     min_abs = min(abs_slacks)
     if vertex_hit is not None:
-        return RegionTag(RegionKind.VERTEX, vertex_hit, vertex_margin, min_abs)
+        return RegionTag(RegionKind.VERTEX, vertex_hit, min_abs)
     if edge_hit is not None:
-        return RegionTag(RegionKind.EDGE, edge_hit, edge_margin, min_abs)
-    if interior_margin >= 0:
-        return RegionTag(RegionKind.INTERIOR, None, interior_margin, min_abs)
-    return RegionTag(RegionKind.OTHER_BOUNDARY, None, -max(candidates), min_abs)
+        return RegionTag(RegionKind.EDGE, edge_hit, min_abs)
+    if min(interior_slacks) >= 0:
+        return RegionTag(RegionKind.INTERIOR, None, min_abs)
+    return RegionTag(RegionKind.OTHER_BOUNDARY, None, min_abs)
 
 
 # Codes of ``RegionTrace.kind``: position in RegionKind's definition order.
@@ -150,7 +139,7 @@ class RegionTrace:
     Row t is what ``classify_region`` says of ``traj.y(t)``: ``kind`` holds
     codes into ``REGION_KINDS``, ``index`` the vertex or edge index (-1 where
     the region has none) and ``min_abs_margin`` the tag's value, in the column
-    dtype.  The per-vector margin is not kept; no consumer reads it.
+    dtype.
     """
 
     kind: np.ndarray
@@ -163,11 +152,17 @@ class RegionTrace:
         return kind if i < 0 else f"{kind}_{i}"
 
 
+# Trajectories are immutable, so a trace never goes stale; weak keys drop it
+# together with its trajectory.
+_TRACES: "weakref.WeakKeyDictionary[Trajectory, RegionTrace]" = weakref.WeakKeyDictionary()
+
+
 def region_trace(traj: Trajectory) -> RegionTrace:
     """The trajectory's region trace, built on first use and then memoized."""
-    if traj.region_cache is None:
-        traj.region_cache = _build_region_trace(traj.ys)
-    return traj.region_cache
+    trace = _TRACES.get(traj)
+    if trace is None:
+        trace = _TRACES[traj] = _build_region_trace(traj.ys)
+    return trace
 
 
 def _build_region_trace(ys: np.ndarray) -> RegionTrace:
@@ -258,11 +253,12 @@ def regret_at(traj: Trajectory, horizon: int) -> Number:
     return _div(2 * max(traj.y(horizon + 1)), traj.config.eta, traj.is_exact)
 
 
-def _curve_horizons(T: int, count: int) -> List[int]:
+def _curve_horizons(T: int) -> List[int]:
+    """Up to 33 log-spaced horizons in [1, T], always ending at T."""
     if T < 1:
         return [0]
     raw = np.unique(
-        np.round(np.logspace(0.0, math.log10(T), count)).astype(int)
+        np.round(np.logspace(0.0, math.log10(T), 33)).astype(int)
     )
     pts = [int(p) for p in raw if 1 <= p <= T]
     if not pts or pts[-1] != T:
@@ -270,18 +266,17 @@ def _curve_horizons(T: int, count: int) -> List[int]:
     return pts
 
 
-def regret(traj: Trajectory, curve_points: int = 33) -> RegretReport:
+def regret(traj: Trajectory) -> RegretReport:
     """Full regret accounting for one trajectory."""
     T = traj.horizon
     if traj.ys.shape[0] < 2:
         raise EmptyTrajectory("trajectory holds no dual step")
     cfg = traj.config
     is_fp = cfg.algorithm == Algorithm.FICTITIOUS_PLAY
-    horizons = _curve_horizons(T, curve_points)
+    horizons = _curve_horizons(T)
 
     if cfg.eta_schedule is not None:
-        payoffs = traj.xs_array @ traj.matrix.as_array().T
-        cum = np.cumsum(payoffs, axis=0)
+        cum = np.cumsum(traj.payoffs(), axis=0)
         total: Number = 2.0 * float(cum[T].max())
         curve = tuple((h, 2.0 * float(cum[h].max())) for h in horizons)
         by_energy: Optional[Number] = None
@@ -601,17 +596,12 @@ class BoundaryInvariance:
     """Empirical audit of the one-way interior -> boundary passage.
 
     ``first_exceed_t`` is the first boundary iterate whose energy tops every
-    energy ever seen at a full-support iterate of the same run
-    (``max_interior_energy``; if no iterate t >= 1 has full support, the first
-    boundary iterate counts as exceeding).  ``full_support_after_exceed``
-    reports whether any later iterate regained full support — the dynamics
-    say it never should.
+    energy ever seen at a full-support iterate of the same run (if no iterate
+    t >= 1 has full support, the first boundary iterate counts as exceeding).
+    ``full_support_after_exceed`` reports whether any later iterate regained
+    full support — the dynamics say it never should.
     """
 
-    first_boundary_t: Optional[int]
-    ever_returns_interior: bool
-    energy_at_first_boundary: Optional[Number]
-    max_interior_energy: Optional[Number]
     first_exceed_t: Optional[int]
     full_support_after_exceed: bool
 
@@ -623,26 +613,13 @@ def boundary_invariance_check(traj: Trajectory) -> BoundaryInvariance:
     full = (1 << traj.n) - 1
     full_at = [t for t in range(1, T + 1) if traj.support_mask(t) == full]
     boundary_at = [t for t in range(1, T + 1) if traj.support_mask(t) != full]
-    first_boundary = boundary_at[0] if boundary_at else None
     max_interior = max((traj.energy(t) for t in full_at), default=None)
-    returns = first_boundary is not None and any(t > first_boundary for t in full_at)
-
-    first_exceed = None
-    for t in boundary_at:
-        if max_interior is None or traj.energy(t) > max_interior:
-            first_exceed = t
-            break
-    after_exceed = first_exceed is not None and any(t > first_exceed for t in full_at)
-    return BoundaryInvariance(
-        first_boundary_t=first_boundary,
-        ever_returns_interior=returns,
-        energy_at_first_boundary=(
-            traj.energy(first_boundary) if first_boundary is not None else None
-        ),
-        max_interior_energy=max_interior,
-        first_exceed_t=first_exceed,
-        full_support_after_exceed=after_exceed,
+    first_exceed = next(
+        (t for t in boundary_at if max_interior is None or traj.energy(t) > max_interior),
+        None,
     )
+    after_exceed = first_exceed is not None and any(t > first_exceed for t in full_at)
+    return BoundaryInvariance(first_exceed, after_exceed)
 
 
 @dataclass(frozen=True)
@@ -686,7 +663,7 @@ def small_stepsize_energy_check(traj: Trajectory) -> SmallStepVerdict:
             energy_final=e_final,
             energy_bound=bound_e,
         )
-    reg = float(regret(traj, curve_points=2).regret_total)
+    reg = float(regret(traj).regret_total)
     bound_r = math.sqrt(T) * (bound_e + 1.0) + 1e-6
     ok = ok and reg <= bound_r
     return SmallStepVerdict(

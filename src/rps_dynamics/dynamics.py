@@ -85,6 +85,8 @@ class TiebreakRule:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        if self.seed is not None and (not isinstance(self.seed, int) or isinstance(self.seed, bool)):
+            raise ConfigInvalid(f"tiebreak seed must be an int, got {self.seed!r}")
         if self.kind == TiebreakKind.RANDOM_SEEDED:
             if self.seed is None:
                 raise ConfigInvalid("random_seeded tiebreak needs a seed")
@@ -140,43 +142,9 @@ class TiebreakRule:
         return tied[0]
 
 
-@dataclass(frozen=True)
-class SupportSet:
-    """An active coordinate set, kept sorted ascending."""
-
-    indices: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(sorted(self.indices)))
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-    @property
-    def mask(self) -> int:
-        """Bitmask with bit i set for each member index i (zero-based)."""
-        m = 0
-        for i in self.indices:
-            m |= 1 << i
-        return m
-
-    @classmethod
-    def from_mask(cls, mask: int) -> "SupportSet":
-        return cls(tuple(i for i in range(mask.bit_length()) if mask >> i & 1))
-
-    def __contains__(self, i: int) -> bool:
-        return i in self.indices
-
-    def __iter__(self):
-        return iter(self.indices)
-
-    def __len__(self) -> int:
-        return len(self.indices)
-
-
-def find_support(y: Sequence[Number]) -> SupportSet:
-    """Active set of the Euclidean projection of y onto the simplex.
+def find_support(y: Sequence[Number]) -> Tuple[int, ...]:
+    """Active set of the Euclidean projection of y onto the simplex, as
+    ascending indices.
 
     Starts from all coordinates and repeatedly drops the current argmin (lowest
     index on ties) while its projected value y_i - mean_S(y) + 1/|S| would be
@@ -199,7 +167,7 @@ def find_support(y: Sequence[Number]) -> SupportSet:
         total -= y[i]
         m -= 1
         k += 1
-    return SupportSet(tuple(sorted(order[k:])))
+    return tuple(sorted(order[k:]))
 
 
 def _projection_coords(y: Sequence[Number], indices: Tuple[int, ...]) -> List[Number]:
@@ -240,8 +208,7 @@ def _projection_coords(y: Sequence[Number], indices: Tuple[int, ...]) -> List[Nu
 
 def gd_primal(y: Sequence[Number]) -> SimplexPoint:
     """Euclidean projection of a dual vector onto the simplex."""
-    support = find_support(y)
-    return SimplexPoint(tuple(_projection_coords(y, support.indices)))
+    return SimplexPoint(tuple(_projection_coords(y, find_support(y))))
 
 
 def fp_primal(
@@ -271,7 +238,7 @@ def energy_fp(y: Sequence[Number]) -> Number:
     return max(y)
 
 
-def energy_gd(y: Sequence[Number], support: Optional[SupportSet] = None) -> Number:
+def energy_gd(y: Sequence[Number], support: Optional[Tuple[int, ...]] = None) -> Number:
     """Projection energy: value of max_{x in simplex} <x, y> - |x|^2 / 2.
 
     On the active set S with m = |S| and mu = mean_S(y) this equals
@@ -281,9 +248,7 @@ def energy_gd(y: Sequence[Number], support: Optional[SupportSet] = None) -> Numb
     computed in deviation form so that large dual vectors with small spread do
     not lose the spread to cancellation.
     """
-    if support is None:
-        support = find_support(y)
-    idx = support.indices
+    idx = find_support(y) if support is None else support
     m = len(idx)
     if all_exact(y):
         mu = Fraction(sum(y[j] for j in idx)) / m
@@ -316,7 +281,8 @@ class LearnerConfig:
     def __post_init__(self):
         if not isinstance(self.horizon, int) or isinstance(self.horizon, bool) or self.horizon < 0:
             raise ConfigInvalid(f"horizon must be a nonnegative int, got {self.horizon!r}")
-        # Not math.isfinite: it overflows on Fractions beyond the float range.
+        # Here and for tie_tolerance, not math.isfinite: it overflows on
+        # Fractions beyond the float range.
         if not 0 < self.eta < math.inf:
             raise ConfigInvalid(f"eta must be positive and finite, got {self.eta!r}")
         if self.eta_schedule not in (None, "inv_sqrt_t"):
@@ -331,8 +297,10 @@ class LearnerConfig:
                 raise ConfigInvalid("tiebreak rules apply to fictitious play only")
             if self.tie_tolerance is not None:
                 raise ConfigInvalid("tie_tolerance applies to fictitious play only")
-        if self.tie_tolerance is not None and not self.tie_tolerance >= 0:
-            raise ConfigInvalid(f"tie_tolerance must be nonnegative, got {self.tie_tolerance!r}")
+        if self.tie_tolerance is not None and not 0 <= self.tie_tolerance < math.inf:
+            raise ConfigInvalid(
+                f"tie_tolerance must be nonnegative and finite, got {self.tie_tolerance!r}"
+            )
         if not isinstance(self.bit_budget, int) or self.bit_budget < 16:
             raise ConfigInvalid(f"bit_budget must be an int >= 16, got {self.bit_budget!r}")
         if self.arithmetic == Arithmetic.EXACT_RATIONAL:
@@ -388,6 +356,7 @@ def _check_bits(values: Sequence[Number], budget: int, step: int) -> None:
             )
 
 
+@dataclass(frozen=True, eq=False)  # array fields: == would be ambiguous
 class Trajectory:
     """A recorded run: primals x^0..x^T, duals y^0..y^{T+1}, energies, supports.
 
@@ -398,26 +367,22 @@ class Trajectory:
     (bit i = coordinate i): supp(x^0) at t = 0, the chosen vertex (FP) or the
     projection's active set (OGD) for t >= 1.  ``x``, ``y`` and ``energy``
     return Python numbers; the ``*_array`` views are float64 in both modes.
-    ``region_cache`` holds the memo of ``analysis.region_trace``, filled on
-    first use; the columns are read-only, so it never goes stale.
     """
 
-    __slots__ = (
-        "config", "matrix", "is_exact", "_xs", "_ys", "_energies", "_supports",
-        "region_cache",
-    )
+    config: LearnerConfig
+    matrix: RpsMatrix
+    xs: np.ndarray
+    ys: np.ndarray
+    energies: np.ndarray
+    supports: np.ndarray
 
-    def __init__(self, config, matrix, xs, ys, energies, supports, is_exact):
-        self.config = config
-        self.matrix = matrix
-        self.is_exact = is_exact
-        for column in (xs, ys, energies, supports):
+    def __post_init__(self):
+        for column in (self.xs, self.ys, self.energies, self.supports):
             column.flags.writeable = False
-        self._xs = xs
-        self._ys = ys
-        self._energies = energies
-        self._supports = supports
-        self.region_cache = None
+
+    @property
+    def is_exact(self) -> bool:
+        return self.config.is_exact
 
     @property
     def horizon(self) -> int:
@@ -427,36 +392,21 @@ class Trajectory:
     def n(self) -> int:
         return self.matrix.n
 
-    @property
-    def xs(self) -> np.ndarray:
-        return self._xs
-
-    @property
-    def ys(self) -> np.ndarray:
-        return self._ys
-
-    @property
-    def energies(self) -> np.ndarray:
-        return self._energies
-
-    @property
-    def supports(self) -> np.ndarray:
-        return self._supports
-
     def x(self, t: int) -> Tuple[Number, ...]:
-        return tuple(self._xs[t].tolist())
+        return tuple(self.xs[t].tolist())
 
     def y(self, t: int) -> Tuple[Number, ...]:
-        return tuple(self._ys[t].tolist())
+        return tuple(self.ys[t].tolist())
 
     def energy(self, t: int) -> Number:
-        return self._energies.item(t)
+        return self.energies.item(t)
 
     def support_mask(self, t: int) -> int:
-        return int(self._supports[t])
+        return int(self.supports[t])
 
     def support(self, t: int) -> Tuple[int, ...]:
-        return SupportSet.from_mask(self.support_mask(t)).indices
+        mask = self.support_mask(t)
+        return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
     def payoffs(self) -> np.ndarray:
         """(T+1, n) payoff vectors A x^t, in the column dtype.
@@ -465,22 +415,22 @@ class Trajectory:
         coordinate; an object-dtype matmul would do n of them.
         """
         if self.is_exact:
-            return np.array([self.matrix.apply(x) for x in self._xs.tolist()], dtype=object)
-        return self._xs @ self.matrix.as_array().T
+            return np.array([self.matrix.apply(x) for x in self.xs.tolist()], dtype=object)
+        return self.xs @ self.matrix.as_array().T
 
     @property
     def xs_array(self) -> np.ndarray:
         """(T+1, n) float array of primal iterates."""
-        return self._xs.astype(float, copy=False)
+        return self.xs.astype(float, copy=False)
 
     @property
     def ys_array(self) -> np.ndarray:
         """(T+2, n) float array of dual iterates."""
-        return self._ys.astype(float, copy=False)
+        return self.ys.astype(float, copy=False)
 
     @property
     def energies_array(self) -> np.ndarray:
-        return self._energies.astype(float, copy=False)
+        return self.energies.astype(float, copy=False)
 
 
 def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
@@ -514,10 +464,7 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     # Masks have n bits; past 64 they need Python ints.
     supports = np.zeros(T + 1, dtype=np.uint64 if n <= 64 else object)
 
-    supp_mask = 0
-    for i, c in enumerate(x):
-        if c > 0:
-            supp_mask |= 1 << i
+    supp_mask = sum(1 << i for i, c in enumerate(x) if c > 0)
     incumbent = config.x0.vertex_index
 
     ys[0] = y
@@ -546,9 +493,9 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
                 incumbent = i
                 supp_mask = 1 << i
             else:
-                x = _projection_coords(y, support.indices)
+                x = _projection_coords(y, support)
                 if exact:
                     _check_bits(x, config.bit_budget, t)
-                supp_mask = support.mask
+                supp_mask = sum(1 << i for i in support)
 
-    return Trajectory(config, matrix, xs, ys, energies, supports, exact)
+    return Trajectory(config, matrix, xs, ys, energies, supports)

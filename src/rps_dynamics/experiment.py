@@ -172,6 +172,9 @@ def _parse_enum(enum, value, where: str):
 def _parse_tiebreak(raw, seed) -> TiebreakRule:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigInvalid('tiebreak must be {"kind": ..., "seed": optional}')
+    unknown = set(raw) - {"kind", "seed"}
+    if unknown:
+        raise ConfigInvalid(f"unknown tiebreak keys: {sorted(unknown)}")
     kind = _parse_enum(TiebreakKind, raw["kind"], "tiebreak.kind")
     tb_seed = raw.get("seed")
     if kind == TiebreakKind.RANDOM_SEEDED and tb_seed is None:

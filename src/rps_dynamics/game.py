@@ -166,7 +166,22 @@ class NashResult:
 
     point: SimplexPoint
     residual: Number
-    is_interior: bool
+
+
+def _stride_two_chain(w: List[Fraction], start: int) -> List[Fraction]:
+    """Normalized solution of x[j+2] = (w[j] / w[j+1]) * x[j] along the
+    stride-two walk from ``start`` until it closes; coordinates off the walk
+    stay 0."""
+    n = len(w)
+    chain = [Fraction(0)] * n
+    chain[start] = Fraction(1)
+    j = start
+    while (j + 2) % n != start:
+        nxt = (j + 2) % n
+        chain[nxt] = chain[j] * w[j] / w[(j + 1) % n]
+        j = nxt
+    total = sum(chain)
+    return [c / total for c in chain]
 
 
 def interior_nash(matrix: RpsMatrix) -> NashResult:
@@ -189,15 +204,7 @@ def interior_nash(matrix: RpsMatrix) -> NashResult:
     n = matrix.n
     w = [Fraction(v) for v in matrix.weights]
     if n % 2 == 1:
-        rel: List[Fraction] = [Fraction(0)] * n
-        rel[0] = Fraction(1)
-        j = 0
-        for _ in range(n - 1):
-            nxt = (j + 2) % n
-            rel[nxt] = rel[j] * w[j] / w[(j + 1) % n]
-            j = nxt
-        total = sum(rel)
-        coords: Tuple[Fraction, ...] = tuple(c / total for c in rel)
+        coords: Tuple[Fraction, ...] = tuple(_stride_two_chain(w, 0))
     else:
         even_prod = math.prod(w[0::2])
         odd_prod = math.prod(w[1::2])
@@ -207,18 +214,7 @@ def interior_nash(matrix: RpsMatrix) -> NashResult:
                 f"when prod(even-indexed weights) == prod(odd-indexed weights); "
                 f"got {even_prod} != {odd_prod}, so Ax = 0 forces x = 0"
             )
-        rays: List[List[Fraction]] = []
-        for start in (0, 1):
-            chain: List[Fraction] = [Fraction(0)] * n
-            chain[start] = Fraction(1)
-            j = start
-            for _ in range(n // 2 - 1):
-                nxt = (j + 2) % n
-                chain[nxt] = chain[j] * w[j] / w[(j + 1) % n]
-                j = nxt
-            s = sum(chain)
-            rays.append([c / s for c in chain])
-        p, q = rays
+        p, q = (_stride_two_chain(w, start) for start in (0, 1))
         # Disjoint supports, so |x|^2 = lam^2 |p|^2 + (1-lam)^2 |q|^2; the
         # minimizer over the segment lands strictly between the endpoints.
         pp = sum(c * c for c in p)
@@ -232,7 +228,7 @@ def interior_nash(matrix: RpsMatrix) -> NashResult:
     else:
         point = SimplexPoint(tuple(float(c) for c in coords))
         residual = max(abs(v) for v in matrix.apply(point.coords))
-    return NashResult(point=point, residual=residual, is_interior=all(c > 0 for c in point.coords))
+    return NashResult(point=point, residual=residual)
 
 
 def gamma(matrix: RpsMatrix, point: SimplexPoint) -> Number:

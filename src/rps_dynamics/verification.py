@@ -318,8 +318,7 @@ def check_projection_oracle(store: TrajectoryStore, level: str) -> CheckResult:
         for _ in range(draws):
             y = [float(v) for v in rng.uniform(-5.0, 5.0, n)]
             point, value = oracle.project_bruteforce(y)
-            fast = find_support(y)
-            if set(fast.indices) != set(point.support):
+            if find_support(y) != point.support:
                 mismatches += 1
                 continue
             px = gd_primal(y)
@@ -390,7 +389,7 @@ def check_regret_identities(store: TrajectoryStore, level: str) -> CheckResult:
     worst_rel = 0.0
     failures = []
     for key, traj in store.build_all():
-        rep = regret(traj, curve_points=5)
+        rep = regret(traj)
         for name, (holds, gap) in regret_route_gaps(traj, rep).items():
             worst_rel = max(worst_rel, float(gap))
             if not holds:

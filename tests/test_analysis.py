@@ -72,28 +72,28 @@ def _gd(n=3, T=50, eta=1, weights=None, x0=None, exact=False):
 def test_region_vertex():
     tag = classify_region([5.0, 1.0, 0.0])
     assert tag.kind == RegionKind.VERTEX and tag.index == 0
-    assert abs(tag.margin - 3.0) < 1e-15       # tightest slack: y0 - y1 - 1
+    assert tag.min_abs_margin == 0.0           # y1 - y2 - 1 is exactly 0
     assert tag.label() == "vertex_0"
 
 
 def test_region_edge():
     tag = classify_region([2.0, 1.8, -3.0])
     assert tag.kind == RegionKind.EDGE and tag.index == 0
-    assert abs(tag.margin - 0.8) < 1e-15
+    assert abs(tag.min_abs_margin - 0.8) < 1e-15
     assert tag.label() == "edge_0"
 
 
 def test_region_interior():
     tag = classify_region([0.0, 0.0, 0.0])
     assert tag.kind == RegionKind.INTERIOR and tag.index is None
-    assert abs(tag.margin - 1.0 / 3) < 1e-15
+    assert abs(tag.min_abs_margin - 1.0 / 3) < 1e-15
 
 
 def test_region_other_boundary():
     # Projection support {0, 2} on n=4 is a non-adjacent pair: no named region.
     tag = classify_region([3.0, 0.0, 3.0, 0.0])
     assert tag.kind == RegionKind.OTHER_BOUNDARY
-    assert abs(tag.margin - 1.0) < 1e-15
+    assert abs(tag.min_abs_margin - 1.0) < 1e-15
 
 
 def test_region_near_boundary_ambiguity():
@@ -117,7 +117,7 @@ def test_region_matches_projection_support():
         tag = classify_region(y)
         if tag.min_abs_margin < 1e-9:
             continue  # genuinely ambiguous; no claim
-        s = find_support(y).indices
+        s = find_support(y)
         if tag.kind == RegionKind.VERTEX:
             assert s == (tag.index,)
         elif tag.kind == RegionKind.EDGE:
@@ -131,7 +131,6 @@ def test_region_matches_projection_support():
 def test_region_exact_arithmetic():
     tag = classify_region((Fraction(3), Fraction(1), Fraction(0)))
     assert tag.kind == RegionKind.VERTEX and tag.index == 0
-    assert tag.margin == 1
     # Exact boundary point: y0 - y1 = 1 exactly fails the strict vertex test.
     tag = classify_region((Fraction(1), Fraction(0), Fraction(-9)))
     assert tag.kind == RegionKind.EDGE and tag.index == 0
@@ -189,7 +188,7 @@ def test_regret_upper_bound_gd():
 
 def test_regret_curve_shape():
     traj = _fp(T=100)
-    rep = regret(traj, curve_points=9)
+    rep = regret(traj)
     ts = [t for t, _ in rep.per_T_curve]
     assert ts == sorted(set(ts))
     assert ts[-1] == 100
@@ -327,7 +326,6 @@ def _doctored(algorithm, ys, energies, supports, exact, eta=1):
         np.array(ys, dtype=dtype),
         np.array(energies, dtype=dtype),
         np.array(supports, dtype=np.uint64),
-        exact,
     )
 
 
@@ -500,7 +498,6 @@ def test_dual_subspace_dimension_check():
 def test_boundary_invariance_moderate_step():
     traj = _gd(T=2000, eta=0.3, x0=SimplexPoint((0.3, 0.4, 0.3)))
     b = boundary_invariance_check(traj)
-    assert b.first_boundary_t is not None
     assert b.first_exceed_t is not None
     assert not b.full_support_after_exceed
 

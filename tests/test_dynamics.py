@@ -14,7 +14,6 @@ from rps_dynamics import (
     LearnerConfig,
     ProjectionInfeasible,
     SimplexPoint,
-    SupportSet,
     TiebreakKind,
     TiebreakRule,
     energy_fp,
@@ -33,26 +32,23 @@ from rps_dynamics.dynamics import _projection_coords
 
 
 def test_find_support_single_winner():
-    assert find_support([10.0, 0.0, 0.0]).indices == (0,)
-    assert find_support([-1, -1, 5]).indices == (2,)
+    assert find_support([10.0, 0.0, 0.0]) == (0,)
+    assert find_support([-1, -1, 5]) == (2,)
 
 
 def test_find_support_partial():
-    s = find_support([0.5, 0.3, -5.0])
-    assert s.indices == (0, 1)
-    assert s.mask == 0b011
+    assert find_support([0.5, 0.3, -5.0]) == (0, 1)
 
 
 def test_find_support_full():
-    assert find_support([0.0, 0.0, 0.0]).indices == (0, 1, 2)
-    assert find_support([0.1, 0.0, -0.1]).indices == (0, 1, 2)
+    assert find_support([0.0, 0.0, 0.0]) == (0, 1, 2)
+    assert find_support([0.1, 0.0, -0.1]) == (0, 1, 2)
 
 
 def test_find_support_exact_ties():
     # Exact arithmetic: the borderline coordinate (projected value exactly 0)
     # stays in the support.
-    s = find_support((Fraction(0), Fraction(1), Fraction(-1)))
-    assert s.indices == (0, 1)
+    assert find_support((Fraction(0), Fraction(1), Fraction(-1))) == (0, 1)
 
 
 def test_gd_primal_examples():
@@ -77,8 +73,7 @@ def test_sorted_scan_matches_on_random_draws():
     for _ in range(300):
         n = int(rng.integers(3, 9))
         y = [float(v) for v in rng.uniform(-4, 4, n)]
-        s = find_support(y)
-        idx = s.indices
+        idx = find_support(y)
         m = len(idx)
         mu = sum(y[i] for i in idx) / m
         for i in idx:
@@ -381,9 +376,15 @@ def test_trajectory_storage_shapes():
         traj.x(9)
 
 
-def test_support_set_mask_roundtrip():
-    s = SupportSet((2, 0))
-    assert s.indices == (0, 2)
-    assert s.mask == 0b101
-    assert SupportSet.from_mask(0b101).indices == (0, 2)
-    assert 2 in s and 1 not in s and len(s) == 2
+def test_support_column_round_trips_find_support():
+    """The stored bitmask decodes to the active set the run projected on."""
+    cfg = LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=60,
+                        x0=SimplexPoint((0.05, 0.35, 0.39, 0.21)), eta=0.7)
+    traj = run(cfg, make_rps((1.0, 2.0, 1.0, 3.0)))
+    sizes = set()
+    for t in range(1, traj.horizon + 1):
+        support = find_support(traj.y(t))
+        assert traj.support(t) == support
+        assert traj.support_mask(t) == sum(1 << i for i in support)
+        sizes.add(len(support))
+    assert len(sizes) > 1  # the walk crosses regions of different support size

@@ -114,7 +114,6 @@ def test_nash_weighted_three_cycle():
     res = interior_nash(make_rps((1, 2, 3)))
     assert res.point.coords == (Fraction(1, 3), Fraction(1, 2), Fraction(1, 6))
     assert res.residual == 0
-    assert res.is_interior
 
 
 def test_nash_uniform_for_equal_weights():

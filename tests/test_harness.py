@@ -520,6 +520,37 @@ def test_cli_run_rejects_non_finite_numbers(tmp_path, field, text):
     assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("text", ['"inf"', "1e400"])
+def test_cli_run_rejects_infinite_tie_tolerance(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(
+        '{"name": "t", "weights": [1, 1, 1], "learner": {"algorithm": "fp", '
+        '"horizon": 5, "x0": [1, 0, 0], "tie_tolerance": %s}}' % text
+    )
+    with pytest.raises(ConfigInvalid, match="tie_tolerance"):
+        parse_config(json.loads(path.read_text()))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+
+
+def test_cli_run_rejects_unknown_tiebreak_keys(tmp_path):
+    cfg = fp_config()
+    cfg["learner"]["tiebreak"] = {"kind": "lexicographic", "sead": 3}
+    with pytest.raises(ConfigInvalid, match="sead"):
+        parse_config(cfg)
+    path = write_json(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+@pytest.mark.parametrize("seed", ["abc", True, 1.0])
+def test_tiebreak_seed_must_be_an_int(tmp_path, seed):
+    with pytest.raises(ConfigInvalid, match="seed"):
+        TiebreakRule(TiebreakKind.RANDOM_SEEDED, seed)
+    cfg = fp_config()
+    cfg["learner"]["tiebreak"] = {"kind": "random_seeded", "seed": seed}
+    path = write_json(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
 def test_cli_sweep(tmp_path):
     cfg = {
         "name": "sw",

@@ -65,7 +65,7 @@ def test_fast_projection_agrees_with_bruteforce():
                 max(abs(a - b) for a, b in zip(fast.coords, brute_pt.coords)),
             )
             worst_de = max(worst_de, abs(float(brute_obj) - energy_gd(y)))
-            assert find_support(y).indices == tuple(
+            assert find_support(y) == tuple(
                 i for i, c in enumerate(brute_pt.coords) if c > 0
             )
     assert worst_dx < 1e-10
@@ -84,7 +84,7 @@ def test_fast_projection_agrees_exactly_on_rationals():
         assert energy_gd(y) == brute_obj
         # At an exact tie the active set may carry a zero-weight coordinate,
         # so it contains the positive support rather than equalling it.
-        support = set(find_support(y).indices)
+        support = set(find_support(y))
         positive = {i for i, c in enumerate(brute_pt.coords) if c > 0}
         assert positive <= support
         assert all(brute_pt.coords[i] == 0 for i in range(n) if i not in support)

@@ -5,7 +5,9 @@ scalar classifier's operations in its order, so float rows must round to the
 same bits and exact rows to the same rationals.
 """
 
+import gc
 import json
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -142,19 +144,38 @@ def test_trace_matches_oracle_on_fraction_rows():
     assert all(isinstance(m, (int, Fraction)) for m in trace.min_abs_margin.tolist())
 
 
+_GD_SMALL = LearnerConfig(
+    algorithm=Algorithm.GRADIENT_DESCENT,
+    horizon=50,
+    x0=SimplexPoint((0.05, 0.35, 0.39, 0.21)),
+    eta=6.0,
+)
+
+
 def test_region_trace_is_memoized():
-    cfg = LearnerConfig(
-        algorithm=Algorithm.GRADIENT_DESCENT,
-        horizon=50,
-        x0=SimplexPoint((0.05, 0.35, 0.39, 0.21)),
-        eta=6.0,
-    )
-    traj = run(cfg, make_rps((1.0,) * 4))
-    assert traj.region_cache is None
-    first = region_trace(traj)
-    assert region_trace(traj) is first and traj.region_cache is first
-    for column in (first.kind, first.index, first.min_abs_margin):
+    traj = run(_GD_SMALL, make_rps((1.0,) * 4))
+    assert region_trace(traj) is region_trace(traj)
+    trace = region_trace(traj)
+    for column in (trace.kind, trace.index, trace.min_abs_margin):
         assert not column.flags.writeable
+
+
+def test_trajectory_columns_cannot_change_under_the_memo():
+    """The memo never goes stale: no column can be rebound or written."""
+    traj = run(_GD_SMALL, make_rps((1.0,) * 4))
+    with pytest.raises(AttributeError):
+        traj.xs = traj.xs.copy()
+    for column in (traj.xs, traj.ys, traj.energies, traj.supports):
+        with pytest.raises(ValueError):
+            column[0] = column[1]
+
+
+def test_memo_is_dropped_with_its_trajectory():
+    traj = run(_GD_SMALL, make_rps((1.0,) * 4))
+    ref = weakref.ref(region_trace(traj))
+    del traj
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.fixture
