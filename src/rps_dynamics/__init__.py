@@ -53,7 +53,6 @@ from .dynamics import (
 from .analysis import (
     BoundaryInvariance,
     Ledger,
-    Phase,
     PhaseSummary,
     RegionKind,
     RegionTag,
@@ -110,7 +109,7 @@ __all__ = [
     # analysis
     "RegionKind", "RegionTag", "classify_region", "RegionTrace", "region_trace",
     "RegretReport", "regret",
-    "regret_at", "fit_regret_slope", "Phase", "PhaseSummary", "detect_phases",
+    "regret_at", "fit_regret_slope", "PhaseSummary", "detect_phases",
     "verify_cycling", "Ledger", "energy_growth_ledger", "ledger_summary",
     "check_dual_subspace",
     "BoundaryInvariance", "boundary_invariance_check", "SmallStepVerdict",

@@ -44,7 +44,6 @@ from .dynamics import (
     REL_TOL,
     Algorithm,
     Trajectory,
-    fp_primal,
     tolerance,
 )
 from .game import Number, SimplexPoint, all_exact, duality_gap
@@ -321,26 +320,28 @@ def fit_regret_slope(curve: Sequence[Tuple[int, Number]]) -> Tuple[float, float]
 # Phases
 
 
-@dataclass(frozen=True)
-class Phase:
-    """One maximal run of iterates at a single best-response vertex."""
-
-    index: int
-    t_start: int
-    length: int
-    vertex: int
-    start_energy: Number        # gamma_k = H(y^{t_k})
-    energy_increased: bool      # c_k; False for the first phase
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)  # array fields: == would be ambiguous
 class PhaseSummary:
-    phases: Tuple[Phase, ...]
+    """Vertex phases k = 0..count-1 as read-only columns: phase k is the
+    maximal run of ``length[k]`` iterates at ``vertex[k]`` from ``t_start[k]``,
+    with start energy gamma_k (in the trajectory's column dtype) and c_k =
+    ``energy_increased[k]``, False for k = 0.  ``t0`` is ``t_start[0]``."""
+
     t0: int
+    t_start: np.ndarray
+    length: np.ndarray
+    vertex: np.ndarray
+    start_energy: np.ndarray
+    energy_increased: np.ndarray
+
+    def __post_init__(self):
+        for column in (self.t_start, self.length, self.vertex, self.start_energy,
+                       self.energy_increased):
+            column.flags.writeable = False
 
     @property
     def count(self) -> int:
-        return len(self.phases)
+        return len(self.t_start)
 
 
 def detect_phases(traj: Trajectory) -> PhaseSummary:
@@ -353,64 +354,39 @@ def detect_phases(traj: Trajectory) -> PhaseSummary:
     iterate T, so lengths plus t0 tile [t0, T] exactly.
     """
     T = traj.horizon
-    is_fp = traj.config.algorithm == Algorithm.FICTITIOUS_PLAY
     if T < 1:
         raise NoVertexReached("no iterate beyond the starting point")
 
-    # labels[t]: the vertex iterate t sits at (FP: its singleton support;
-    # GD: its vertex region), -1 elsewhere.
-    if is_fp:
-        labels = [
-            m.bit_length() - 1 if m and m & (m - 1) == 0 else -1
-            for m in traj.supports.tolist()
-        ]
+    # labels[t]: the vertex iterate t sits at, -1 off the vertex regions.  FP
+    # iterates t >= 1 are all vertices.
+    if traj.config.algorithm == Algorithm.FICTITIOUS_PLAY:
+        labels = traj.xs.argmax(axis=1)
     else:
         trace = region_trace(traj)
-        labels = np.where(trace.kind == VERTEX, trace.index, -1).tolist()
+        labels = np.where(trace.kind == VERTEX, trace.index, -1)
 
-    tol = tolerance(traj.is_exact, REL_TOL)
-
-    def increased(curr: Number, prev: Number) -> bool:
-        return curr > prev + tol * max(1, abs(prev))
-
-    t0 = next((t for t in range(1, T + 1) if labels[t] >= 0), None)
-    if t0 is None:
+    at = np.flatnonzero(labels[1 : T + 1] >= 0) + 1
+    if at.size == 0:
         raise NoVertexReached("no vertex-region iterate found")
-
-    starts: List[Tuple[int, int]] = [(t0, labels[t0])]
-    for t in range(t0 + 1, T + 1):
-        lab = labels[t]
-        if lab >= 0 and lab != starts[-1][1]:
-            starts.append((t, lab))
-
-    phases: List[Phase] = []
-    for k, (tk, vk) in enumerate(starts):
-        t_next = starts[k + 1][0] if k + 1 < len(starts) else T + 1
-        hk = traj.energy(tk)
-        c_k = k > 0 and increased(hk, phases[-1].start_energy)
-        phases.append(
-            Phase(
-                index=k,
-                t_start=tk,
-                length=t_next - tk,
-                vertex=vk,
-                start_energy=hk,
-                energy_increased=c_k,
-            )
-        )
-    return PhaseSummary(phases=tuple(phases), t0=t0)
+    v = labels[at]
+    starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
+    t_start = at[starts]
+    gamma = traj.energies[t_start]
+    tol = tolerance(traj.is_exact, REL_TOL)
+    increased = np.zeros(t_start.size, dtype=bool)
+    increased[1:] = gamma[1:] > gamma[:-1] + tol * np.maximum(1, np.abs(gamma[:-1]))
+    length = np.diff(t_start, append=T + 1)
+    return PhaseSummary(int(t_start[0]), t_start, length, v[starts], gamma, increased)
 
 
 def verify_cycling(phases: PhaseSummary, n: int) -> Optional[int]:
     """None when every phase vertex is its predecessor's cyclic successor;
     otherwise the index of the first offending phase."""
-    ps = phases.phases
-    if len(ps) < 2:
-        raise TooFewPhases(f"cycling needs at least 2 phases, got {len(ps)}")
-    for k in range(1, len(ps)):
-        if ps[k].vertex != (ps[k - 1].vertex + 1) % n:
-            return k
-    return None
+    vertex = phases.vertex
+    if vertex.size < 2:
+        raise TooFewPhases(f"cycling needs at least 2 phases, got {vertex.size}")
+    bad = np.flatnonzero(vertex[1:] != (vertex[:-1] + 1) % n)
+    return int(bad[0]) + 1 if bad.size else None
 
 
 # ---------------------------------------------------------------------------
@@ -504,20 +480,10 @@ def energy_growth_ledger(traj: Trajectory) -> Ledger:
     trace = None
 
     if cfg.algorithm == Algorithm.FICTITIOUS_PLAY:
+        # Row T+1 of the supports is the closing response to y^{T+1}.
         masks = traj.supports
         same = np.zeros(T + 1, dtype=bool)
-        same[1:T] = masks[1:T] == masks[2:]
-        if T >= 1:
-            # No stored x^{T+1}; classify the final dual step against the
-            # response the dynamics would have played next.
-            cur = int(masks[T]).bit_length() - 1
-            same[T] = cur == fp_primal(
-                traj.y(T + 1),
-                cfg.effective_tiebreak,
-                incumbent=cur,
-                tol=cfg.effective_tie_tolerance,
-                step=T + 1,
-            )
+        same[1:] = masks[1:-1] == masks[2:]
         switch = ~same
         switch[0] = False
         cases = [(FP_SAME, same, 0, 0), (FP_SWITCH, switch, 0, a_max)]
@@ -610,16 +576,16 @@ def boundary_invariance_check(traj: Trajectory) -> BoundaryInvariance:
     if traj.config.algorithm != Algorithm.GRADIENT_DESCENT:
         raise ConfigInvalid("boundary invariance is a gradient-descent property")
     T = traj.horizon
-    full = (1 << traj.n) - 1
-    full_at = [t for t in range(1, T + 1) if traj.support_mask(t) == full]
-    boundary_at = [t for t in range(1, T + 1) if traj.support_mask(t) != full]
-    max_interior = max((traj.energy(t) for t in full_at), default=None)
-    first_exceed = next(
-        (t for t in boundary_at if max_interior is None or traj.energy(t) > max_interior),
-        None,
-    )
-    after_exceed = first_exceed is not None and any(t > first_exceed for t in full_at)
-    return BoundaryInvariance(first_exceed, after_exceed)
+    full = traj.supports[1 : T + 1] == (1 << traj.n) - 1
+    energies = traj.energies[1 : T + 1]
+    exceed = ~full
+    if full.any():
+        exceed &= energies > energies[full].max()
+    hits = np.flatnonzero(exceed)
+    if hits.size == 0:
+        return BoundaryInvariance(None, False)
+    first = int(hits[0])
+    return BoundaryInvariance(first + 1, bool(full[first + 1 :].any()))
 
 
 @dataclass(frozen=True)
@@ -645,12 +611,11 @@ def small_stepsize_energy_check(traj: Trajectory) -> SmallStepVerdict:
             return SmallStepVerdict(
                 "not_applicable", f"stepsize {cfg.eta!r} is not 1/sqrt({T})"
             )
-    full = (1 << traj.n) - 1
-    for t in range(1, T + 1):
-        if traj.support_mask(t) != full:
-            return SmallStepVerdict(
-                "not_applicable", f"iterate at t={t} is not interior"
-            )
+    outside = np.flatnonzero(traj.supports[1 : T + 1] != (1 << traj.n) - 1)
+    if outside.size:
+        return SmallStepVerdict(
+            "not_applicable", f"iterate at t={int(outside[0]) + 1} is not interior"
+        )
     n = traj.n
     a_max = float(traj.matrix.a_max)
     bound_e = n * a_max * a_max / 2.0

@@ -327,14 +327,9 @@ class LearnerConfig:
             return self.tie_tolerance
         return tolerance(self.is_exact, TIE_TOL)
 
-    def eta_at(self, step: int) -> Number:
-        """Stepsize of the update that produces y^{step+1}."""
-        if self.eta_schedule == "inv_sqrt_t":
-            return 1.0 / math.sqrt(step + 1)
-        return self.eta
-
     def etas(self) -> np.ndarray:
-        """``eta_at(t)`` for t = 0..horizon as one column (object if exact)."""
+        """Stepsize of the update producing y^{t+1}, t = 0..horizon, as one
+        column (object if exact)."""
         if self.eta_schedule == "inv_sqrt_t":
             return 1.0 / np.sqrt(np.arange(1, self.horizon + 2))
         return np.full(self.horizon + 1, self.eta, dtype=object if self.is_exact else float)
@@ -363,9 +358,10 @@ class Trajectory:
     Both arithmetic modes store the same numpy columns, read-only: ``xs``
     (T+1, n), ``ys`` (T+2, n) and ``energies`` (T+2,) are float64 for float
     runs and dtype=object for exact runs, where they hold the very int and
-    ``Fraction`` values the run produced.  Supports are stored as bitmasks
-    (bit i = coordinate i): supp(x^0) at t = 0, the chosen vertex (FP) or the
-    projection's active set (OGD) for t >= 1.  ``x``, ``y`` and ``energy``
+    ``Fraction`` values the run produced.  ``supports`` (T+2,) holds bitmasks
+    (bit i = coordinate i): supp(x^0) at t = 0, then the response to y^t, the
+    chosen vertex (FP) or the projection's active set (OGD); row T+1 is the
+    closing response, decided but never played.  ``x``, ``y`` and ``energy``
     return Python numbers; the ``*_array`` views are float64 in both modes.
     """
 
@@ -437,7 +433,8 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     """Simulate the configured learner for horizon T and record everything.
 
     The loop performs T+1 dual updates (producing y^1 .. y^{T+1}) and T primal
-    responses (x^1 .. x^T) after the given x^0.
+    responses (x^1 .. x^T) after the given x^0.  The closing response to
+    y^{T+1} is recorded as support row T+1, but x^{T+1} is not formed.
     """
     n = matrix.n
     if config.x0.n != n:
@@ -452,6 +449,7 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
     rule = config.effective_tiebreak
     tol = config.effective_tie_tolerance
+    incumbent = config.x0.vertex_index
 
     number = (lambda v: v) if exact else float
     mat = RpsMatrix(tuple(number(w) for w in matrix.weights))
@@ -462,40 +460,31 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     ys = np.empty((T + 2, n), dtype=dtype)
     energies = np.empty(T + 2, dtype=dtype)
     # Masks have n bits; past 64 they need Python ints.
-    supports = np.zeros(T + 1, dtype=np.uint64 if n <= 64 else object)
-
-    supp_mask = sum(1 << i for i, c in enumerate(x) if c > 0)
-    incumbent = config.x0.vertex_index
+    supports = np.zeros(T + 2, dtype=np.uint64 if n <= 64 else object)
 
     ys[0] = y
+    supports[0] = sum(1 << i for i, c in enumerate(x) if c > 0)
     energies[0] = energy_fp(y) if is_fp else energy_gd(y)
-    for t in range(T + 1):
+    for t, eta_t in enumerate(config.etas().tolist()):
         xs[t] = x
-        supports[t] = supp_mask
-        eta_t = config.eta_at(t)
         v = mat.apply(x)
         y = [yi + eta_t * vi for yi, vi in zip(y, v)]
-        if is_fp:
-            en = energy_fp(y)
-            support = None
-        else:
-            support = find_support(y)
-            en = energy_gd(y, support)
         ys[t + 1] = y
-        energies[t + 1] = en
         if exact:
             _check_bits(y, config.bit_budget, t)
-        if t < T:
-            if is_fp:
-                i = fp_primal(y, rule, incumbent=incumbent, tol=tol, step=t + 1)
-                x = [0] * n
-                x[i] = 1
-                incumbent = i
-                supp_mask = 1 << i
-            else:
+        if is_fp:
+            energies[t + 1] = energy_fp(y)
+            incumbent = fp_primal(y, rule, incumbent=incumbent, tol=tol, step=t + 1)
+            supports[t + 1] = 1 << incumbent
+            x = [0] * n
+            x[incumbent] = 1
+        else:
+            support = find_support(y)
+            energies[t + 1] = energy_gd(y, support)
+            supports[t + 1] = sum(1 << i for i in support)
+            if t < T:
                 x = _projection_coords(y, support)
                 if exact:
                     _check_bits(x, config.bit_budget, t)
-                supp_mask = sum(1 << i for i in support)
 
     return Trajectory(config, matrix, xs, ys, energies, supports)

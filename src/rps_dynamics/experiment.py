@@ -402,11 +402,10 @@ def write_phases_csv(summary: Optional[PhaseSummary], path: str) -> None:
         w.writerow(["k", "t_k", "tau_k", "vertex", "gamma_k", "c_k"])
         if summary is None:
             return
-        for p in summary.phases:
-            w.writerow(
-                [p.index, p.t_start, p.length, p.vertex + 1,
-                 _number_cell(p.start_energy), 1 if p.energy_increased else 0]
-            )
+        columns = (summary.t_start, summary.length, summary.vertex + 1,
+                   summary.start_energy, summary.energy_increased)
+        for k, (t, tau, vertex, gamma, c) in enumerate(zip(*(col.tolist() for col in columns))):
+            w.writerow([k, t, tau, vertex, _number_cell(gamma), 1 if c else 0])
 
 
 def write_ledger_csv(ledger: Ledger, path: str) -> None:
@@ -605,7 +604,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunResult:
             # Phases always start at the first vertex iterate; the field stays
             # in the report's schema.
             "start_rule": "first_vertex",
-            "vertices": [p.vertex + 1 for p in phases.phases],
+            "vertices": (phases.vertex + 1).tolist(),
         },
         "phases_note": phases_note,
         "ledger": led,

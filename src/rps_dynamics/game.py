@@ -83,14 +83,6 @@ class RpsMatrix:
             w[(i - 1) % n] * x[(i - 1) % n] - w[i] * x[(i + 1) % n] for i in range(n)
         )
 
-    def column(self, j: int) -> Tuple[Number, ...]:
-        """A @ e_j."""
-        n = self.n
-        out: List[Number] = [0] * n
-        out[(j - 1) % n] = -self.weights[(j - 1) % n]
-        out[(j + 1) % n] = self.weights[j]
-        return tuple(out)
-
     def as_array(self) -> np.ndarray:
         n = self.n
         mat = np.zeros((n, n))
@@ -246,13 +238,7 @@ def gamma(matrix: RpsMatrix, point: SimplexPoint) -> Number:
 def duality_gap(matrix: RpsMatrix, point: SimplexPoint) -> Number:
     """Duality gap of the self-play profile (x, x).
 
-    max_i (Ax)_i - min_j (x^T A)_j; by skew-symmetry this equals
-    2 * max_i (Ax)_i, and it vanishes exactly at equilibrium.
+    max_i (Ax)_i - min_j (x^T A)_j; by skew-symmetry (x^T A)_j = -(Ax)_j, so
+    this is 2 * max_i (Ax)_i, and it vanishes exactly at equilibrium.
     """
-    v = matrix.apply(point.coords)
-    best_row = max(v)
-    worst_col = min(
-        sum(c * e for c, e in zip(point.coords, matrix.column(j)) if e != 0)
-        for j in range(matrix.n)
-    )
-    return best_row - worst_col
+    return 2 * max(matrix.apply(point.coords))

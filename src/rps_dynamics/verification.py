@@ -187,7 +187,7 @@ def check_fp_tournament_constant(store: TrajectoryStore, level: str) -> CheckRes
         traj = store.get(f"fp_tournament_{n}")
         T = traj.horizon
         psi1 = traj.energy(1)
-        conserved = all(traj.energy(t) == psi1 for t in range(1, T + 2))
+        conserved = bool((traj.energies[1:] == psi1).all())
         reg = regret_at(traj, T)
         identity = reg == 2 * Fraction(psi1)
         ok = ok and conserved and identity

@@ -12,7 +12,7 @@ from rps_dynamics import (
     ConfigInvalid,
     LearnerConfig,
     NonpositiveRegret,
-    Phase,
+    NoVertexReached,
     PhaseSummary,
     RegionKind,
     SimplexPoint,
@@ -218,15 +218,15 @@ def test_phase_tiling_and_reference_values():
     traj = _fp(T=30)
     ph = detect_phases(traj)
     assert ph.t0 == 1
-    got = [(p.t_start, p.length, p.vertex) for p in ph.phases[:3]]
+    assert isinstance(ph.count, int)
+    got = list(zip(ph.t_start[:3].tolist(), ph.length[:3].tolist(), ph.vertex[:3].tolist()))
     assert got == [(1, 3, 1), (4, 5, 2), (9, 7, 0)]
-    assert [p.start_energy for p in ph.phases[:4]] == [1.0, 2.0, 2.0, 3.0]
-    assert [p.energy_increased for p in ph.phases[:4]] == [False, True, False, True]
+    assert ph.start_energy[:4].tolist() == [1.0, 2.0, 2.0, 3.0]
+    assert ph.energy_increased[:4].tolist() == [False, True, False, True]
     # Phase lengths tile [t0, T] exactly.
-    assert sum(p.length for p in ph.phases) == traj.horizon + 1 - ph.t0
-    for a, b in zip(ph.phases, ph.phases[1:]):
-        assert b.t_start == a.t_start + a.length
-        assert b.vertex != a.vertex
+    assert ph.length.sum() == traj.horizon + 1 - ph.t0
+    assert (ph.t_start[1:] == ph.t_start[:-1] + ph.length[:-1]).all()
+    assert (ph.vertex[1:] != ph.vertex[:-1]).all()
 
 
 def test_phase_detection_gd():
@@ -234,26 +234,72 @@ def test_phase_detection_gd():
     ph = detect_phases(traj)
     assert ph.t0 == 1
     assert verify_cycling(ph, 4) is None
-    assert sum(p.length for p in ph.phases) == 300
+    assert ph.length.sum() == 300
     # Energies at phase starts never decrease.
-    starts = [float(p.start_energy) for p in ph.phases]
-    assert all(b >= a - 1e-9 for a, b in zip(starts, starts[1:]))
+    starts = ph.start_energy.astype(float)
+    assert (starts[1:] >= starts[:-1] - 1e-9).all()
 
 
 def test_verify_cycling_detects_breaks():
     def mk(vertices):
-        phases = tuple(
-            Phase(index=k, t_start=3 * k, length=3, vertex=v,
-                  start_energy=float(k), energy_increased=k > 0)
-            for k, v in enumerate(vertices)
-        )
-        return PhaseSummary(phases=phases, t0=0)
+        k = np.arange(len(vertices))
+        return PhaseSummary(t0=0, t_start=3 * k, length=np.full(k.size, 3),
+                            vertex=np.array(vertices), start_energy=k.astype(float),
+                            energy_increased=k > 0)
 
     assert verify_cycling(mk([0, 1, 2, 0, 1]), 3) is None
     assert verify_cycling(mk([0, 1, 0]), 3) == 2
     assert verify_cycling(mk([2, 0, 1]), 3) is None
     with pytest.raises(TooFewPhases):
         verify_cycling(mk([0]), 3)
+
+
+def _reference_phases(traj):
+    """Phases step by step: (t0, [(t_start, length, vertex, gamma, c_k)])."""
+    T = traj.horizon
+    if traj.config.algorithm == Algorithm.FICTITIOUS_PLAY:
+        labels = [m.bit_length() - 1 if m and m & (m - 1) == 0 else -1
+                  for m in (traj.support_mask(t) for t in range(T + 1))]
+    else:
+        labels = []
+        for t in range(T + 1):
+            tag = classify_region(traj.y(t))
+            labels.append(tag.index if tag.kind == RegionKind.VERTEX else -1)
+    tol = 0 if traj.is_exact else 1e-9
+    t0 = next((t for t in range(1, T + 1) if labels[t] >= 0), None)
+    if t0 is None:
+        return None
+    starts = [(t0, labels[t0])]
+    for t in range(t0 + 1, T + 1):
+        if labels[t] >= 0 and labels[t] != starts[-1][1]:
+            starts.append((t, labels[t]))
+    phases = []
+    for k, (tk, vk) in enumerate(starts):
+        t_next = starts[k + 1][0] if k + 1 < len(starts) else T + 1
+        hk = traj.energy(tk)
+        c_k = k > 0 and hk > phases[-1][3] + tol * max(1, abs(phases[-1][3]))
+        phases.append((tk, t_next - tk, vk, hk, c_k))
+    return t0, phases
+
+
+@pytest.mark.parametrize("index", range(9))
+def test_phase_columns_match_step_by_step_reference(index):
+    traj = _reference_run(index)
+    expected = _reference_phases(traj)
+    if expected is None:
+        with pytest.raises(NoVertexReached):
+            detect_phases(traj)
+        return
+    ph = detect_phases(traj)
+    t0, rows = expected
+    assert ph.t0 == t0 and type(ph.t0) is int
+    assert ph.count == len(rows) and type(ph.count) is int
+    columns = (ph.t_start, ph.length, ph.vertex, ph.start_energy, ph.energy_increased)
+    assert [list(col) for col in zip(*rows)] == [col.tolist() for col in columns]
+    if traj.is_exact:
+        assert ph.start_energy.dtype == object
+        assert all(g is traj.energies[t] for t, g in zip(ph.t_start, ph.start_energy))
+        assert {type(g) for g in ph.start_energy} <= {int, Fraction}
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +356,8 @@ def test_ledger_delta_sums_to_energy_gain():
 
 
 def _doctored(algorithm, ys, energies, supports, exact, eta=1):
-    """A one-step trajectory built from given columns, not from a run."""
+    """A one-step trajectory built from given columns, not from a run; the
+    supports include the closing response to y^2."""
     dtype = object if exact else float
     cfg = LearnerConfig(
         algorithm=algorithm,
@@ -340,12 +387,12 @@ def test_ledger_violations_read_false(tmp_path):
     # 2 > a_max = 1.
     fp = energy_growth_ledger(
         _doctored(Algorithm.FICTITIOUS_PLAY, [[0, 0, 0], [0, 1, 0], [0, 0, 5]],
-                  [0, 1, 3], [1, 2], exact=True)
+                  [0, 1, 3], [1, 2, 4], exact=True)
     )
     # GD: vertex 1 -> vertex 2 gaining exactly its lower bound 1, which the
     # open exact interval (1, eta*a_max) excludes.  y^0 sits on vertex 1 as
     # well, and row 0 still reads initial.
-    advance = ([[3, 0, 0], [3, 0, 0], [0, 3, 0]], [2, 2, 3], [1, 1])
+    advance = ([[3, 0, 0], [3, 0, 0], [0, 3, 0]], [2, 2, 3], [1, 1, 2])
     gd = energy_growth_ledger(
         _doctored(Algorithm.GRADIENT_DESCENT, *advance, exact=True, eta=4)
     )
@@ -371,7 +418,7 @@ def test_ledger_violations_read_false(tmp_path):
     # A zero bound allows float runs only 1e-12, not the 1e-9 band.
     fp_float = energy_growth_ledger(
         _doctored(Algorithm.FICTITIOUS_PLAY, [[0, 0, 0], [1, 0, 0], [2, 0, 0]],
-                  [0, 1, 1 + 1e-10], [1, 1], exact=False)
+                  [0, 1, 1 + 1e-10], [1, 1, 1], exact=False)
     )
     assert fp_float.transition(1) == "fp_same" and not fp_float.ok[1]
 
@@ -383,6 +430,7 @@ def _reference_ledger(traj):
     a_max = traj.matrix.a_max if exact else float(traj.matrix.a_max)
     number = Fraction if exact else float
     tags = [classify_region(traj.y(t)) for t in range(T + 2)]
+    etas = cfg.etas().tolist()
     rows = [("initial", None, None, None, False)]
     for t in range(1, T + 1):
         delta = traj.energy(t + 1) - traj.energy(t)
@@ -399,7 +447,7 @@ def _reference_ledger(traj):
             src, dst = tags[t], tags[t + 1]
             if not exact:
                 ambiguous = min(src.min_abs_margin, dst.min_abs_margin) <= LEDGER_BAND
-            b = cfg.eta_at(t) * a_max
+            b = etas[t] * a_max
             vertex, edge = RegionKind.VERTEX, RegionKind.EDGE
             i, j = src.index, dst.index
             if src.kind == dst.kind == vertex and j == i:
@@ -502,6 +550,32 @@ def test_boundary_invariance_moderate_step():
     assert not b.full_support_after_exceed
 
 
+@pytest.mark.parametrize("index", range(3, 9))
+def test_boundary_invariance_matches_step_by_step_reference(index):
+    traj = _reference_run(index)
+    full = (1 << traj.n) - 1
+    interior = [t for t in range(1, traj.horizon + 1) if traj.support_mask(t) == full]
+    ceiling = max((traj.energy(t) for t in interior), default=None)
+    first = next((t for t in range(1, traj.horizon + 1)
+                  if t not in interior and (ceiling is None or traj.energy(t) > ceiling)), None)
+    b = boundary_invariance_check(traj)
+    assert b.first_exceed_t == first
+    assert b.full_support_after_exceed == (
+        first is not None and any(t > first for t in interior))
+
+
+def test_boundary_invariance_sees_a_return_to_interior():
+    # Full support at t = 1 and 4.  The boundary iterate t = 2 only ties the
+    # interior energies, t = 3 tops them, and t = 4 regains full support.
+    cfg = LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=4,
+                        x0=SimplexPoint.uniform(3))
+    traj = Trajectory(cfg, make_rps((1.0, 1.0, 1.0)), np.zeros((5, 3)), np.zeros((6, 3)),
+                      np.array([0.0, 2.0, 2.0, 3.0, 2.0, 2.0]),
+                      np.array([7, 7, 1, 1, 7, 7], dtype=np.uint64))
+    b = boundary_invariance_check(traj)
+    assert (b.first_exceed_t, b.full_support_after_exceed) == (3, True)
+
+
 def test_boundary_invariance_needs_gd():
     with pytest.raises(ConfigInvalid):
         boundary_invariance_check(_fp(T=10))
@@ -515,6 +589,11 @@ def test_small_stepsize_check_paths():
     assert v.energy_final <= v.energy_bound
     wrong_eta = _gd(T=T, eta=0.5, x0=SimplexPoint((0.3, 0.4, 0.3)))
     assert small_stepsize_energy_check(wrong_eta).status == "not_applicable"
+    leaves = _gd(T=9, eta=1.0 / 3, x0=SimplexPoint((0.1, 0.6, 0.3)))
+    first = next(t for t in range(1, 10) if len(leaves.support(t)) < 3)
+    assert first > 1
+    v = small_stepsize_energy_check(leaves)
+    assert (v.status, v.reason) == ("not_applicable", f"iterate at t={first} is not interior")
     with pytest.raises(ConfigInvalid):
         small_stepsize_energy_check(_fp(T=10))
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -388,3 +389,50 @@ def test_support_column_round_trips_find_support():
         assert traj.support_mask(t) == sum(1 << i for i in support)
         sizes.add(len(support))
     assert len(sizes) > 1  # the walk crosses regions of different support size
+
+
+def _closing_response_configs():
+    x0_gd4 = (Fraction(5, 100), Fraction(35, 100), Fraction(39, 100), Fraction(21, 100))
+    for kind in TiebreakKind:
+        rule = TiebreakRule(kind, seed=7 if kind == TiebreakKind.RANDOM_SEEDED else None)
+        for arithmetic in Arithmetic:
+            yield f"fp-{kind.value}-{arithmetic.value}", LearnerConfig(
+                algorithm=Algorithm.FICTITIOUS_PLAY, horizon=0, x0=SimplexPoint.vertex(3, 0),
+                tiebreak=rule, arithmetic=arithmetic,
+            ), (1, 1, 1)
+    yield "gd-float", LearnerConfig(
+        algorithm=Algorithm.GRADIENT_DESCENT, horizon=0,
+        x0=SimplexPoint(tuple(float(c) for c in x0_gd4)), eta=6.0,
+    ), (1.0,) * 4
+    yield "gd-rational", LearnerConfig(
+        algorithm=Algorithm.GRADIENT_DESCENT, horizon=0, x0=SimplexPoint(x0_gd4), eta=1,
+        arithmetic=Arithmetic.EXACT_RATIONAL,
+    ), (1, 2, 3, 4)
+    yield "gd-inv-sqrt-t", LearnerConfig(
+        algorithm=Algorithm.GRADIENT_DESCENT, horizon=0, x0=SimplexPoint((0.3, 0.4, 0.3)),
+        eta_schedule="inv_sqrt_t",
+    ), (1.0, 2.0, 1.0)
+
+
+@pytest.mark.parametrize(
+    "base, weights",
+    [case[1:] for case in _closing_response_configs()],
+    ids=[case[0] for case in _closing_response_configs()],
+)
+def test_closing_response_is_the_next_support(base, weights):
+    """Row T+1 of the supports is the response to y^{T+1}: what the longer run
+    plays at T+1, and what the primal rule picks there."""
+    matrix = make_rps(weights)
+    longer = run(replace(base, horizon=41), matrix)
+    for T in (0, 1, 2, 5, 13, 40):
+        cfg = replace(base, horizon=T)
+        traj = run(cfg, matrix)
+        assert traj.supports.shape == (T + 2,)
+        assert np.array_equal(traj.supports, longer.supports[: T + 2])
+        y = traj.y(T + 1)
+        if cfg.algorithm == Algorithm.FICTITIOUS_PLAY:
+            i = fp_primal(y, cfg.effective_tiebreak, incumbent=traj.support(T)[0],
+                          tol=cfg.effective_tie_tolerance, step=T + 1)
+            assert traj.support_mask(T + 1) == 1 << i
+        else:
+            assert traj.support(T + 1) == find_support(y)

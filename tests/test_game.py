@@ -71,13 +71,6 @@ def test_matrix_validation():
         make_rps((1, 1, 1)).apply((0.5, 0.5))
 
 
-def test_column_consistency():
-    m = make_rps((1.5, 2.5, 0.5, 3.0))
-    arr = m.as_array()
-    for j in range(4):
-        assert np.allclose([float(v) for v in m.column(j)], arr[:, j])
-
-
 # ---------------------------------------------------------------------------
 # Simplex points
 
@@ -212,3 +205,6 @@ def test_duality_gap_is_twice_best_payoff():
         gap = duality_gap(m, x)
         best = max(m.apply(x.coords))
         assert abs(gap - 2.0 * best) < 1e-12
+        # The definition, max_i (Ax)_i - min_j (x^T A)_j, on the dense matrix.
+        arr, xv = m.as_array(), np.array(x.coords)
+        assert abs(gap - ((arr @ xv).max() - (xv @ arr).min())) < 1e-12
