@@ -62,7 +62,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     vp = sub.add_parser("verify", help="run the verification suite")
     vp.add_argument("--level", choices=["quick", "full"], default="quick")
-    vp.add_argument("--strict", action="store_true", help=argparse.SUPPRESS)
 
     pp = sub.add_parser("preset", help="pinned figure configurations")
     psub = pp.add_subparsers(dest="preset_command", required=True)

@@ -13,16 +13,18 @@ directory:
 * ``<name>__report.json``   — regret accounting, slope fit, phase and ledger
   summaries, and verification verdicts.
 
+A sweep writes one artifact set per point and ``<name>__sweep.csv``: one row
+per point with the swept fields, ``regret_total``, ``slope`` and ``verdicts``.
+
 Everything written is a deterministic function of the spec: floats are printed
 with 17 significant digits, rationals as explicit ``p/q``, and line endings are
-fixed, so identical specs produce byte-identical files.
+``\n``, so identical specs produce byte-identical files.
 
 Config files are JSON.  Any numeric field accepts a number, a decimal string,
 or a ``"p/q"`` rational string; the presence of a rational string anywhere
 switches the run to exact-rational arithmetic.
 """
 
-import csv
 import dataclasses
 import hashlib
 import itertools
@@ -90,6 +92,9 @@ class ExperimentSpec:
     def __post_init__(self):
         if not self.name or not isinstance(self.name, str):
             raise ConfigInvalid("experiment needs a nonempty name")
+        if "/" in self.name or os.sep in self.name:
+            # The name is a file-name prefix inside the output directory.
+            raise ConfigInvalid(f"experiment name {self.name!r} must not contain a path separator")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigInvalid("seed must be an integer")
         if self.learner.is_exact and not all_exact(self.weights):
@@ -279,8 +284,8 @@ def load_config(path: str) -> ExperimentSpec:
             data = json.load(fh)
     except OSError as exc:
         raise IoError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigInvalid(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
+        raise ConfigInvalid(f"config {path} is not valid UTF-8 JSON: {exc}") from exc
     return parse_config(data)
 
 
@@ -345,105 +350,91 @@ def _number_cell(v) -> str:
     return f"{v.numerator}/{v.denominator}"
 
 
-def _open_writer(path: str):
+def _open_artifact(path: str):
+    """Open an artifact for writing: UTF-8, with ``\\n`` line endings on every
+    platform."""
     try:
-        fh = open(path, "w", encoding="utf-8", newline="")
+        return open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
-    return fh, csv.writer(fh, lineterminator="\n")
 
 
-# Rows per write of the trajectory CSV: enough that formatting dominates the
+def _write_csv(path: str, header: List[str], lines) -> None:
+    """Write a header and preformatted ``\\n``-terminated lines.
+
+    Cells are never quoted, because none can hold a comma, a quote or a
+    newline: they are numbers, ledger class names, ``uncovered:<a>-><b>``,
+    check names and ``eta_schedule`` values (``None`` or ``"inv_sqrt_t"``).
+    """
+    with _open_artifact(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(lines)
+
+
+# Rows per .tolist() of the columns: enough that formatting dominates the
 # per-block cost, few enough that the block's Python objects stay under 1 MiB.
 _CSV_BLOCK = 1024
 
 
-def write_trajectory_csv(traj: Trajectory, path: str) -> None:
+def _rows(*columns):
+    """Rows of equal-length numpy columns as Python values, ``_CSV_BLOCK`` at a time."""
+    for start in range(0, len(columns[0]), _CSV_BLOCK):
+        yield from zip(*(col[start:start + _CSV_BLOCK].tolist() for col in columns))
+
+
+def _trajectory_lines(traj: Trajectory):
     n = traj.n
     T = traj.horizon
     exact = traj.is_exact
     # One %-format per row; "%.17g" prints what format_value does, and exact
     # cells arrive preformatted as p/q.
     row = ",".join(["%d"] + ["%s" if exact else "%.17g"] * (2 * n + 1) + ["%d"]) + "\n"
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(
-            ["t"]
-            + [f"x_{i}" for i in range(1, n + 1)]
-            + [f"y_{i}" for i in range(1, n + 1)]
-            + ["energy", "support"]
-        )
-        for start in range(0, T + 1, _CSV_BLOCK):
-            block = slice(start, min(start + _CSV_BLOCK, T + 1))
-            lines = []
-            for t, x, y, e, mask in zip(
-                range(start, block.stop),
-                traj.xs[block].tolist(),
-                traj.ys[block].tolist(),
-                traj.energies[block].tolist(),
-                traj.supports[block].tolist(),
-            ):
-                cells = x + y + [e]
-                if exact:
-                    cells = [_number_cell(v) for v in cells]
-                lines.append(row % (t, *cells, mask))
-            fh.writelines(lines)
-        w.writerow(
-            [T + 1]
-            + ["" for _ in range(n)]
-            + [_number_cell(v) for v in traj.y(T + 1)]
-            + [_number_cell(traj.energy(T + 1)), ""]
-        )
+    rows = _rows(traj.xs, traj.ys[:T + 1], traj.energies[:T + 1], traj.supports[:T + 1])
+    for t, (x, y, e, mask) in enumerate(rows):
+        cells = x + y + [e]
+        if exact:
+            cells = [_number_cell(v) for v in cells]
+        yield row % (t, *cells, mask)
+    closing = [str(T + 1)] + [""] * n + [_number_cell(v) for v in traj.y(T + 1)]
+    yield ",".join(closing + [_number_cell(traj.energy(T + 1)), ""]) + "\n"
+
+
+def write_trajectory_csv(traj: Trajectory, path: str) -> None:
+    n = traj.n
+    header = (["t"] + [f"x_{i}" for i in range(1, n + 1)]
+              + [f"y_{i}" for i in range(1, n + 1)] + ["energy", "support"])
+    _write_csv(path, header, _trajectory_lines(traj))
 
 
 def write_phases_csv(summary: Optional[PhaseSummary], path: str) -> None:
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(["k", "t_k", "tau_k", "vertex", "gamma_k", "c_k"])
-        if summary is None:
-            return
-        columns = (summary.t_start, summary.length, summary.vertex + 1,
-                   summary.start_energy, summary.energy_increased)
-        for k, (t, tau, vertex, gamma, c) in enumerate(zip(*(col.tolist() for col in columns))):
-            w.writerow([k, t, tau, vertex, _number_cell(gamma), 1 if c else 0])
+    rows = () if summary is None else _rows(
+        summary.t_start, summary.length, summary.vertex + 1,
+        summary.start_energy, summary.energy_increased)
+    lines = ("%d,%d,%d,%d,%s,%d\n" % (k, t, tau, vertex, _number_cell(gamma), c)
+             for k, (t, tau, vertex, gamma, c) in enumerate(rows))
+    _write_csv(path, ["k", "t_k", "tau_k", "vertex", "gamma_k", "c_k"], lines)
+
+
+def _ledger_lines(ledger: Ledger):
+    # "%.17g" prints a float as format_value does, without its type tests.
+    cell = _number_cell if ledger.delta.dtype == object else "%.17g".__mod__
+    rows = _rows(ledger.cls, ledger.ambiguous, ledger.delta, ledger.lo, ledger.hi, ledger.ok)
+    for t, (code, ambiguous, delta, lo, hi, ok) in enumerate(rows):
+        name = ledger.transition(t) if code == UNCOVERED else LEDGER_CLASSES[code]
+        if ambiguous:
+            name = "ambiguous:" + name
+        bounds = (cell(lo), cell(hi), "true" if ok else "false") if code > INITIAL else ("", "", "")
+        yield "%d,%s,%s,%s,%s,%s\n" % (t, name, cell(delta), *bounds)
 
 
 def write_ledger_csv(ledger: Ledger, path: str) -> None:
-    # "%.17g" prints a float as format_value does, without its type tests.
-    cell = _number_cell if ledger.delta.dtype == object else "%.17g".__mod__
-    fh, w = _open_writer(path)
-    with fh:
-        w.writerow(["t", "class", "delta", "bound_lo", "bound_hi", "ok"])
-        for start in range(0, ledger.cls.size, _CSV_BLOCK):
-            block = slice(start, start + _CSV_BLOCK)
-            lines = []
-            for t, code, ambiguous, delta, lo, hi, ok in zip(
-                range(start, start + _CSV_BLOCK),
-                ledger.cls[block].tolist(),
-                ledger.ambiguous[block].tolist(),
-                ledger.delta[block].tolist(),
-                ledger.lo[block].tolist(),
-                ledger.hi[block].tolist(),
-                ledger.ok[block].tolist(),
-            ):
-                name = ledger.transition(t) if code == UNCOVERED else LEDGER_CLASSES[code]
-                if ambiguous:
-                    name = "ambiguous:" + name
-                if code > INITIAL:
-                    bounds = (cell(lo), cell(hi), "true" if ok else "false")
-                else:
-                    bounds = ("", "", "")
-                lines.append("%d,%s,%s,%s,%s,%s\n" % (t, name, cell(delta), *bounds))
-            fh.writelines(lines)
+    _write_csv(path, ["t", "class", "delta", "bound_lo", "bound_hi", "ok"], _ledger_lines(ledger))
 
 
 def write_report_json(report: dict, path: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    with _open_artifact(path) as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------
@@ -583,16 +574,7 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunResult:
         "note": spec.note,
         "config": spec.to_json(),
         "config_hash": chash,
-        "regret": _encode(
-            {
-                "regret_total": rep.regret_total,
-                "regret_by_energy": rep.regret_by_energy,
-                "regret_upper": rep.regret_upper,
-                "duality_gap_avg": rep.duality_gap_avg,
-                "average_iterate": list(rep.average_iterate.coords),
-                "per_T_curve": [[t, r] for t, r in rep.per_T_curve],
-            }
-        ),
+        "regret": _encode(rep),
         "slope": None
         if slope_fit is None
         else {"slope": slope_fit[0], "intercept": slope_fit[1]},
@@ -615,27 +597,24 @@ def run_experiment(spec: ExperimentSpec, out_dir: str) -> RunResult:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:
         raise IoError(f"cannot create output directory {out_dir}: {exc}") from exc
+    # Looked up on each call, so a patched module writer is the one used.
+    writers = {
+        "trajectory_csv": ("__trajectory.csv", write_trajectory_csv, traj),
+        "phases_csv": ("__phases.csv", write_phases_csv, phases),
+        "ledger_csv": ("__ledger.csv", write_ledger_csv, ledger),
+        "report_json": ("__report.json", write_report_json, report),
+    }
     paths: Dict[str, str] = {}
-    base = os.path.join(out_dir, spec.name)
-    if "trajectory_csv" in spec.outputs:
-        paths["trajectory_csv"] = base + "__trajectory.csv"
-        write_trajectory_csv(traj, paths["trajectory_csv"])
-    if "phases_csv" in spec.outputs:
-        paths["phases_csv"] = base + "__phases.csv"
-        write_phases_csv(phases, paths["phases_csv"])
-    if "ledger_csv" in spec.outputs:
-        paths["ledger_csv"] = base + "__ledger.csv"
-        write_ledger_csv(ledger, paths["ledger_csv"])
-    if "report_json" in spec.outputs:
-        paths["report_json"] = base + "__report.json"
-        write_report_json(report, paths["report_json"])
+    for kind, (suffix, write, data) in writers.items():
+        if kind in spec.outputs:
+            paths[kind] = os.path.join(out_dir, spec.name + suffix)
+            write(data, paths[kind])
     return RunResult(spec, chash, traj, report, paths, verdicts)
 
 
 @dataclass
 class SweepResult:
     results: List[RunResult]
-    rows: List[dict]
     csv_path: str
 
     @property
@@ -654,7 +633,7 @@ def run_sweep(spec: ExperimentSpec, out_dir: str) -> SweepResult:
         raise ConfigInvalid("sweep requested but the spec has no sweep entries")
     fields = [fname for fname, _ in spec.sweep]
     results: List[RunResult] = []
-    rows: List[dict] = []
+    lines: List[str] = []
     for combo in itertools.product(*(values for _, values in spec.sweep)):
         overrides = dict(zip(fields, combo))
         learner = dataclasses.replace(spec.learner, **overrides)
@@ -666,19 +645,12 @@ def run_sweep(spec: ExperimentSpec, out_dir: str) -> SweepResult:
         results.append(res)
         failed = [v["check"] for v in res.verdicts if not v["pass"]]
         slope = res.report["slope"]
-        rows.append(
-            {
-                **{f: format_value(v) for f, v in overrides.items()},
-                "regret_total": format_value(res.report["regret"]["regret_total"]),
-                "slope": "" if slope is None else format_value(slope["slope"]),
-                "verdicts": "ok" if not failed else "fail:" + "+".join(failed),
-            }
-        )
+        cells = [format_value(overrides[f]) for f in fields] + [
+            format_value(res.report["regret"]["regret_total"]),
+            "" if slope is None else format_value(slope["slope"]),
+            "ok" if not failed else "fail:" + "+".join(failed),
+        ]
+        lines.append(",".join(cells) + "\n")
     csv_path = os.path.join(out_dir, f"{spec.name}__sweep.csv")
-    fh, w = _open_writer(csv_path)
-    with fh:
-        header = fields + ["regret_total", "slope", "verdicts"]
-        w.writerow(header)
-        for row in rows:
-            w.writerow([row[h] for h in header])
-    return SweepResult(results, rows, csv_path)
+    _write_csv(csv_path, fields + ["regret_total", "slope", "verdicts"], lines)
+    return SweepResult(results, csv_path)

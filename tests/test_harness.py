@@ -23,8 +23,16 @@ from rps_dynamics import (
     with_arithmetic,
     with_seed,
 )
+from rps_dynamics.analysis import INITIAL, detect_phases, energy_growth_ledger
 from rps_dynamics.cli import main
-from rps_dynamics.experiment import OUT_ENV, OUTPUT_KINDS, default_out_dir
+from rps_dynamics.errors import NoVertexReached
+from rps_dynamics.experiment import (
+    OUT_ENV,
+    OUTPUT_KINDS,
+    _number_cell,
+    default_out_dir,
+    format_value,
+)
 from rps_dynamics.presets import all_presets, get_preset
 from rps_dynamics.verification import FULL_CAP, QUICK_CAP, TrajectoryStore
 
@@ -228,39 +236,98 @@ def test_trajectory_csv_layout(tmp_path):
     assert final[4:7] != ["", "", ""]
 
 
-def _trajectory_csv_by_cell(traj, path):
-    """The per-cell csv.writer layout the bulk writer must reproduce."""
-    from rps_dynamics.experiment import _number_cell, format_value
-
-    cell = _number_cell if traj.is_exact else format_value
-    n, T = traj.n, traj.horizon
+def _csv_by_cell(path, header, rows):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(["t"] + [f"x_{i}" for i in range(1, n + 1)]
-                   + [f"y_{i}" for i in range(1, n + 1)] + ["energy", "support"])
-        for t in range(T + 1):
-            w.writerow([t] + [cell(v) for v in traj.x(t)] + [cell(v) for v in traj.y(t)]
-                       + [cell(traj.energy(t)), str(traj.support_mask(t))])
-        w.writerow([T + 1] + [""] * n + [cell(v) for v in traj.y(T + 1)]
-                   + [cell(traj.energy(T + 1)), ""])
+        w.writerow(header)
+        w.writerows(rows)
 
 
-@pytest.mark.parametrize("exact", [False, True])
-def test_trajectory_csv_matches_per_cell_writer(tmp_path, exact):
-    # T crosses the writer's 4096-row block boundary twice.
-    cfg = {
-        "name": "big",
-        "weights": [1, 2, 1, 3] if exact else [1.0, 2.0, 1.0, 3.0],
-        "learner": {"algorithm": "gd", "horizon": 120 if exact else 9000,
-                    "eta": "3/2" if exact else 1.5,
-                    "x0": ["1/10", "2/10", "3/10", "4/10"] if exact else [0.1, 0.2, 0.3, 0.4]},
-        "outputs": ["trajectory_csv"],
-    }
-    res = run_experiment(parse_config(cfg), str(tmp_path))
-    ref = tmp_path / "ref.csv"
-    _trajectory_csv_by_cell(res.trajectory, str(ref))
-    with open(res.paths["trajectory_csv"], "rb") as got:
-        assert got.read() == ref.read_bytes()
+def _run_csvs_by_cell(traj, tmp_path):
+    """Per-cell csv.writer references of a run's trajectory, phases and ledger
+    CSVs, which the bulk writers must reproduce byte for byte."""
+    cell = _number_cell if traj.is_exact else format_value
+    n, T = traj.n, traj.horizon
+    rows = [[t] + [cell(v) for v in traj.x(t)] + [cell(v) for v in traj.y(t)]
+            + [cell(traj.energy(t)), str(traj.support_mask(t))] for t in range(T + 1)]
+    rows.append([T + 1] + [""] * n + [cell(v) for v in traj.y(T + 1)]
+                + [cell(traj.energy(T + 1)), ""])
+    refs = {"trajectory_csv": (["t"] + [f"x_{i}" for i in range(1, n + 1)]
+                               + [f"y_{i}" for i in range(1, n + 1)] + ["energy", "support"],
+                               rows)}
+    try:
+        ph = detect_phases(traj)
+        rows = [[k, int(ph.t_start[k]), int(ph.length[k]), int(ph.vertex[k]) + 1,
+                 cell(ph.start_energy[k]), 1 if ph.energy_increased[k] else 0]
+                for k in range(ph.count)]
+    except NoVertexReached:
+        rows = []
+    refs["phases_csv"] = (["k", "t_k", "tau_k", "vertex", "gamma_k", "c_k"], rows)
+    led = energy_growth_ledger(traj)
+    rows = []
+    for t in range(led.cls.size):
+        name = ("ambiguous:" if led.ambiguous[t] else "") + led.transition(t)
+        bounds = ["", "", ""]
+        if led.cls[t] > INITIAL:
+            bounds = [cell(led.lo[t]), cell(led.hi[t]), "true" if led.ok[t] else "false"]
+        rows.append([t, name, cell(led.delta[t])] + bounds)
+    refs["ledger_csv"] = (["t", "class", "delta", "bound_lo", "bound_hi", "ok"], rows)
+    for kind, (header, rows) in refs.items():
+        _csv_by_cell(tmp_path / f"ref_{kind}", header, rows)
+    return {kind: (tmp_path / f"ref_{kind}").read_bytes() for kind in refs}
+
+
+_GD_UNIT_CYCLE = {"algorithm": "gd", "horizon": 3000, "eta": 1.0, "x0": [1.0, 0.0, 0.0]}
+
+# Keyed by test id: "False" and "True" are a weighted 4-cycle in float
+# (T crosses the 1024-row blocks several times) and exact arithmetic.
+_PER_CELL_CONFIGS = {
+    "False": {"name": "big", "weights": [1.0, 2.0, 1.0, 3.0],
+              "learner": {"algorithm": "gd", "horizon": 9000, "eta": 1.5,
+                          "x0": [0.1, 0.2, 0.3, 0.4]}},
+    "True": {"name": "big", "weights": [1, 2, 1, 3],
+             "learner": {"algorithm": "gd", "horizon": 120, "eta": "3/2",
+                         "x0": ["1/10", "2/10", "3/10", "4/10"]}},
+    # Its ledger has ambiguous and uncovered rows on both sides of a block edge.
+    "unit_cycle": {"name": "unit", "weights": [1.0, 1.0, 1.0], "learner": _GD_UNIT_CYCLE},
+    # Empty and string cells in the sweep CSV.
+    "sweep": {"name": "sw", "weights": [1.0, 1.0, 1.0],
+              "learner": dict(_GD_UNIT_CYCLE, horizon=200),
+              "sweep": [["eta_schedule", [None, "inv_sqrt_t"]]]},
+}
+
+
+@pytest.mark.parametrize("case", list(_PER_CELL_CONFIGS))
+def test_trajectory_csv_matches_per_cell_writer(tmp_path, case):
+    """Every CSV writer prints what a quoting csv.writer prints cell by cell."""
+    spec = parse_config(_PER_CELL_CONFIGS[case])
+    if not spec.sweep:
+        results = [run_experiment(spec, str(tmp_path))]
+    else:
+        sw = run_sweep(spec, str(tmp_path))
+        results = sw.results
+        rows = []
+        for res in results:
+            failed = [v["check"] for v in res.verdicts if not v["pass"]]
+            slope = res.report["slope"]
+            rows.append([format_value(res.spec.learner.eta_schedule),
+                         format_value(res.report["regret"]["regret_total"]),
+                         "" if slope is None else format_value(slope["slope"]),
+                         "fail:" + "+".join(failed) if failed else "ok"])
+        assert [r[0] for r in rows] == ["", "inv_sqrt_t"]
+        header = ["eta_schedule", "regret_total", "slope", "verdicts"]
+        _csv_by_cell(tmp_path / "ref_sweep", header, rows)
+        with open(sw.csv_path, "rb") as got:
+            assert got.read() == (tmp_path / "ref_sweep").read_bytes()
+    for res in results:
+        refs = _run_csvs_by_cell(res.trajectory, tmp_path)
+        for kind, ref in refs.items():
+            with open(res.paths[kind], "rb") as got:
+                assert got.read() == ref, kind
+    if case == "unit_cycle":
+        ledger = refs["ledger_csv"].decode()
+        assert ledger.count("\n") > 2 * 1024
+        assert "ambiguous:" in ledger and "uncovered:" in ledger
 
 
 def test_rational_csv_cells(tmp_path):
@@ -342,11 +409,11 @@ def test_run_sweep(tmp_path):
     sw = run_sweep(parse_config(cfg), str(tmp_path))
     assert len(sw.results) == 2
     assert [r.spec.learner.eta for r in sw.results] == [0.5, 2.0]
-    assert all(row["verdicts"] == "ok" for row in sw.rows)
     with open(sw.csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["eta", "regret_total", "slope", "verdicts"]
     assert len(rows) == 3
+    assert [row[3] for row in rows[1:]] == ["ok", "ok"]
 
 
 def test_rational_sweep_runs_rational(tmp_path):
@@ -480,6 +547,14 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("[1, 2")
     assert main(["run", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    not_utf8 = tmp_path / "latin.json"
+    not_utf8.write_bytes(b"\xff\xfe{}")
+    assert main(["run", "--config", str(not_utf8), "--out", str(tmp_path)]) == 2
+    for name in ("../escaped", "a/b"):
+        path = write_json(tmp_path, fp_config(name=name), "named.json")
+        assert main(["run", "--config", path, "--out", str(tmp_path)]) == 2
+    assert not list(tmp_path.parent.glob("escaped__*"))
+    assert not list(tmp_path.rglob("*__*"))
     floaty = write_json(tmp_path, fp_config(weights=[1.5, 1.0, 1.0]), "f.json")
     assert main(["run", "--config", floaty, "--arithmetic", "rational",
                  "--out", str(tmp_path)]) == 2
