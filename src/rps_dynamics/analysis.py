@@ -11,9 +11,9 @@ dual vector y:
 * ``interior``  — the projection has full support;
 * ``other_boundary`` — everything else.
 
-``classify_region`` assigns one vector; ``region_trace`` assigns every dual
-vector of a trajectory in one numpy pass, memoized here per trajectory, and
-is what phase detection, the ledger and the cycling check read.
+``classify_region`` assigns one vector.  A run's ``supports`` column records
+the projection's active set at every step, so ``region_trace`` and phase
+detection read regions off it; no pass re-derives them from slacks.
 
 Phases segment a trajectory into maximal runs at one best-response vertex, and
 the energy-growth ledger classifies each dual step against the per-case growth
@@ -22,12 +22,12 @@ sit within ``LEDGER_BAND`` of zero is tagged ambiguous and excluded from case
 assertions; exact-rational trajectories are audited with exact comparisons.
 """
 
+import itertools
 import math
-import weakref
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -133,17 +133,16 @@ VERTEX, EDGE, INTERIOR, OTHER_BOUNDARY = range(len(REGION_KINDS))
 
 @dataclass(frozen=True, eq=False)  # array fields: == would be ambiguous
 class RegionTrace:
-    """Region of every dual vector y^0..y^{T+1} of one trajectory.
+    """Region of every dual vector y^0..y^{T+1} of one gradient-descent run.
 
-    Row t is what ``classify_region`` says of ``traj.y(t)``: ``kind`` holds
-    codes into ``REGION_KINDS``, ``index`` the vertex or edge index (-1 where
-    the region has none) and ``min_abs_margin`` the tag's value, in the column
-    dtype.
-    """
+    Row t is the region of the support the run recorded for y^t, which is
+    what ``classify_region`` says of ``traj.y(t)``: ``kind`` holds codes into
+    ``REGION_KINDS`` and ``index`` the vertex or edge index (-1 where the
+    region has none).  At a float row within rounding of a region boundary
+    the two may differ; the trace then names the support that was played."""
 
     kind: np.ndarray
     index: np.ndarray
-    min_abs_margin: np.ndarray
 
     def label(self, t: int) -> str:
         kind = REGION_KINDS[self.kind[t]].value
@@ -151,67 +150,53 @@ class RegionTrace:
         return kind if i < 0 else f"{kind}_{i}"
 
 
-# Trajectories are immutable, so a trace never goes stale; weak keys drop it
-# together with its trajectory.
-_TRACES: "weakref.WeakKeyDictionary[Trajectory, RegionTrace]" = weakref.WeakKeyDictionary()
+def _support_regions(masks: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Region codes and indices of support bitmasks, uint64 or Python ints:
+    bit i alone is vertex i, the cyclic pair {i, i+1} edge i, all n bits the
+    interior and any other mask other_boundary."""
+    kind = np.full(masks.shape, OTHER_BOUNDARY, dtype=np.int8)
+    index = np.full(masks.shape, -1, dtype=np.int64)
+    kind[masks == (1 << n) - 1] = INTERIOR
+    for i in range(n):
+        for code, mask in ((VERTEX, 1 << i), (EDGE, 1 << i | 1 << (i + 1) % n)):
+            hit = masks == mask
+            kind[hit] = code
+            index[hit] = i
+    return kind, index
 
 
 def region_trace(traj: Trajectory) -> RegionTrace:
-    """The trajectory's region trace, built on first use and then memoized."""
-    trace = _TRACES.get(traj)
-    if trace is None:
-        trace = _TRACES[traj] = _build_region_trace(traj.ys)
-    return trace
+    """The regions of a gradient-descent run, read off its ``supports``; row 0,
+    y^0 = 0, is the interior.  ``find_support`` keeps a coordinate that
+    projects to exactly 0, as the non-strict edge and interior tests of
+    ``classify_region`` do, so the two agree on every exact row."""
+    if traj.config.algorithm != Algorithm.GRADIENT_DESCENT:
+        raise ConfigInvalid("region traces read gradient-descent supports")
+    kind, index = _support_regions(traj.supports, traj.n)
+    kind[0], index[0] = INTERIOR, -1
+    kind.flags.writeable = index.flags.writeable = False
+    return RegionTrace(kind, index)
 
 
-def _build_region_trace(ys: np.ndarray) -> RegionTrace:
-    """``classify_region`` on every row of ``ys`` at once, column by column.
+def _boundary_margin(ys: np.ndarray) -> np.ndarray:
+    """The margin ``classify_region`` tags each row of a float ``ys`` with.
 
     Each slack is formed with the scalar classifier's operations in its
-    order, so float rows round identically; object rows divide by a Fraction,
-    so int rows give Fractions as ``_div`` does.  Ties resolve as there:
-    vertex beats edge beats interior, and the first edge hit wins.
-    """
-    rows, n = ys.shape
-    div = Fraction if ys.dtype == object else float
-    cols = [ys[:, i] for i in range(n)]
-    kind = np.full(rows, OTHER_BOUNDARY, dtype=np.int8)
-    index = np.full(rows, -1, dtype=np.int64)
-    min_abs: Optional[np.ndarray] = None
-
-    def smallest(slacks: Iterable[np.ndarray]) -> np.ndarray:
-        # Rowwise min of the slacks; folds their |.| into min_abs on the way.
-        nonlocal min_abs
-        low = None
-        for s in slacks:
-            if min_abs is None:
-                min_abs = np.abs(s)
-            else:
-                np.minimum(min_abs, np.abs(s), out=min_abs)
-            low = s if low is None else np.minimum(low, s, out=low)
-        return low
-
-    total = sum(cols)  # from 0, left to right, as sum(y) adds
-    interior = smallest((n * cols[i] - total + 1) / div(n) for i in range(n))
-    kind[interior >= 0] = INTERIOR
-    for i in reversed(range(n)):  # last to first, so the first hit stays
-        j = (i + 1) % n
-        s1 = smallest([1 - np.abs(cols[i] - cols[j])])
-        s2 = smallest(
-            (cols[i] + cols[j] - 2 * cols[k] - 1) / div(2)
-            for k in range(n)
-            if k != i and k != j
-        )
-        hit = (s1 >= 0) & (s2 > 0)
-        kind[hit] = EDGE
-        index[hit] = i
-    for i in range(n):
-        hit = smallest(cols[i] - cols[j] - 1 for j in range(n) if j != i) > 0
-        kind[hit] = VERTEX
-        index[hit] = i
-    for column in (kind, index, min_abs):
-        column.flags.writeable = False  # shared by every consumer
-    return RegionTrace(kind, index, min_abs)
+    order, so rows round identically, and folded in as soon as it is made."""
+    n = ys.shape[1]
+    y = [ys[:, i] for i in range(n)]
+    total = sum(y)  # from 0, left to right, as sum(y) adds
+    edges = [(i, (i + 1) % n) for i in range(n)]
+    slacks = itertools.chain(
+        (y[i] - y[j] - 1 for i in range(n) for j in range(n) if j != i),
+        (1 - np.abs(y[i] - y[j]) for i, j in edges),
+        ((y[i] + y[j] - 2 * y[k] - 1) / 2 for i, j in edges for k in range(n) if k not in (i, j)),
+        ((n * y[i] - total + 1) / n for i in range(n)),
+    )
+    margin = np.full(len(ys), np.inf)
+    for s in slacks:
+        np.minimum(margin, np.abs(s), out=margin)
+    return margin
 
 
 # ---------------------------------------------------------------------------
@@ -357,18 +342,13 @@ def detect_phases(traj: Trajectory) -> PhaseSummary:
     if T < 1:
         raise NoVertexReached("no iterate beyond the starting point")
 
-    # labels[t]: the vertex iterate t sits at, -1 off the vertex regions.  FP
-    # iterates t >= 1 are all vertices.
-    if traj.config.algorithm == Algorithm.FICTITIOUS_PLAY:
-        labels = traj.xs.argmax(axis=1)
-    else:
-        trace = region_trace(traj)
-        labels = np.where(trace.kind == VERTEX, trace.index, -1)
-
-    at = np.flatnonzero(labels[1 : T + 1] >= 0) + 1
+    # Iterate t sits at vertex index[t] where kind[t] is VERTEX; FP iterates
+    # t >= 1 all do.
+    kind, index = _support_regions(traj.supports[: T + 1], traj.n)
+    at = np.flatnonzero(kind[1:] == VERTEX) + 1
     if at.size == 0:
         raise NoVertexReached("no vertex-region iterate found")
-    v = labels[at]
+    v = index[at]
     starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
     t_start = at[starts]
     gamma = traj.energies[t_start]
@@ -498,9 +478,8 @@ def energy_growth_ledger(traj: Trajectory) -> Ledger:
             rows = (src == src_kind) & (dst == dst_kind) & np.isin(advance, advances)
             rows[0] = False
             cases.append((code, rows, *bounds(b[rows], number)))
-        if not exact:
-            # Step t is ambiguous when y^t or y^{t+1} sits within the band.
-            margins = trace.min_abs_margin
+        if not exact:  # step t is ambiguous when y^t or y^{t+1} sits within the band
+            margins = _boundary_margin(traj.ys)
             ambiguous[1:] = np.minimum(margins[1:-1], margins[2:]) <= LEDGER_BAND
 
     for code, rows, low, high in cases:

@@ -102,6 +102,8 @@ class ExperimentSpec:
         for kind in self.outputs:
             if kind not in OUTPUT_KINDS:
                 raise ConfigInvalid(f"unknown output kind {kind!r}")
+        if len(dict(self.sweep)) < len(self.sweep):
+            raise ConfigInvalid(f"sweep names a field twice: {[f for f, _ in self.sweep]}")
         for fname, values in self.sweep:
             if fname not in SWEEP_FIELDS:
                 raise ConfigInvalid(
@@ -112,6 +114,9 @@ class ExperimentSpec:
             for v in values:
                 # Fails now, not after the points before it have run.
                 dataclasses.replace(self.learner, **{fname: v})
+            tokens = [_filename_token(v) for v in values]
+            if len(set(tokens)) < len(tokens):  # two points, one set of artifact names
+                raise ConfigInvalid(f"sweep over {fname!r} repeats a value: {tokens}")
 
     def to_json(self) -> dict:
         """The spec as a config document; ``note`` is left out, so it does not
@@ -307,7 +312,8 @@ def with_arithmetic(spec: ExperimentSpec, target: str) -> ExperimentSpec:
 
     Switching to rational requires every numeric input to already be exact:
     ``LearnerConfig`` and ``ExperimentSpec`` refuse float inputs rather than
-    reinterpret them bit-for-bit.
+    reinterpret them bit-for-bit.  Switching to float converts the weights,
+    x0, eta and tie_tolerance, sweep values included.
     """
     try:
         arith = Arithmetic(target)
@@ -318,11 +324,16 @@ def with_arithmetic(spec: ExperimentSpec, target: str) -> ExperimentSpec:
         return spec
     if arith == Arithmetic.EXACT_RATIONAL:
         return dataclasses.replace(spec, learner=dataclasses.replace(lc, arithmetic=arith))
-    learner = dataclasses.replace(
-        lc, arithmetic=arith, x0=SimplexPoint(tuple(map(float, lc.x0.coords))), eta=float(lc.eta),
-        tie_tolerance=None if lc.tie_tolerance is None else float(lc.tie_tolerance),
-    )
-    return dataclasses.replace(spec, weights=tuple(map(float, spec.weights)), learner=learner)
+
+    def number(field, v):
+        return float(v) if field in ("eta", "tie_tolerance") and v is not None else v
+
+    x0 = SimplexPoint(tuple(map(float, lc.x0.coords)))
+    floats = {f: number(f, getattr(lc, f)) for f in ("eta", "tie_tolerance")}
+    learner = dataclasses.replace(lc, arithmetic=arith, x0=x0, **floats)
+    sweep = tuple((f, tuple(number(f, v) for v in vs)) for f, vs in spec.sweep)
+    weights = tuple(map(float, spec.weights))
+    return dataclasses.replace(spec, weights=weights, learner=learner, sweep=sweep)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def test_with_arithmetic_refuses_lossy_switch():
         with_arithmetic(spec, "complex")
 
 
-def test_with_arithmetic_switches_exact_config():
+def test_with_arithmetic_switches_exact_config(tmp_path):
     spec = parse_config(fp_config())           # all ints: safe to promote
     up = with_arithmetic(spec, "rational")
     assert up.learner.arithmetic == Arithmetic.EXACT_RATIONAL
@@ -197,6 +197,15 @@ def test_with_arithmetic_switches_exact_config():
     assert down.learner.arithmetic == Arithmetic.FLOAT64
     assert all(isinstance(w, float) for w in down.weights)
     assert with_arithmetic(spec, "float") is spec
+    # p/q sweep values become floats too, so every point's config echo
+    # parses back to the point that ran.
+    cfg = fp_config(sweep=[["eta", ["1/2", "3/2"]]])
+    cfg["learner"].update(algorithm="gd", eta="1/2")
+    swept = run_sweep(with_arithmetic(parse_config(cfg), "float"), str(tmp_path))
+    assert len(swept.results) == 2
+    for res in swept.results:
+        assert res.spec.learner.arithmetic == Arithmetic.FLOAT64
+        assert config_hash(parse_config(res.report["config"])) == res.config_hash
 
 
 def test_with_seed_reseeds_random_tiebreak():
@@ -560,6 +569,14 @@ def test_cli_exit_codes(tmp_path):
                  "--out", str(tmp_path)]) == 2
     vector_sweep = write_json(tmp_path, fp_config(sweep=[["x0", [1, 2]]]), "v.json")
     assert main(["sweep", "--config", vector_sweep, "--out", str(tmp_path)]) == 2
+    # Sweeps whose points would share one set of artifact names.
+    gd = fp_config()
+    gd["learner"].update(algorithm="gd", eta=2.0)
+    for sweep in ([["horizon", [5, 6]], ["horizon", [7]]], [["eta", [6, 6.0]]],
+                  [["eta", [2.0, 2.0]]]):
+        path = write_json(tmp_path, dict(gd, sweep=sweep), "dup.json")
+        assert main(["sweep", "--config", path, "--out", str(tmp_path / "dup")]) == 2
+    assert not (tmp_path / "dup").exists()
     with pytest.raises(SystemExit):
         main(["run"])                        # --config is required
 

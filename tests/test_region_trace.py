@@ -1,13 +1,17 @@
-"""The vectorized region trace against the scalar ``classify_region`` oracle.
+"""Regions read off a run's supports against the scalar ``classify_region``.
 
-Every comparison is exact (``==``): the trace forms each slack with the
-scalar classifier's operations in its order, so float rows must round to the
-same bits and exact rows to the same rationals.
+``region_trace`` names the region of the active set ``find_support`` chose
+for each dual vector.  ``find_support`` keeps a coordinate that projects to
+exactly 0 and ``classify_region`` counts such a point on the edge or interior,
+so in rational arithmetic the two agree on every row (``==``).  A float row
+can differ only where rounding flips ``find_support``'s drop test; its margin
+is then at rounding level, and the ledger flags it ambiguous through
+``_boundary_margin``, which must equal the scalar tag's margin bit for bit.
 """
 
-import gc
+import dataclasses
+import itertools
 import json
-import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -20,6 +24,7 @@ from rps_dynamics import (
     LearnerConfig,
     SimplexPoint,
     classify_region,
+    find_support,
     make_rps,
     parse_config,
     region_trace,
@@ -28,7 +33,11 @@ from rps_dynamics import (
     run_sweep,
 )
 from rps_dynamics import analysis
-from rps_dynamics.analysis import REGION_KINDS
+from rps_dynamics.analysis import REGION_KINDS, RegionKind, detect_phases, energy_growth_ledger
+from rps_dynamics.dynamics import LEDGER_BAND
+from rps_dynamics.errors import ConfigInvalid
+from rps_dynamics.experiment import with_arithmetic
+from rps_dynamics.presets import all_presets
 from rps_dynamics.verification import (
     QUICK_CAP,
     TrajectoryStore,
@@ -36,16 +45,44 @@ from rps_dynamics.verification import (
     check_gd_cycling,
 )
 
+from test_golden import EXACT_GD3_HALF, EXACT_GD4_WEIGHTED, EXACT_GD_SWEEP
 
-def assert_matches_oracle(ys):
-    trace = analysis._build_region_trace(ys)
-    assert trace.kind.shape == trace.index.shape == trace.min_abs_margin.shape == (len(ys),)
-    for t, y in enumerate(ys.tolist()):
+
+def tag_region(tag):
+    return tag.kind, -1 if tag.index is None else tag.index
+
+
+def support_region(y):
+    """Region of ``find_support(y)``, read as a uint64 and as a Python-int mask."""
+    mask = sum(1 << i for i in find_support(y))
+    regions = set()
+    for dtype in (np.uint64, object):
+        kind, index = analysis._support_regions(np.array([mask], dtype=dtype), len(y))
+        regions.add((REGION_KINDS[kind[0]], int(index[0])))
+    assert len(regions) == 1
+    return regions.pop()
+
+
+def assert_trace_matches_oracle(traj):
+    trace = region_trace(traj)
+    assert trace.kind.shape == trace.index.shape == (traj.horizon + 2,)
+    for t, y in enumerate(traj.ys.tolist()):
         tag = classify_region(y)
-        got = (REGION_KINDS[trace.kind[t]], int(trace.index[t]), trace.min_abs_margin[t])
-        want = (tag.kind, -1 if tag.index is None else tag.index, tag.min_abs_margin)
-        assert got == want, f"row {t}: y={y}"
+        assert (REGION_KINDS[trace.kind[t]], int(trace.index[t])) == tag_region(tag), (t, y)
         assert trace.label(t) == tag.label()
+
+
+def assert_margin_matches_oracle(ys):
+    want = [classify_region(y).min_abs_margin for y in ys.tolist()]
+    assert analysis._boundary_margin(ys).tolist() == want
+
+
+def spec_runs(spec):
+    """Every sweep point of a spec, run."""
+    fields = [f for f, _ in spec.sweep]
+    for combo in itertools.product(*(values for _, values in spec.sweep)):
+        learner = dataclasses.replace(spec.learner, **dict(zip(fields, combo)))
+        yield run(learner, make_rps(spec.weights))
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +93,28 @@ def quick_store():
 def test_trace_matches_oracle_on_every_stored_trajectory(quick_store):
     kinds = set()
     for key, traj in quick_store.build_all():
-        assert_matches_oracle(traj.ys)
+        if traj.config.algorithm == Algorithm.FICTITIOUS_PLAY:
+            continue
+        assert_trace_matches_oracle(traj)
+        if not traj.is_exact:
+            assert_margin_matches_oracle(traj.ys)
         kinds.add(traj.ys.dtype)
+    assert kinds == {np.dtype(float), np.dtype(object)}
+
+
+def test_trace_matches_oracle_on_presets_and_golden_runs():
+    specs = [s for p in all_presets() for s in p.specs]
+    exact = [parse_config(c) for c in (EXACT_GD_SWEEP, EXACT_GD3_HALF, EXACT_GD4_WEIGHTED)]
+    specs += exact + [with_arithmetic(s, "float") for s in exact]
+    kinds = set()
+    for spec in specs:
+        if spec.learner.algorithm != Algorithm.GRADIENT_DESCENT:
+            continue
+        for traj in spec_runs(spec):
+            assert_trace_matches_oracle(traj)
+            if not traj.is_exact:
+                assert_margin_matches_oracle(traj.ys)
+            kinds.add(traj.ys.dtype)
     assert kinds == {np.dtype(float), np.dtype(object)}
 
 
@@ -75,11 +132,41 @@ def dual_blocks(draw):
     return np.array(rows, dtype=float)
 
 
+def assert_float_rows_agree(ys):
+    """The margin matches bit for bit, and the played support's region is the
+    tag's wherever the row clears the ledger's ambiguity band."""
+    tags = [classify_region(y) for y in ys.tolist()]
+    assert analysis._boundary_margin(ys).tolist() == [tag.min_abs_margin for tag in tags]
+    for y, tag in zip(ys.tolist(), tags):
+        if tag.min_abs_margin > LEDGER_BAND:
+            assert support_region(y) == tag_region(tag), y
+
+
 @settings(derandomize=True, max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(dual_blocks())
 def test_trace_matches_oracle_on_random_rows(ys):
-    assert_matches_oracle(ys)
+    assert_float_rows_agree(ys)
+
+
+_fractions = st.one_of(
+    st.integers(-12, 12).map(lambda k: Fraction(k, 2)),
+    st.fractions(-20, 20, max_denominator=12),
+)
+
+
+@st.composite
+def fraction_blocks(draw):
+    n = draw(st.integers(3, 10))
+    return draw(st.lists(st.lists(_fractions, min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fraction_blocks())
+def test_support_region_is_the_oracle_on_random_fraction_rows(rows):
+    for y in rows:
+        assert support_region(y) == tag_region(classify_region(y)), y
 
 
 def _adversarial_rows(n):
@@ -107,11 +194,18 @@ def _adversarial_rows(n):
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7])
 def test_trace_matches_oracle_near_boundaries(n):
-    ys = np.array(_adversarial_rows(n), dtype=float)
-    assert_matches_oracle(ys)
-    trace = analysis._build_region_trace(ys)
-    assert (trace.min_abs_margin < 1e-11).sum() > 0
-    assert set(trace.kind.tolist()) >= {analysis.VERTEX, analysis.EDGE, analysis.INTERIOR}
+    rows = _adversarial_rows(n)
+    ys = np.array(rows, dtype=float)
+    assert_float_rows_agree(ys)
+    assert (analysis._boundary_margin(ys) < 1e-11).sum() > 0
+    # The same rows as the rationals the floats denote: no exceptions.
+    kinds = set()
+    for y in rows:
+        y = [Fraction(c) for c in y]
+        tag = classify_region(y)
+        assert support_region(y) == tag_region(tag), y
+        kinds.add(tag.kind)
+    assert kinds >= {RegionKind.VERTEX, RegionKind.EDGE, RegionKind.INTERIOR}
 
 
 @pytest.mark.parametrize("n", [8, 9, 10])
@@ -121,9 +215,8 @@ def test_trace_sums_like_the_oracle(n):
     # in (numpy's pairwise sum differs from sum(y) from n = 8 on).
     rng = np.random.default_rng(n)
     ys = 1e3 + rng.uniform(0.0, 0.05, (200, n))
-    assert_matches_oracle(ys)
-    trace = analysis._build_region_trace(ys)
-    assert set(trace.kind.tolist()) == {analysis.INTERIOR}
+    assert_float_rows_agree(ys)
+    assert {support_region(y) for y in ys.tolist()} == {(RegionKind.INTERIOR, -1)}
 
 
 def test_trace_matches_oracle_on_fraction_rows():
@@ -137,11 +230,44 @@ def test_trace_matches_oracle_on_fraction_rows():
         [F(7, 3), F(7, 3), F(7, 3), F(7, 3)],
         [0, F(5, 2), 0, F(5, 2)],
     ]
-    ys = np.empty((len(rows), 4), dtype=object)
-    ys[:] = rows
-    assert_matches_oracle(ys)
-    trace = analysis._build_region_trace(ys)
-    assert all(isinstance(m, (int, Fraction)) for m in trace.min_abs_margin.tolist())
+    for y in rows:
+        assert support_region(y) == tag_region(classify_region(y)), y
+
+
+def test_float_rounding_row_follows_the_played_support():
+    # y_2 projects to exactly 0, so the row is on the interior's boundary.
+    # The float drop test rounds to -5.6e-17 and drops it, so the run plays
+    # edge 0; the scalar tag says interior, at margin 0, which the ledger
+    # flags as ambiguous.
+    y = (1.25, 0.75, 0.5)
+    assert find_support(y) == (0, 1)
+    assert support_region(y) == (RegionKind.EDGE, 0)
+    tag = classify_region(y)
+    assert (tag.kind, tag.min_abs_margin) == (RegionKind.INTERIOR, 0.0)
+    exact = tuple(map(Fraction, y))
+    assert support_region(exact) == tag_region(classify_region(exact)) == (RegionKind.INTERIOR, -1)
+
+
+def test_masks_wider_than_64_bits():
+    n = 65
+    cfg = LearnerConfig(
+        algorithm=Algorithm.GRADIENT_DESCENT,
+        horizon=40,
+        x0=SimplexPoint((1.0,) + (0.0,) * (n - 1)),
+        eta=3.0,
+    )
+    traj = run(cfg, make_rps((1.0,) * n))
+    assert traj.supports.dtype == object
+    assert_trace_matches_oracle(traj)
+    assert detect_phases(traj).count >= 1
+    assert energy_growth_ledger(traj).cls.shape == (cfg.horizon + 1,)
+
+
+def test_region_trace_refuses_fictitious_play():
+    cfg = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=10,
+                        x0=SimplexPoint((1, 0, 0)))
+    with pytest.raises(ConfigInvalid):
+        region_trace(run(cfg, make_rps((1, 1, 1))))
 
 
 _GD_SMALL = LearnerConfig(
@@ -152,16 +278,15 @@ _GD_SMALL = LearnerConfig(
 )
 
 
-def test_region_trace_is_memoized():
-    traj = run(_GD_SMALL, make_rps((1.0,) * 4))
-    assert region_trace(traj) is region_trace(traj)
-    trace = region_trace(traj)
-    for column in (trace.kind, trace.index, trace.min_abs_margin):
+def test_region_trace_is_read_only():
+    trace = region_trace(run(_GD_SMALL, make_rps((1.0,) * 4)))
+    for column in (trace.kind, trace.index):
         assert not column.flags.writeable
 
 
 def test_trajectory_columns_cannot_change_under_the_memo():
-    """The memo never goes stale: no column can be rebound or written."""
+    """Region traces are read off the supports column, so no column can be
+    rebound or written."""
     traj = run(_GD_SMALL, make_rps((1.0,) * 4))
     with pytest.raises(AttributeError):
         traj.xs = traj.xs.copy()
@@ -170,24 +295,16 @@ def test_trajectory_columns_cannot_change_under_the_memo():
             column[0] = column[1]
 
 
-def test_memo_is_dropped_with_its_trajectory():
-    traj = run(_GD_SMALL, make_rps((1.0,) * 4))
-    ref = weakref.ref(region_trace(traj))
-    del traj
-    gc.collect()
-    assert ref() is None
-
-
 @pytest.fixture
-def build_counter(monkeypatch):
+def margin_counter(monkeypatch):
     calls = []
-    build = analysis._build_region_trace
+    margin = analysis._boundary_margin
 
     def counted(ys):
         calls.append(ys.shape)
-        return build(ys)
+        return margin(ys)
 
-    monkeypatch.setattr(analysis, "_build_region_trace", counted)
+    monkeypatch.setattr(analysis, "_boundary_margin", counted)
     return calls
 
 
@@ -199,27 +316,28 @@ GD_CONFIG = {
 }
 
 
-def test_run_experiment_builds_the_trace_once(build_counter, tmp_path):
+def test_run_experiment_computes_the_margin_once(margin_counter, tmp_path):
     run_experiment(parse_config(GD_CONFIG), str(tmp_path))
-    assert build_counter == [(302, 4)]
+    assert margin_counter == [(302, 4)]
 
 
-def test_sweep_builds_one_trace_per_point(build_counter, tmp_path):
+def test_sweep_computes_one_margin_per_point(margin_counter, tmp_path):
     cfg = json.loads(json.dumps(GD_CONFIG))
     cfg["sweep"] = [["eta", [6.0, 9.0]]]
     run_sweep(parse_config(cfg), str(tmp_path))
-    assert build_counter == [(302, 4), (302, 4)]
+    assert margin_counter == [(302, 4), (302, 4)]
 
 
-def test_fp_runs_build_no_trace(build_counter, tmp_path):
-    cfg = {"name": "fp", "weights": [1, 1, 1],
-           "learner": {"algorithm": "fp", "horizon": 100, "x0": [1, 0, 0]}}
-    run_experiment(parse_config(cfg), str(tmp_path))
-    assert build_counter == []
+def test_fp_and_exact_runs_compute_no_margin(margin_counter, tmp_path):
+    fp = {"name": "fp", "weights": [1, 1, 1],
+          "learner": {"algorithm": "fp", "horizon": 100, "x0": [1, 0, 0]}}
+    run_experiment(parse_config(fp), str(tmp_path))
+    run_experiment(parse_config(EXACT_GD3_HALF), str(tmp_path))
+    assert margin_counter == []
 
 
-def test_c04_and_c07_share_one_trace(build_counter):
+def test_c04_and_c07_compute_one_margin(margin_counter):
     store = TrajectoryStore(QUICK_CAP)
     assert check_gd_cycling(store, "quick").passed
     assert check_energy_ledger_bounds(store, "quick").passed
-    assert build_counter == [(QUICK_CAP + 2, 4)]
+    assert margin_counter == [(QUICK_CAP + 2, 4)]
