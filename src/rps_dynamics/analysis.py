@@ -22,12 +22,11 @@ sit within ``LEDGER_BAND`` of zero is tagged ambiguous and excluded from case
 assertions; exact-rational trajectories are audited with exact comparisons.
 """
 
-import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -56,6 +55,11 @@ class RegionKind(str, Enum):
     OTHER_BOUNDARY = "other_boundary"
 
 
+# Codes of ``RegionTrace.kind``: position in RegionKind's definition order.
+REGION_KINDS: Tuple[RegionKind, ...] = tuple(RegionKind)
+VERTEX, EDGE, INTERIOR, OTHER_BOUNDARY = range(len(REGION_KINDS))
+
+
 @dataclass(frozen=True)
 class RegionTag:
     """Region assignment for one dual vector.
@@ -79,6 +83,28 @@ def _div(q: Number, d: int, exact: bool) -> Number:
     return Fraction(q, d) if exact else q / d
 
 
+def _slacks(y: Sequence, exact: bool) -> Iterator[Tuple[int, Optional[int], bool, Number]]:
+    """Every region-defining inequality on y as (kind code, index, strict,
+    slack): the region of that kind and index is where each of its slacks is
+    positive (strict) or nonnegative.  ``y`` is a dual vector or the float
+    columns of a ``ys`` block; numpy rounds each element as Python rounds the
+    scalar, so a row's slacks are its scalar slacks bit for bit."""
+    n = len(y)
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                yield VERTEX, i, True, y[i] - y[j] - 1
+    for i in range(n):
+        j = (i + 1) % n
+        yield EDGE, i, False, 1 - abs(y[i] - y[j])
+        for k in range(n):
+            if k != i and k != j:
+                yield EDGE, i, True, _div(y[i] + y[j] - 2 * y[k] - 1, 2, exact)
+    total = sum(y)  # from 0, left to right, in the columnwise case too
+    for i in range(n):
+        yield INTERIOR, None, False, _div(n * y[i] - total + 1, n, exact)
+
+
 def classify_region(y: Sequence[Number]) -> RegionTag:
     """Assign a dual vector to its region.
 
@@ -86,49 +112,13 @@ def classify_region(y: Sequence[Number]) -> RegionTag:
     three families are pairwise disjoint, so order only decides how boundary
     points (where a non-strict inequality holds with equality) are labeled.
     """
-    n = len(y)
-    exact = all_exact(y)
-    abs_slacks: List[Number] = []
-
-    vertex_hit: Optional[int] = None
-    for i in range(n):
-        slacks = [y[i] - y[j] - 1 for j in range(n) if j != i]
-        abs_slacks.extend(abs(s) for s in slacks)
-        if min(slacks) > 0:
-            vertex_hit = i
-
-    edge_hit: Optional[int] = None
-    for i in range(n):
-        j = (i + 1) % n
-        d = y[i] - y[j]
-        s1 = 1 - (d if d >= 0 else -d)
-        mids = [
-            _div(y[i] + y[j] - 2 * y[k] - 1, 2, exact)
-            for k in range(n)
-            if k != i and k != j
-        ]
-        abs_slacks.append(abs(s1))
-        abs_slacks.extend(abs(s) for s in mids)
-        if edge_hit is None and s1 >= 0 and min(mids) > 0:
-            edge_hit = i
-
-    total = sum(y)
-    interior_slacks = [_div(n * y[i] - total + 1, n, exact) for i in range(n)]
-    abs_slacks.extend(abs(s) for s in interior_slacks)
-
-    min_abs = min(abs_slacks)
-    if vertex_hit is not None:
-        return RegionTag(RegionKind.VERTEX, vertex_hit, min_abs)
-    if edge_hit is not None:
-        return RegionTag(RegionKind.EDGE, edge_hit, min_abs)
-    if min(interior_slacks) >= 0:
-        return RegionTag(RegionKind.INTERIOR, None, min_abs)
-    return RegionTag(RegionKind.OTHER_BOUNDARY, None, min_abs)
-
-
-# Codes of ``RegionTrace.kind``: position in RegionKind's definition order.
-REGION_KINDS: Tuple[RegionKind, ...] = tuple(RegionKind)
-VERTEX, EDGE, INTERIOR, OTHER_BOUNDARY = range(len(REGION_KINDS))
+    holds: Dict[Tuple[int, Optional[int]], bool] = {}
+    margin: Number = math.inf
+    for kind, index, strict, s in _slacks(y, all_exact(y)):
+        holds[kind, index] = holds.get((kind, index), True) and (s > 0 if strict else s >= 0)
+        margin = min(margin, abs(s))
+    kind, index = next((key for key, held in holds.items() if held), (OTHER_BOUNDARY, None))
+    return RegionTag(REGION_KINDS[kind], index, margin)
 
 
 @dataclass(frozen=True, eq=False)  # array fields: == would be ambiguous
@@ -179,22 +169,10 @@ def region_trace(traj: Trajectory) -> RegionTrace:
 
 
 def _boundary_margin(ys: np.ndarray) -> np.ndarray:
-    """The margin ``classify_region`` tags each row of a float ``ys`` with.
-
-    Each slack is formed with the scalar classifier's operations in its
-    order, so rows round identically, and folded in as soon as it is made."""
-    n = ys.shape[1]
-    y = [ys[:, i] for i in range(n)]
-    total = sum(y)  # from 0, left to right, as sum(y) adds
-    edges = [(i, (i + 1) % n) for i in range(n)]
-    slacks = itertools.chain(
-        (y[i] - y[j] - 1 for i in range(n) for j in range(n) if j != i),
-        (1 - np.abs(y[i] - y[j]) for i, j in edges),
-        ((y[i] + y[j] - 2 * y[k] - 1) / 2 for i, j in edges for k in range(n) if k not in (i, j)),
-        ((n * y[i] - total + 1) / n for i in range(n)),
-    )
+    """The margin ``classify_region`` tags each row of a float ``ys`` with,
+    folded in one slack column at a time."""
     margin = np.full(len(ys), np.inf)
-    for s in slacks:
+    for _, _, _, s in _slacks([ys[:, i] for i in range(ys.shape[1])], False):
         np.minimum(margin, np.abs(s), out=margin)
     return margin
 

@@ -156,7 +156,7 @@ def find_support(y: Sequence[Number]) -> Tuple[int, ...]:
     total = sum(y)
     m = n
     k = 0
-    while True:
+    while k < n - 1:  # a lone coordinate projects to 1, however y rounds
         i = order[k]
         if exact:
             drop = m * y[i] - total + 1 < 0
@@ -336,19 +336,9 @@ class LearnerConfig:
 
 
 def _check_bits(values: Sequence[Number], budget: int, step: int) -> None:
-    for v in values:
-        if isinstance(v, Fraction):
-            if (
-                v.numerator.bit_length() > budget
-                or v.denominator.bit_length() > budget
-            ):
-                raise ArithmeticOverflow(
-                    f"rational state exceeded {budget} bits at step {step}"
-                )
-        elif isinstance(v, int) and v.bit_length() > budget:
-            raise ArithmeticOverflow(
-                f"rational state exceeded {budget} bits at step {step}"
-            )
+    for v in values:  # an int is its own numerator, over 1
+        if v.numerator.bit_length() > budget or v.denominator.bit_length() > budget:
+            raise ArithmeticOverflow(f"rational state exceeded {budget} bits at step {step}")
 
 
 @dataclass(frozen=True, eq=False)  # array fields: == would be ambiguous
@@ -465,26 +455,31 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     ys[0] = y
     supports[0] = sum(1 << i for i, c in enumerate(x) if c > 0)
     energies[0] = energy_fp(y) if is_fp else energy_gd(y)
-    for t, eta_t in enumerate(config.etas().tolist()):
-        xs[t] = x
-        v = mat.apply(x)
-        y = [yi + eta_t * vi for yi, vi in zip(y, v)]
-        ys[t + 1] = y
-        if exact:
-            _check_bits(y, config.bit_budget, t)
-        if is_fp:
-            energies[t + 1] = energy_fp(y)
-            incumbent = fp_primal(y, rule, incumbent=incumbent, tol=tol, step=t + 1)
-            supports[t + 1] = 1 << incumbent
-            x = [0] * n
-            x[incumbent] = 1
-        else:
-            support = find_support(y)
-            energies[t + 1] = energy_gd(y, support)
-            supports[t + 1] = sum(1 << i for i in support)
-            if t < T:
-                x = _projection_coords(y, support)
-                if exact:
-                    _check_bits(x, config.bit_budget, t)
+    try:
+        for t, eta_t in enumerate(config.etas().tolist()):
+            xs[t] = x
+            v = mat.apply(x)
+            y = [yi + eta_t * vi for yi, vi in zip(y, v)]
+            ys[t + 1] = y
+            if exact:
+                _check_bits(y, config.bit_budget, t)
+            if is_fp:
+                energies[t + 1] = energy_fp(y)
+                incumbent = fp_primal(y, rule, incumbent=incumbent, tol=tol, step=t + 1)
+                supports[t + 1] = 1 << incumbent
+                x = [0] * n
+                x[incumbent] = 1
+            else:
+                support = find_support(y)
+                energies[t + 1] = energy_gd(y, support)
+                supports[t + 1] = sum(1 << i for i in support)
+                if t < T:
+                    x = _projection_coords(y, support)
+                    if exact:
+                        _check_bits(x, config.bit_budget, t)
+    except OverflowError as exc:
+        raise ArithmeticOverflow(f"float state overflowed: {exc}") from exc
+    if not exact and not all(map(math.isfinite, y)):  # inf and nan never turn finite
+        raise ArithmeticOverflow("float dual state overflowed to inf or nan")
 
     return Trajectory(config, matrix, xs, ys, energies, supports)

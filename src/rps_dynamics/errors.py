@@ -30,7 +30,7 @@ class ConfigInvalid(RpsDynamicsError):
 
 
 class ArithmeticOverflow(RpsDynamicsError):
-    """Exact-rational state exceeded the configured bit budget."""
+    """Exact-rational state exceeded the bit budget, or float state overflowed."""
 
 
 class EmptyTrajectory(RpsDynamicsError):

@@ -15,6 +15,7 @@ so the reported per-check times are dominated by the first check that needs
 each run.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -135,6 +136,21 @@ class TrajectoryStore:
 # ---------------------------------------------------------------------------
 # Individual checks
 
+CHECKS: List[Tuple[str, Callable[[TrajectoryStore, str], CheckResult]]] = []
+
+
+def _check(check_id: str):
+    """Register ``body(store) -> (passed, details)`` in ``CHECKS``, in
+    definition order, as ``check(store, level) -> CheckResult``.  ``level`` is
+    accepted only because callers pass it; the store's cap sets the horizons."""
+    def register(body: Callable[[TrajectoryStore], Tuple[bool, str]]):
+        @functools.wraps(body)
+        def check(store: TrajectoryStore, level: str) -> CheckResult:
+            return CheckResult(check_id, *body(store))
+        CHECKS.append((check_id, check))
+        return check
+    return register
+
 
 def _horizons(cap: int) -> List[int]:
     return [T for T in (10**2, 10**3, 10**4, 10**5) if T <= cap]
@@ -149,7 +165,8 @@ def _sqrt_regret_envelope(traj: Trajectory, Ts: List[int]) -> Tuple[float, Optio
     return ratio, slope
 
 
-def check_fp_sqrt_regret(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c01-fp-sqrt-regret")
+def check_fp_sqrt_regret(store: TrajectoryStore) -> Tuple[bool, str]:
     """FP regret grows like sqrt(T) under every tiebreak rule tried."""
     Ts = _horizons(store.cap)
     worst_ratio = 0.0
@@ -172,14 +189,11 @@ def check_fp_sqrt_regret(store: TrajectoryStore, level: str) -> CheckResult:
         srange = f"slopes [{min(slopes):.3f}, {max(slopes):.3f}]"
     else:
         srange = f"slope fit skipped ({len(Ts)} horizons)"
-    return CheckResult(
-        "c01-fp-sqrt-regret",
-        ok,
-        f"{runs} runs, T up to {Ts[-1]}: max Reg/sqrt(T) = {worst_ratio:.3f}, {srange}",
-    )
+    return ok, f"{runs} runs, T up to {Ts[-1]}: max Reg/sqrt(T) = {worst_ratio:.3f}, {srange}"
 
 
-def check_fp_tournament_constant(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c02-fp-tournament-constant")
+def check_fp_tournament_constant(store: TrajectoryStore) -> Tuple[bool, str]:
     """Cyclic-successor tiebreak freezes the FP energy exactly (rational)."""
     ok = True
     parts = []
@@ -195,10 +209,11 @@ def check_fp_tournament_constant(store: TrajectoryStore, level: str) -> CheckRes
             f"n={n}: Psi={psi1}{'' if conserved else ' NOT CONSERVED'}, "
             f"Reg={reg}{'' if identity else ' != 2*Psi'}"
         )
-    return CheckResult("c02-fp-tournament-constant", ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def check_gd_vertex_first_step(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c03-gd-vertex-first-step")
+def check_gd_vertex_first_step(store: TrajectoryStore) -> Tuple[bool, str]:
     """One large gradient step from the pinned interior point lands on a vertex."""
     parts = []
     ok = True
@@ -209,10 +224,11 @@ def check_gd_vertex_first_step(store: TrajectoryStore, level: str) -> CheckResul
         ok = ok and singleton
         label = f"e_{mask.bit_length()}" if singleton else f"mask={mask:b}"
         parts.append(f"{eta_text}: x^1 = {label}")
-    return CheckResult("c03-gd-vertex-first-step", ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def check_gd_cycling(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c04-gd-cycling")
+def check_gd_cycling(store: TrajectoryStore) -> Tuple[bool, str]:
     """After lock-in, vertices advance cyclically and no edge repeats."""
     traj = store.get("gd4_main")
     Teff = min(traj.horizon, 10**4)
@@ -224,16 +240,15 @@ def check_gd_cycling(store: TrajectoryStore, level: str) -> CheckResult:
     on_edge = kind == EDGE
     edge_repeats = int((on_edge[1:] & on_edge[:-1] & (index[1:] == index[:-1])).sum())
     ok = bad_phase is None and edge_repeats == 0
-    return CheckResult(
-        "c04-gd-cycling",
-        ok,
+    return ok, (
         f"{phases.count} phases from t0={phases.t0}, "
         + ("cyclic order holds" if bad_phase is None else f"order breaks at phase {bad_phase}")
-        + f", consecutive same-edge iterates: {edge_repeats} (t <= {Teff})",
+        + f", consecutive same-edge iterates: {edge_repeats} (t <= {Teff})"
     )
 
 
-def check_gd_sqrt_regret(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c05-gd-sqrt-regret")
+def check_gd_sqrt_regret(store: TrajectoryStore) -> Tuple[bool, str]:
     """Large-stepsize GD regret also grows like sqrt(T)."""
     Ts = _horizons(store.cap)
     worst_ratio, slope = _sqrt_regret_envelope(store.get("gd4_main"), Ts)
@@ -243,14 +258,11 @@ def check_gd_sqrt_regret(store: TrajectoryStore, level: str) -> CheckResult:
         stext = f"slope {slope:.3f}"
     else:
         stext = f"slope fit skipped ({len(Ts)} horizons)"
-    return CheckResult(
-        "c05-gd-sqrt-regret",
-        ok,
-        f"max Reg/sqrt(T) = {worst_ratio:.3f}, {stext}",
-    )
+    return ok, f"max Reg/sqrt(T) = {worst_ratio:.3f}, {stext}"
 
 
-def check_energy_monotone(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c06-energy-monotone")
+def check_energy_monotone(store: TrajectoryStore) -> Tuple[bool, str]:
     """Energy never decreases (t >= 1) on any stored trajectory."""
     worst = 0.0
     worst_key = "-"
@@ -261,14 +273,13 @@ def check_energy_monotone(store: TrajectoryStore, level: str) -> CheckResult:
             worst = drop
             worst_key = key
         ok = ok and not drops
-    return CheckResult(
-        "c06-energy-monotone",
-        ok,
-        f"{len(store.catalog())} trajectories, worst relative drop {worst:.3g} ({worst_key})",
+    return ok, (
+        f"{len(store.catalog())} trajectories, worst relative drop {worst:.3g} ({worst_key})"
     )
 
 
-def check_energy_ledger_bounds(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c07-energy-ledger-bounds")
+def check_energy_ledger_bounds(store: TrajectoryStore) -> Tuple[bool, str]:
     """Every unambiguous step obeys its transition-case energy bound."""
     keys = [f"fp{n}_{r}" for n in (3, 4) for r in _FP_RULES] + ["gd4_main"]
     steps = in_bounds = violations = uncovered = ambiguous = 0
@@ -281,34 +292,30 @@ def check_energy_ledger_bounds(store: TrajectoryStore, level: str) -> CheckResul
         ambiguous += summary["ambiguous"]
     frac = ambiguous / steps if steps else 0.0
     ok = violations == 0 and uncovered == 0 and frac < 1e-3
-    return CheckResult(
-        "c07-energy-ledger-bounds",
-        ok,
+    return ok, (
         f"{steps} steps over {len(keys)} runs: {in_bounds} in bounds, "
         f"{violations} violations, {uncovered} uncovered, "
-        f"{ambiguous} ambiguous ({100 * frac:.4f}%)",
+        f"{ambiguous} ambiguous ({100 * frac:.4f}%)"
     )
 
 
-def check_gd_small_stepsize(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c08-gd-small-stepsize")
+def check_gd_small_stepsize(store: TrajectoryStore) -> Tuple[bool, str]:
     """eta = 1/sqrt(T): interior iterates keep energy and regret bounded."""
     traj = store.get("gd3_small")
     verdict = small_stepsize_energy_check(traj)
     if verdict.status == "not_applicable":
-        return CheckResult(
-            "c08-gd-small-stepsize", True, f"NotApplicable: {verdict.reason}"
-        )
+        return True, f"NotApplicable: {verdict.reason}"
     ok = verdict.status == "pass"
-    return CheckResult(
-        "c08-gd-small-stepsize",
-        ok,
+    return ok, (
         f"energy {verdict.energy_final:.4f} <= {verdict.energy_bound:.2f}, "
         f"Reg {verdict.regret_total:.3f} <= {verdict.regret_bound:.3f} "
-        f"(T={traj.horizon})",
+        f"(T={traj.horizon})"
     )
 
 
-def check_projection_oracle(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c09-projection-oracle")
+def check_projection_oracle(store: TrajectoryStore) -> Tuple[bool, str]:
     """Fast support scan and projection match brute-force enumeration."""
     draws = 1000
     worst_x = worst_e = 0.0
@@ -328,15 +335,14 @@ def check_projection_oracle(store: TrajectoryStore, level: str) -> CheckResult:
             )
             worst_e = max(worst_e, abs(energy_gd(y) - value))
     ok = mismatches == 0 and worst_x <= 1e-10 and worst_e <= 1e-10
-    return CheckResult(
-        "c09-projection-oracle",
-        ok,
+    return ok, (
         f"{3 * draws} draws: {mismatches} support mismatches, "
-        f"max |dx| = {worst_x:.2e}, max |dE| = {worst_e:.2e}",
+        f"max |dx| = {worst_x:.2e}, max |dE| = {worst_e:.2e}"
     )
 
 
-def check_conjugate_gradient(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c10-conjugate-gradient")
+def check_conjugate_gradient(store: TrajectoryStore) -> Tuple[bool, str]:
     """The primal map is the numerical gradient of the projection energy."""
     per_n = 100
     worst = 0.0
@@ -357,14 +363,11 @@ def check_conjugate_gradient(store: TrajectoryStore, level: str) -> CheckResult:
             worst = max(worst, float(np.abs(g - px).max()))
         used += accepted
     ok = used == 2 * per_n and worst <= 1e-5
-    return CheckResult(
-        "c10-conjugate-gradient",
-        ok,
-        f"{used} region-interior points: max |grad - Q(y)| = {worst:.2e}",
-    )
+    return ok, f"{used} region-interior points: max |grad - Q(y)| = {worst:.2e}"
 
 
-def check_dual_subspace_confinement(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c11-dual-subspace")
+def check_dual_subspace_confinement(store: TrajectoryStore) -> Tuple[bool, str]:
     """<x*, y^t> stays zero: exactly in rational mode, to rounding in float."""
     parts = []
     ok = True
@@ -380,10 +383,11 @@ def check_dual_subspace_confinement(store: TrajectoryStore, level: str) -> Check
         bound = 1e-8 * min(traj.horizon, 10**4)
         ok = ok and worst <= bound
         parts.append(f"{key}: {worst:.2e} <= {bound:.0e}")
-    return CheckResult("c11-dual-subspace", ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def check_regret_identities(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c12-regret-identities")
+def check_regret_identities(store: TrajectoryStore) -> Tuple[bool, str]:
     """Direct, dual-based, and averaged-gap regret routes coincide; the
     regularizer upper bound always holds."""
     worst_rel = 0.0
@@ -398,16 +402,13 @@ def check_regret_identities(store: TrajectoryStore, level: str) -> CheckResult:
             holds, slack = regret_bound_slack(traj, rep)
             if not holds:
                 failures.append(f"{key}: upper bound violated by {float(-slack):.2e}")
-    ok = not failures
-    detail = (
-        f"{len(store.catalog())} trajectories, max route disagreement {worst_rel:.2e}"
-        if ok
-        else "; ".join(failures[:4])
-    )
-    return CheckResult("c12-regret-identities", ok, detail)
+    if failures:
+        return False, "; ".join(failures[:4])
+    return True, f"{len(store.catalog())} trajectories, max route disagreement {worst_rel:.2e}"
 
 
-def check_boundary_invariance(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c13-boundary-invariance")
+def check_boundary_invariance(store: TrajectoryStore) -> Tuple[bool, str]:
     """Past the interior energy ceiling, iterates never regain full support."""
     parts = []
     ok = True
@@ -421,10 +422,11 @@ def check_boundary_invariance(store: TrajectoryStore, level: str) -> CheckResult
                 f"{key}: ceiling crossed at t={b.first_exceed_t}, "
                 + ("stays boundary" if not b.full_support_after_exceed else "RETURNS interior")
             )
-    return CheckResult("c13-boundary-invariance", ok, "; ".join(parts))
+    return ok, "; ".join(parts)
 
 
-def check_nash_solver(store: TrajectoryStore, level: str) -> CheckResult:
+@_check("c14-nash-solver")
+def check_nash_solver(store: TrajectoryStore) -> Tuple[bool, str]:
     """Random cyclic games have a strictly interior equilibrium with zero
     residual; the pinned weighted-3-cycle instance matches its known point."""
     draws = 100
@@ -455,25 +457,7 @@ def check_nash_solver(store: TrajectoryStore, level: str) -> CheckResult:
             " [even n has no interior equilibrium unless alternating weight "
             "products match, which random draws never do]"
         )
-    return CheckResult("c14-nash-solver", ok, detail)
-
-
-CHECKS: List[Tuple[str, Callable[[TrajectoryStore, str], CheckResult]]] = [
-    ("c01-fp-sqrt-regret", check_fp_sqrt_regret),
-    ("c02-fp-tournament-constant", check_fp_tournament_constant),
-    ("c03-gd-vertex-first-step", check_gd_vertex_first_step),
-    ("c04-gd-cycling", check_gd_cycling),
-    ("c05-gd-sqrt-regret", check_gd_sqrt_regret),
-    ("c06-energy-monotone", check_energy_monotone),
-    ("c07-energy-ledger-bounds", check_energy_ledger_bounds),
-    ("c08-gd-small-stepsize", check_gd_small_stepsize),
-    ("c09-projection-oracle", check_projection_oracle),
-    ("c10-conjugate-gradient", check_conjugate_gradient),
-    ("c11-dual-subspace", check_dual_subspace_confinement),
-    ("c12-regret-identities", check_regret_identities),
-    ("c13-boundary-invariance", check_boundary_invariance),
-    ("c14-nash-solver", check_nash_solver),
-]
+    return ok, detail
 
 
 def run_suite(

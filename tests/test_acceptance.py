@@ -29,6 +29,12 @@ def _run(check_fn, store):
     assert res.passed, line
 
 
+def test_checks_are_registered_in_order_under_their_module_names():
+    assert [check_id[:4] for check_id, _ in V.CHECKS] == [f"c{k:02d}-" for k in range(1, 15)]
+    for _, fn in V.CHECKS:
+        assert getattr(V, fn.__name__) is fn
+
+
 def test_c01_fp_sqrt_regret(store):
     """Fictitious play regret grows at a sublinear (sqrt-like) rate for every
     tiebreak rule, with log-log slope in [0, 0.6] and Reg/sqrt(T) <= 10."""

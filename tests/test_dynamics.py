@@ -25,6 +25,7 @@ from rps_dynamics import (
     make_rps,
     run,
 )
+from rps_dynamics import dynamics, oracle
 from rps_dynamics.dynamics import _projection_coords
 
 
@@ -98,6 +99,20 @@ def test_projection_on_wrong_support_raises_package_error():
     # On the full support the first coordinate is (0 - 10) / 3 + 1/3 = -3.
     with pytest.raises(ProjectionInfeasible, match=r"coordinate 0 .*support \(0, 1, 2\)"):
         _projection_coords((0.0, 10.0, 0.0), (0, 1, 2))
+
+
+def test_projection_clamps_round_off_negative_to_zero(monkeypatch):
+    """The scan keeps coordinate 3, which the oracle drops: it projects to
+    about -4.4e-16, and the clamp makes it 0."""
+    y = (3.2328354047641312, -1.0891765741722308, -0.5233187487047002, 2.2328354047641303)
+    point, value = oracle.project_bruteforce(y)
+    assert find_support(y) == (0, 3) and point.support == (0,)
+    assert _projection_coords(y, (0, 3))[3] == 0.0
+    assert max(abs(a - b) for a, b in zip(gd_primal(y).coords, point.coords)) <= 1e-15
+    assert energy_gd(y) == value
+    monkeypatch.setattr(dynamics, "PROJECTION_CLAMP", 0.0)
+    with pytest.raises(ProjectionInfeasible, match="-4.44"):
+        gd_primal(y)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +345,30 @@ def test_rational_bit_budget_overflow():
                         arithmetic=Arithmetic.EXACT_RATIONAL, bit_budget=16)
     with pytest.raises(ArithmeticOverflow):
         run(cfg, make_rps((1 << 20, 1, 1)))
+
+
+def _unit3_gd(eta):
+    return LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=50,
+                         x0=SimplexPoint.vertex(3, 0), eta=eta)
+
+
+def test_find_support_keeps_the_last_coordinate_of_a_huge_y():
+    # Rounding of the running total rejects the maximum too; it still projects to 1.
+    assert find_support((1e25, -2.5000000000000005e25, 1.5000000000000002e25)) == (2,)
+
+
+@pytest.mark.parametrize("eta", [1e25, 1e150, 1e300])
+def test_float_gd_with_huge_duals_completes(eta):
+    traj = run(_unit3_gd(eta), make_rps((1.0,) * 3))
+    for column in (traj.xs, traj.ys, traj.energies):
+        assert np.isfinite(column).all()
+    assert (traj.xs >= 0).all() and np.allclose(traj.xs.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("eta", [1e307, 1e308])
+def test_float_gd_overflow_is_a_package_error(eta):
+    with pytest.raises(ArithmeticOverflow, match="float"):
+        run(_unit3_gd(eta), make_rps((1.0,) * 3))
 
 
 def test_float_and_exact_runs_agree_early():

@@ -581,6 +581,14 @@ def test_cli_exit_codes(tmp_path):
         main(["run"])                        # --config is required
 
 
+def test_cli_run_float_overflow_exits_2(tmp_path, capsys):
+    cfg = fp_config()
+    cfg["learner"].update(algorithm="gd", horizon=50, eta=1e308)
+    path = write_json(tmp_path, cfg)
+    assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+    assert "overflow" in capsys.readouterr().err
+
+
 _WRONG_JSON_TYPES = {
     "weights": lambda cfg: cfg.update(weights=5),
     "learner": lambda cfg: cfg.update(learner=5),
