@@ -370,7 +370,7 @@ _OPEN_CLASSES = (GD_VERTEX_ADVANCE,)
 # index minus source index mod n), with the bounds on the energy gain given
 # b = eta_t * a_max and a number type ``d``.  Lingering on one edge never
 # happens under a large stepsize, so it stays uncovered rather than get an
-# invented bound.
+# invented bound; so does a float step whose bound overflows to inf.
 _GD_CASES = (
     (GD_VERTEX_SAME, VERTEX, VERTEX, (0,), lambda b, d: (0, 0)),
     (GD_VERTEX_ADVANCE, VERTEX, VERTEX, (1,), lambda b, d: (1, b)),
@@ -449,13 +449,14 @@ def energy_growth_ledger(traj: Trajectory) -> Ledger:
         trace = region_trace(traj)
         src, dst = trace.kind[:-1], trace.kind[1:]
         advance = (trace.index[1:] - trace.index[:-1]) % traj.n
-        b = cfg.etas() * a_max
         number = Fraction if exact else float
         cases = []
-        for code, src_kind, dst_kind, advances, bounds in _GD_CASES:
-            rows = (src == src_kind) & (dst == dst_kind) & np.isin(advance, advances)
-            rows[0] = False
-            cases.append((code, rows, *bounds(b[rows], number)))
+        with np.errstate(over="ignore"):  # a bound past the float range comes out inf
+            b = cfg.etas() * a_max
+            for code, src_kind, dst_kind, advances, bounds in _GD_CASES:
+                rows = (src == src_kind) & (dst == dst_kind) & np.isin(advance, advances)
+                rows[0] = False
+                cases.append((code, rows, *bounds(b[rows], number)))
         if not exact:  # step t is ambiguous when y^t or y^{t+1} sits within the band
             margins = _boundary_margin(traj.ys)
             ambiguous[1:] = np.minimum(margins[1:-1], margins[2:]) <= LEDGER_BAND
@@ -464,6 +465,10 @@ def energy_growth_ledger(traj: Trajectory) -> Ledger:
         cls[rows] = code
         lo[rows] = low
         hi[rows] = high
+    if not exact:  # an infinite bound is no bound: the step stays uncovered
+        beyond = np.isinf(hi)
+        cls[beyond] = UNCOVERED
+        lo[beyond] = hi[beyond] = np.nan
 
     bounded = cls > INITIAL
     c, d = cls[bounded], delta[bounded]

@@ -47,6 +47,18 @@ PROJECTION_CLAMP = 1e-12  # GD: round-off negatives down to -this project to 0
 LEDGER_BAND = 1e-9        # ledger: ambiguous-margin band and slack on bounds
 EXACT_CLASS_TOL = 1e-12   # ledger: slack on bounds that are a single point
 REL_TOL = 1e-9            # relative slack of identities and energy monotonicity
+# GD blocks: a float row stays in vertex i's region only while
+# y_i - max_{j != i} y_j - 1 > GD_VERTEX_MARGIN * n^2 * max(1, |y|_inf).
+# find_support's drop tests round by at most (n^2 + 3.5n) eps max(1, |y|_inf)
+# and the gap itself by 3 eps max(1, |y|_inf), eps = 2^-52; for n >= 3 this
+# margin covers both, so every row it keeps projects onto (i,).
+GD_VERTEX_MARGIN = 4 * 2.0**-52
+
+# Block stepping in ``run``: rows per block, shortest block worth its numpy
+# calls, and the longest wait in scalar steps after a short or failed one.
+MAX_BLOCK = 4096
+MIN_BLOCK = 8
+MAX_BACKOFF = 64
 
 
 def tolerance(exact: bool, tol: float) -> Number:
@@ -353,6 +365,9 @@ class Trajectory:
     chosen vertex (FP) or the projection's active set (OGD); row T+1 is the
     closing response, decided but never played.  ``x``, ``y`` and ``energy``
     return Python numbers; the ``*_array`` views are float64 in both modes.
+    ``run`` writes the rows of a vertex segment in blocks;
+    ``oracle.run_stepwise``, the reference, writes the same columns one
+    scalar step at a time.
     """
 
     config: LearnerConfig
@@ -419,13 +434,28 @@ class Trajectory:
         return self.energies.astype(float, copy=False)
 
 
-def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
-    """Simulate the configured learner for horizon T and record everything.
+@dataclass
+class _Walk:
+    """A run being stepped: its inputs, the matrix in the run's number type,
+    the stepsizes of steps 0..T, and the four columns with row 0 filled in.
+    ``x``, ``y`` and ``vertex`` hold the state the next step starts from:
+    x^t, y^t and the vertex of x^t, or None."""
 
-    The loop performs T+1 dual updates (producing y^1 .. y^{T+1}) and T primal
-    responses (x^1 .. x^T) after the given x^0.  The closing response to
-    y^{T+1} is recorded as support row T+1, but x^{T+1} is not formed.
-    """
+    config: LearnerConfig
+    matrix: RpsMatrix
+    mat: RpsMatrix
+    etas: List[Number]
+    xs: np.ndarray
+    ys: np.ndarray
+    energies: np.ndarray
+    supports: np.ndarray
+    x: List[Number]
+    y: List[Number]
+    vertex: Optional[int]
+
+
+def _begin(config: LearnerConfig, matrix: RpsMatrix) -> _Walk:
+    """Check a run's inputs and set it up at t = 0."""
     n = matrix.n
     if config.x0.n != n:
         raise DimensionMismatch(
@@ -436,11 +466,6 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
         raise ConfigInvalid("rational mode needs exact game weights (int or Fraction)")
 
     T = config.horizon
-    is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
-    rule = config.effective_tiebreak
-    tol = config.effective_tie_tolerance
-    incumbent = config.x0.vertex_index
-
     number = (lambda v: v) if exact else float
     mat = RpsMatrix(tuple(number(w) for w in matrix.weights))
     x: List[Number] = [number(c) for c in config.x0.coords]
@@ -454,21 +479,51 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
 
     ys[0] = y
     supports[0] = sum(1 << i for i, c in enumerate(x) if c > 0)
+    is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
     energies[0] = energy_fp(y) if is_fp else energy_gd(y)
+    return _Walk(config, matrix, mat, config.etas().tolist(), xs, ys, energies, supports,
+                 x, y, config.x0.vertex_index)
+
+
+def _scalar_steps(walk: _Walk, t: int, stop: int, wait) -> int:
+    """Take the scalar steps t, t+1, ... before ``stop`` and return the index
+    of the next one.
+
+    Step t writes x^t to row t of ``xs``, forms y^{t+1} = y^t + eta_t A x^t,
+    and writes it and its response to row t+1 of the other columns.  After
+    each step whose response is a vertex, ``wait`` counts down; once it is
+    spent the steps stop early (``math.inf`` never is).  The state the next
+    step starts from is left in ``walk``.
+    """
+    config = walk.config
+    n = walk.mat.n
+    T = config.horizon
+    exact = config.is_exact
+    is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
+    select = config.effective_tiebreak.select
+    tol = config.effective_tie_tolerance
+    budget = config.bit_budget
+    apply = walk.mat.apply
+    etas = walk.etas
+    xs, ys, energies, supports = walk.xs, walk.ys, walk.energies, walk.supports
+    x, y, vertex = walk.x, walk.y, walk.vertex
     try:
-        for t, eta_t in enumerate(config.etas().tolist()):
+        while t < stop:
+            eta_t = etas[t]
             xs[t] = x
-            v = mat.apply(x)
+            v = apply(x)
             y = [yi + eta_t * vi for yi, vi in zip(y, v)]
             ys[t + 1] = y
             if exact:
-                _check_bits(y, config.bit_budget, t)
+                _check_bits(y, budget, t)
             if is_fp:
-                energies[t + 1] = energy_fp(y)
-                incumbent = fp_primal(y, rule, incumbent=incumbent, tol=tol, step=t + 1)
-                supports[t + 1] = 1 << incumbent
+                top = max(y)  # energy_fp, and fp_primal's tie set
+                energies[t + 1] = top
+                floor = top - tol
+                vertex = select([i for i, yi in enumerate(y) if yi >= floor], vertex, n, t + 1)
+                supports[t + 1] = 1 << vertex
                 x = [0] * n
-                x[incumbent] = 1
+                x[vertex] = 1
             else:
                 support = find_support(y)
                 energies[t + 1] = energy_gd(y, support)
@@ -476,10 +531,138 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
                 if t < T:
                     x = _projection_coords(y, support)
                     if exact:
-                        _check_bits(x, config.bit_budget, t)
+                        _check_bits(x, budget, t)
+                vertex = support[0] if len(support) == 1 else None
+            t += 1
+            if vertex is not None:
+                if not wait:
+                    break
+                wait -= 1
     except OverflowError as exc:
         raise ArithmeticOverflow(f"float state overflowed: {exc}") from exc
-    if not exact and not all(map(math.isfinite, y)):  # inf and nan never turn finite
-        raise ArithmeticOverflow("float dual state overflowed to inf or nan")
+    walk.x, walk.y, walk.vertex = x, y, vertex
+    return t
 
-    return Trajectory(config, matrix, xs, ys, energies, supports)
+
+def _trajectory(walk: _Walk) -> Trajectory:
+    """The finished run, checked for float overflow on its last dual."""
+    if not walk.config.is_exact and not all(map(math.isfinite, walk.y)):  # inf and nan never turn finite
+        raise ArithmeticOverflow("float dual state overflowed to inf or nan")
+    return Trajectory(walk.config, walk.matrix, walk.xs, walk.ys, walk.energies, walk.supports)
+
+
+def _check_block_bits(y: List[Number], d: List[Number], rows: np.ndarray, budget: int, t: int) -> None:
+    """Raise where the scalar steps t, t+1, ... would if a row of the block
+    ``rows`` = y + d, y + 2d, ... passes the bit budget.
+
+    Along the block every denominator divides lcm(den y_j, den d_j), and
+    every |value| is at most that of an end row, which bounds every
+    numerator; only when a bound passes the budget are the rows scanned.
+    """
+    for y0, dj, last in zip(y, d, rows[-1].tolist()):
+        lcm = math.lcm(y0.denominator, dj.denominator)
+        if lcm.bit_length() > budget or (max(abs(y0), abs(last)) * lcm).numerator.bit_length() > budget:
+            for k, row in enumerate(rows.tolist()):
+                _check_bits(row, budget, t + k)
+            return
+
+
+def _keeps_vertex(rows: np.ndarray, i: int, tie_tol: Optional[Number]) -> np.ndarray:
+    """Which dual rows certainly get the response vertex i, as a bool column.
+
+    Fictitious play (``tie_tol`` set): the tie set y_j >= max - tie_tol is
+    exactly {i}.  Gradient descent (``tie_tol`` None): the projection's
+    support is (i,), that is y_i - max_{j != i} y_j - 1 > 0 in exact rows,
+    and past ``GD_VERTEX_MARGIN``'s rounding bound in float rows.  A row
+    that fails may still get i; the scalar step decides it.
+    """
+    n = rows.shape[1]
+    yi = rows[:, i]
+    others = rows[:, [k for k in range(n) if k != i]]
+    if tie_tol is not None:
+        return (others < (yi - tie_tol)[:, None]).all(axis=1)
+    gap = yi - others.max(axis=1) - 1
+    if rows.dtype == object:
+        return gap > 0
+    return gap > GD_VERTEX_MARGIN * (n * n) * np.maximum(1.0, np.abs(rows).max(axis=1))
+
+
+def _vertex_block(walk: _Walk, t: int) -> int:
+    """Take steps t, t+1, ... at once while their response stays the vertex
+    i of x^t, and return how many were taken.
+
+    Only coordinate i+1 gains on y_i, at rate eta * w_i, so the gap to it
+    predicts the segment; a prediction shorter than ``MIN_BLOCK`` takes
+    nothing.  The rows y + d, y + 2d, ... come from one ``np.add.accumulate``,
+    the same left-to-right sums the scalar steps form, and each row is
+    decided columnwise by ``_keeps_vertex``.  The block stops at the
+    first row that fails, which the scalar step then takes.
+    """
+    config, x, y, i = walk.config, walk.x, walk.y, walk.vertex
+    n = len(y)
+    exact = config.is_exact
+    is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
+    eta_t = walk.etas[t]
+    v = walk.mat.apply(x)
+    j = (i + 1) % n
+    rate = eta_t * v[j]
+    gap = y[i] - config.effective_tie_tolerance - y[j] if is_fp else y[i] - y[j] - 1
+    length = min(MAX_BLOCK, config.horizon + 1 - t)
+    if rate > 0 and gap < rate * length:
+        length = int(gap / rate) + 1 if gap > 0 else 0
+    if length < MIN_BLOCK:
+        return 0
+
+    block = np.empty((length + 1, n), dtype=walk.ys.dtype)
+    block[0] = y
+    if config.eta_schedule is None:
+        d = [eta_t * vi for vi in v]
+        block[1:] = d
+    else:
+        block[1:] = np.multiply.outer(walk.etas[t:t + length], v)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail below
+        rows = np.add.accumulate(block, axis=0)[1:]
+        stay = _keeps_vertex(rows, i, config.effective_tie_tolerance if is_fp else None)
+    taken = length if stay.all() else int(stay.argmin())
+    if not taken:
+        return 0
+    rows = rows[:taken]
+    if exact:
+        _check_block_bits(y, d, rows, config.bit_budget, t)
+    walk.xs[t:t + taken] = x
+    walk.ys[t + 1:t + 1 + taken] = rows
+    # A one-coordinate support has energy_gd y_i - 1/2, in its number type.
+    walk.energies[t + 1:t + 1 + taken] = rows[:, i] if is_fp else rows[:, i] - (Fraction(1, 2) if exact else 0.5)
+    walk.supports[t + 1:t + 1 + taken] = 1 << i
+    walk.y = rows[-1].tolist()
+    return taken
+
+
+def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
+    """Simulate the configured learner for horizon T and record everything.
+
+    The run performs T+1 dual updates (producing y^1 .. y^{T+1}) and T primal
+    responses (x^1 .. x^T) after the given x^0.  The closing response to
+    y^{T+1} is recorded as support row T+1, but x^{T+1} is not formed.
+
+    Steps whose response is a vertex that the next steps keep are taken in
+    blocks (``_vertex_block``); every other step is the scalar step.  The
+    columns are identical, byte for byte and type for type, to those of
+    ``oracle.run_stepwise``, which takes every step through the same scalar
+    step and is the reference this engine is tested against.  After a short
+    or failed block the engine waits a number of scalar steps before it
+    tries again, doubling up to ``MAX_BACKOFF``, so runs that switch vertex
+    every few steps pay almost nothing for it.
+    """
+    walk = _begin(config, matrix)
+    T = config.horizon
+    wait, backoff = 0, 1
+    t = _scalar_steps(walk, 0, T + 1, wait)
+    while t <= T:
+        taken = _vertex_block(walk, t)
+        if taken < MIN_BLOCK:
+            wait, backoff = backoff, min(2 * backoff, MAX_BACKOFF)
+        else:
+            wait, backoff = 0, 1
+        t = _scalar_steps(walk, t + taken, T + 1, wait)
+    return _trajectory(walk)

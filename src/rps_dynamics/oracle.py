@@ -2,10 +2,12 @@
 
 Each oracle reaches the same quantity as a fast implementation through a
 different route: exhaustive support enumeration instead of the sorted
-active-set scan, fresh payoff sums instead of stored duals, and finite
-differences instead of the closed-form projection.
+active-set scan, fresh payoff sums instead of stored duals, finite
+differences instead of the closed-form projection, and one scalar step per
+row instead of ``run``'s vertex blocks.
 """
 
+import math
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -13,8 +15,17 @@ import numpy as np
 
 from .errors import DimensionTooLarge, TooCloseToBoundary
 from .analysis import classify_region
-from .dynamics import Trajectory, energy_gd
-from .game import Number, SimplexPoint, all_exact
+from .dynamics import LearnerConfig, Trajectory, _begin, _scalar_steps, _trajectory, energy_gd
+from .game import Number, RpsMatrix, SimplexPoint, all_exact
+
+
+def run_stepwise(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
+    """``dynamics.run`` without blocks: every dual update goes through the
+    scalar step.  ``run`` must give the same columns, byte for byte (float)
+    or value and type for value and type (exact), and the same errors."""
+    walk = _begin(config, matrix)
+    _scalar_steps(walk, 0, config.horizon + 1, math.inf)
+    return _trajectory(walk)
 
 
 def project_bruteforce(y: Sequence[Number]) -> Tuple[SimplexPoint, Number]:

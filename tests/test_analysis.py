@@ -1,6 +1,7 @@
 import csv
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -37,7 +38,7 @@ from rps_dynamics import (
     small_stepsize_energy_check,
     verify_cycling,
 )
-from rps_dynamics.analysis import FP_SWITCH, INITIAL
+from rps_dynamics.analysis import FP_SWITCH, INITIAL, UNCOVERED
 from rps_dynamics.dynamics import EXACT_CLASS_TOL, LEDGER_BAND
 from rps_dynamics.experiment import write_ledger_csv
 from rps_dynamics.oracle import regret_direct
@@ -346,6 +347,23 @@ def test_ledger_small_step_is_uncovered():
     ledger = energy_growth_ledger(traj)
     assert any(ledger.transition(t).startswith("uncovered:interior") for t in range(21))
     assert ledger_summary(ledger)["uncovered"] > 0
+
+
+def test_ledger_leaves_a_step_with_an_infinite_bound_uncovered():
+    # eta * a_max = 1e300: the edge-to-vertex bound (eta a_max)^2 / 4 overflows.
+    cfg = LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=50,
+                        x0=SimplexPoint.vertex(3, 0), eta=1e300)
+    traj = run(cfg, make_rps((1.0,) * 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning from the overflow
+        ledger = energy_growth_ledger(traj)
+    uncovered = np.flatnonzero(ledger.cls == UNCOVERED)
+    assert uncovered.size > 0
+    for t in uncovered:
+        assert ledger.transition(t).startswith("uncovered:edge_")
+        assert math.isnan(ledger.lo[t]) and math.isnan(ledger.hi[t]) and not ledger.ok[t]
+    assert np.isfinite(ledger.hi[ledger.cls > INITIAL]).all()
+    assert ledger_summary(ledger)["uncovered"] == uncovered.size
 
 
 def test_ledger_delta_sums_to_energy_gain():

@@ -339,12 +339,40 @@ def test_gd_rational_run_small_state():
     assert max(Fraction(v).denominator for v in traj.y(50)) <= 4
 
 
-def test_rational_bit_budget_overflow():
+def test_rational_bit_budget_overflow(monkeypatch):
     cfg = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=10,
                         x0=SimplexPoint.vertex(3, 0),
                         arithmetic=Arithmetic.EXACT_RATIONAL, bit_budget=16)
     with pytest.raises(ArithmeticOverflow):
         run(cfg, make_rps((1 << 20, 1, 1)))
+
+    # Overflows that land inside a block raise at the stepwise loop's step.
+    block_starts = []
+    check_block = dynamics._check_block_bits
+
+    def spy(y, d, rows, budget, t):
+        try:
+            check_block(y, d, rows, budget, t)
+        except ArithmeticOverflow:
+            block_starts.append(t)
+            raise
+
+    monkeypatch.setattr(dynamics, "_check_block_bits", spy)
+    runs = [
+        (replace(cfg, horizon=5000), (1000, 2000, 3000)),
+        (LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=3000, eta=91,
+                       x0=SimplexPoint((Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))),
+                       arithmetic=Arithmetic.EXACT_RATIONAL, bit_budget=16), (1, 2, 3)),
+    ]
+    for config, weights in runs:
+        block_starts.clear()
+        with pytest.raises(ArithmeticOverflow) as ref:
+            oracle.run_stepwise(config, make_rps(weights))
+        with pytest.raises(ArithmeticOverflow) as fast:
+            run(config, make_rps(weights))
+        assert str(fast.value) == str(ref.value)
+        step = int(str(ref.value).rsplit(" ", 1)[1])
+        assert len(block_starts) == 1 and block_starts[0] < step
 
 
 def _unit3_gd(eta):

@@ -1,0 +1,214 @@
+"""Block stepping against the stepwise oracle.
+
+``run`` takes the steps of a vertex segment in blocks; ``oracle.run_stepwise``
+takes every step through the scalar step the two share.  Their columns must
+agree byte for byte in float runs, and value for value and type for type in
+exact runs; so must the errors they raise.
+"""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from rps_dynamics import (
+    Algorithm,
+    Arithmetic,
+    ArithmeticOverflow,
+    LearnerConfig,
+    RpsDynamicsError,
+    SimplexPoint,
+    TiebreakKind,
+    TiebreakRule,
+    find_support,
+    fp_primal,
+    gamma,
+    make_rps,
+    run,
+)
+from rps_dynamics import dynamics, oracle, verification
+from rps_dynamics.experiment import parse_config
+
+COLUMNS = ("xs", "ys", "energies", "supports")
+STORES = {cap: verification.TrajectoryStore(cap) for cap in (verification.QUICK_CAP, 10**4)}
+
+
+def assert_same_columns(fast, ref):
+    for name in COLUMNS:
+        a, b = getattr(fast, name), getattr(ref, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        if a.dtype == object:
+            cells_a, cells_b = a.ravel().tolist(), b.ravel().tolist()
+            assert cells_a == cells_b, name
+            assert list(map(type, cells_a)) == list(map(type, cells_b)), name
+        else:
+            assert a.tobytes() == b.tobytes(), name
+
+
+def outcome(engine, config, matrix):
+    """The trajectory, or the package error's type and message."""
+    try:
+        return engine(config, matrix)
+    except RpsDynamicsError as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_outcome(config, matrix):
+    fast, ref = outcome(run, config, matrix), outcome(oracle.run_stepwise, config, matrix)
+    if isinstance(ref, tuple) or isinstance(fast, tuple):
+        assert fast == ref
+    else:
+        assert_same_columns(fast, ref)
+
+
+@pytest.mark.parametrize("cap", sorted(STORES))
+@pytest.mark.parametrize("slot", STORES[verification.QUICK_CAP].catalog())
+def test_run_matches_stepwise_on_every_store_slot(slot, cap):
+    spec = parse_config(STORES[cap].configs[slot])
+    matrix = make_rps(spec.weights)
+    assert_same_columns(run(spec.learner, matrix), oracle.run_stepwise(spec.learner, matrix))
+
+
+def test_blocks_take_most_steps_of_vertex_runs(monkeypatch):
+    """The comparison above is not vacuous: blocks take most steps of runs
+    whose response stays on one vertex for long stretches."""
+    taken = []
+    block = dynamics._vertex_block
+
+    def counted(walk, t):
+        taken.append(block(walk, t))
+        return taken[-1]
+
+    monkeypatch.setattr(dynamics, "_vertex_block", counted)
+    for slot in ("fp3_lex", "fp4_random", "gd4_main", "fp_weighted_exact"):
+        spec = parse_config(STORES[10**4].configs[slot])
+        taken.clear()
+        run(spec.learner, make_rps(spec.weights))
+        assert sum(taken) > 0.8 * (spec.learner.horizon + 1), slot
+
+
+@st.composite
+def configs(draw, kind):
+    """A run on a random game: n in 3..10, integer or float weights,
+    fictitious play under the tiebreak rule ``kind`` or, for None, gradient
+    descent at stepsizes below, near and above max(2/a_min, 1/gamma) or on
+    the decreasing schedule; vertex and interior starts."""
+    n = draw(st.integers(3, 10))
+    exact = draw(st.booleans())
+    algorithm = Algorithm.GRADIENT_DESCENT if kind is None else Algorithm.FICTITIOUS_PLAY
+    if exact:
+        weights = tuple(draw(st.lists(st.integers(1, 9), min_size=n, max_size=n)))
+        horizon = draw(st.integers(20, 250))
+    else:
+        weight = st.one_of(st.integers(1, 9).map(float), st.floats(0.1, 10.0))
+        weights = tuple(draw(st.lists(weight, min_size=n, max_size=n)))
+        horizon = draw(st.integers(20, 1500))
+    matrix = make_rps(weights)
+    if draw(st.booleans()):
+        x0 = SimplexPoint.vertex(n, draw(st.integers(0, n - 1)))
+    else:
+        counts = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+        coords = [Fraction(c, sum(counts)) for c in counts]
+        x0 = SimplexPoint(tuple(coords if exact else map(float, coords)))
+    kwargs = {"arithmetic": Arithmetic.EXACT_RATIONAL if exact else Arithmetic.FLOAT64}
+    if algorithm == Algorithm.FICTITIOUS_PLAY:
+        seed = draw(st.integers(0, 99)) if kind == TiebreakKind.RANDOM_SEEDED else None
+        kwargs["tiebreak"] = TiebreakRule(kind, seed)
+    else:
+        g = gamma(matrix, x0)
+        threshold = Fraction(2) / Fraction(matrix.a_min)
+        if g > 0:
+            threshold = max(threshold, 1 / Fraction(g))
+        factor = draw(st.sampled_from([Fraction(1, 10), Fraction(1, 2), Fraction(19, 20), 1,
+                                       Fraction(21, 20), 2, 10]))
+        eta = (threshold * factor).limit_denominator(50) or Fraction(1, 50)
+        kwargs["eta"] = eta if exact else float(eta)
+        if not exact and draw(st.booleans()):
+            kwargs["eta_schedule"] = "inv_sqrt_t"
+    return LearnerConfig(algorithm=algorithm, horizon=horizon, x0=x0, **kwargs), matrix
+
+
+@pytest.mark.parametrize("kind", [None, *TiebreakKind])
+def test_run_matches_stepwise_on_random_games(kind):
+    @settings(derandomize=True, max_examples=40 if kind is None else 20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(configs(kind))
+    def check(case):
+        assert_same_outcome(*case)
+
+    check()
+
+
+def _unit3_gd(eta):
+    return LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=50,
+                         x0=SimplexPoint.vertex(3, 0), eta=eta)
+
+
+@pytest.mark.parametrize("eta", [1e25, 1e30, 1e50, 1e100, 1e150, 1e300])
+def test_run_matches_stepwise_with_huge_duals(eta):
+    # At 1e100 both engines raise the same ProjectionInfeasible.
+    assert_same_outcome(_unit3_gd(eta), make_rps((1.0,) * 3))
+
+
+@pytest.mark.parametrize("eta", [1e307, 1e308])
+def test_overflow_raises_like_stepwise(eta):
+    matrix = make_rps((1.0,) * 3)
+    fast, ref = outcome(run, _unit3_gd(eta), matrix), outcome(oracle.run_stepwise, _unit3_gd(eta), matrix)
+    assert fast == ref and fast[0] is ArithmeticOverflow
+
+
+# ---------------------------------------------------------------------------
+# The row rule of a block
+
+
+def _nudge(v, ulps):
+    for _ in range(abs(ulps)):
+        v = np.nextafter(v, math.copysign(math.inf, ulps))
+    return v
+
+
+@pytest.mark.parametrize("scale", [10.0**k for k in range(16)])
+def test_gd_margin_never_keeps_a_row_the_scalar_step_would_not(scale):
+    """Rows with the runner-up a few ulps either side of y_i - 1, or near the
+    margin itself, at |y| from 1 to 1e15: every row the block keeps projects
+    onto (i,), and none within a few ulps of the boundary is kept."""
+    rng = np.random.default_rng(int(round(math.log10(scale))))
+    kept = 0
+    for n in range(3, 11):
+        for _ in range(12):
+            i = int(rng.integers(n))
+            top = scale * rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0)
+            margin = dynamics.GD_VERTEX_MARGIN * n * n * max(1.0, abs(top) + 1)
+            for offset, ulps in [(0.0, u) for u in range(-4, 5)] + [
+                (f * margin, 0) for f in (0.5, 0.99, 1.01, 1.5, 3.0)
+            ]:
+                row = np.empty(n)
+                row[:] = rng.uniform(-abs(top) - 1, top - 1, size=n)
+                runner = _nudge(top - 1.0 - offset, ulps)
+                row[i] = top
+                row[(i + 1 + int(rng.integers(n - 1))) % n] = runner
+                if rng.random() < 0.5:  # more coordinates level with the runner-up
+                    row[[k for k in range(n) if k != i and rng.random() < 0.5]] = runner
+                keep = dynamics._keeps_vertex(row[None, :], i, None)[0]
+                if keep:
+                    kept += 1
+                    assert find_support(row.tolist()) == (i,), (row.tolist(), i)
+                if offset == 0.0:
+                    assert not keep, (row.tolist(), i)
+    assert kept > 0  # rows past the margin are kept
+
+
+@pytest.mark.parametrize("top", [0.0, 1.0, 3.5, -7.25, 1e6, 1e15])
+def test_fp_block_never_keeps_a_runner_up_at_the_tolerance(top):
+    tol = dynamics.TIE_TOL
+    switch = TiebreakRule(TiebreakKind.PREFER_SWITCH)
+    for runner, kept in ((top - tol, False), (np.nextafter(top - tol, -math.inf), True)):
+        row = np.array([top, runner, top - 5.0])
+        assert dynamics._keeps_vertex(row[None, :], 0, tol)[0] == kept
+        # prefer_switch leaves vertex 0 exactly when 1 is in the tie set.
+        assert (fp_primal(row.tolist(), switch, incumbent=0, tol=tol) == 0) == kept
+    exact_row = np.array([[Fraction(7, 2), Fraction(7, 2), 0]], dtype=object)
+    assert not dynamics._keeps_vertex(exact_row, 0, 0)[0]
