@@ -41,6 +41,9 @@ from .dynamics import (
     EXACT_CLASS_TOL,
     LEDGER_BAND,
     REL_TOL,
+    SMALL_STEP_ENERGY_SLACK,
+    SMALL_STEP_ETA_TOL,
+    SMALL_STEP_REGRET_SLACK,
     Algorithm,
     Trajectory,
     tolerance,
@@ -569,7 +572,7 @@ def small_stepsize_energy_check(traj: Trajectory) -> SmallStepVerdict:
         raise ConfigInvalid("small-stepsize audit applies to gradient descent")
     T = traj.horizon
     if T >= 1:
-        if cfg.eta_schedule is not None or abs(float(cfg.eta) * math.sqrt(T) - 1.0) > 1e-9:
+        if cfg.eta_schedule is not None or abs(float(cfg.eta) * math.sqrt(T) - 1.0) > SMALL_STEP_ETA_TOL:
             return SmallStepVerdict(
                 "not_applicable", f"stepsize {cfg.eta!r} is not 1/sqrt({T})"
             )
@@ -582,7 +585,7 @@ def small_stepsize_energy_check(traj: Trajectory) -> SmallStepVerdict:
     a_max = float(traj.matrix.a_max)
     bound_e = n * a_max * a_max / 2.0
     e_final = float(traj.energy(T + 1))
-    ok = e_final <= bound_e + 1e-9
+    ok = e_final <= bound_e + SMALL_STEP_ENERGY_SLACK
     if T == 0:
         return SmallStepVerdict(
             "pass" if ok else "fail",
@@ -591,7 +594,7 @@ def small_stepsize_energy_check(traj: Trajectory) -> SmallStepVerdict:
             energy_bound=bound_e,
         )
     reg = float(regret(traj).regret_total)
-    bound_r = math.sqrt(T) * (bound_e + 1.0) + 1e-6
+    bound_r = math.sqrt(T) * (bound_e + 1.0) + SMALL_STEP_REGRET_SLACK
     ok = ok and reg <= bound_r
     return SmallStepVerdict(
         "pass" if ok else "fail",

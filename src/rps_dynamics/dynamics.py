@@ -47,6 +47,11 @@ PROJECTION_CLAMP = 1e-12  # GD: round-off negatives down to -this project to 0
 LEDGER_BAND = 1e-9        # ledger: ambiguous-margin band and slack on bounds
 EXACT_CLASS_TOL = 1e-12   # ledger: slack on bounds that are a single point
 REL_TOL = 1e-9            # relative slack of identities and energy monotonicity
+# The small-stepsize audit works in floats in both modes: how far eta sqrt(T)
+# may be from 1, and the absolute slack on its energy and regret bounds.
+SMALL_STEP_ETA_TOL = 1e-9
+SMALL_STEP_ENERGY_SLACK = 1e-9
+SMALL_STEP_REGRET_SLACK = 1e-6
 # GD blocks: a float row stays in vertex i's region only while
 # y_i - max_{j != i} y_j - 1 > GD_VERTEX_MARGIN * n^2 * max(1, |y|_inf).
 # find_support's drop tests round by at most (n^2 + 3.5n) eps max(1, |y|_inf)
@@ -365,9 +370,6 @@ class Trajectory:
     chosen vertex (FP) or the projection's active set (OGD); row T+1 is the
     closing response, decided but never played.  ``x``, ``y`` and ``energy``
     return Python numbers; the ``*_array`` views are float64 in both modes.
-    ``run`` writes the rows of a vertex segment in blocks;
-    ``oracle.run_stepwise``, the reference, writes the same columns one
-    scalar step at a time.
     """
 
     config: LearnerConfig
@@ -434,123 +436,6 @@ class Trajectory:
         return self.energies.astype(float, copy=False)
 
 
-@dataclass
-class _Walk:
-    """A run being stepped: its inputs, the matrix in the run's number type,
-    the stepsizes of steps 0..T, and the four columns with row 0 filled in.
-    ``x``, ``y`` and ``vertex`` hold the state the next step starts from:
-    x^t, y^t and the vertex of x^t, or None."""
-
-    config: LearnerConfig
-    matrix: RpsMatrix
-    mat: RpsMatrix
-    etas: List[Number]
-    xs: np.ndarray
-    ys: np.ndarray
-    energies: np.ndarray
-    supports: np.ndarray
-    x: List[Number]
-    y: List[Number]
-    vertex: Optional[int]
-
-
-def _begin(config: LearnerConfig, matrix: RpsMatrix) -> _Walk:
-    """Check a run's inputs and set it up at t = 0."""
-    n = matrix.n
-    if config.x0.n != n:
-        raise DimensionMismatch(
-            f"x0 has dimension {config.x0.n}, game has {n}"
-        )
-    exact = config.is_exact
-    if exact and not matrix.exact:
-        raise ConfigInvalid("rational mode needs exact game weights (int or Fraction)")
-
-    T = config.horizon
-    number = (lambda v: v) if exact else float
-    mat = RpsMatrix(tuple(number(w) for w in matrix.weights))
-    x: List[Number] = [number(c) for c in config.x0.coords]
-    y: List[Number] = [number(0)] * n
-    dtype = object if exact else np.float64
-    xs = np.empty((T + 1, n), dtype=dtype)
-    ys = np.empty((T + 2, n), dtype=dtype)
-    energies = np.empty(T + 2, dtype=dtype)
-    # Masks have n bits; past 64 they need Python ints.
-    supports = np.zeros(T + 2, dtype=np.uint64 if n <= 64 else object)
-
-    ys[0] = y
-    supports[0] = sum(1 << i for i, c in enumerate(x) if c > 0)
-    is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
-    energies[0] = energy_fp(y) if is_fp else energy_gd(y)
-    return _Walk(config, matrix, mat, config.etas().tolist(), xs, ys, energies, supports,
-                 x, y, config.x0.vertex_index)
-
-
-def _scalar_steps(walk: _Walk, t: int, stop: int, wait) -> int:
-    """Take the scalar steps t, t+1, ... before ``stop`` and return the index
-    of the next one.
-
-    Step t writes x^t to row t of ``xs``, forms y^{t+1} = y^t + eta_t A x^t,
-    and writes it and its response to row t+1 of the other columns.  After
-    each step whose response is a vertex, ``wait`` counts down; once it is
-    spent the steps stop early (``math.inf`` never is).  The state the next
-    step starts from is left in ``walk``.
-    """
-    config = walk.config
-    n = walk.mat.n
-    T = config.horizon
-    exact = config.is_exact
-    is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
-    select = config.effective_tiebreak.select
-    tol = config.effective_tie_tolerance
-    budget = config.bit_budget
-    apply = walk.mat.apply
-    etas = walk.etas
-    xs, ys, energies, supports = walk.xs, walk.ys, walk.energies, walk.supports
-    x, y, vertex = walk.x, walk.y, walk.vertex
-    try:
-        while t < stop:
-            eta_t = etas[t]
-            xs[t] = x
-            v = apply(x)
-            y = [yi + eta_t * vi for yi, vi in zip(y, v)]
-            ys[t + 1] = y
-            if exact:
-                _check_bits(y, budget, t)
-            if is_fp:
-                top = max(y)  # energy_fp, and fp_primal's tie set
-                energies[t + 1] = top
-                floor = top - tol
-                vertex = select([i for i, yi in enumerate(y) if yi >= floor], vertex, n, t + 1)
-                supports[t + 1] = 1 << vertex
-                x = [0] * n
-                x[vertex] = 1
-            else:
-                support = find_support(y)
-                energies[t + 1] = energy_gd(y, support)
-                supports[t + 1] = sum(1 << i for i in support)
-                if t < T:
-                    x = _projection_coords(y, support)
-                    if exact:
-                        _check_bits(x, budget, t)
-                vertex = support[0] if len(support) == 1 else None
-            t += 1
-            if vertex is not None:
-                if not wait:
-                    break
-                wait -= 1
-    except OverflowError as exc:
-        raise ArithmeticOverflow(f"float state overflowed: {exc}") from exc
-    walk.x, walk.y, walk.vertex = x, y, vertex
-    return t
-
-
-def _trajectory(walk: _Walk) -> Trajectory:
-    """The finished run, checked for float overflow on its last dual."""
-    if not walk.config.is_exact and not all(map(math.isfinite, walk.y)):  # inf and nan never turn finite
-        raise ArithmeticOverflow("float dual state overflowed to inf or nan")
-    return Trajectory(walk.config, walk.matrix, walk.xs, walk.ys, walk.energies, walk.supports)
-
-
 def _check_block_bits(y: List[Number], d: List[Number], rows: np.ndarray, budget: int, t: int) -> None:
     """Raise where the scalar steps t, t+1, ... would if a row of the block
     ``rows`` = y + d, y + 2d, ... passes the bit budget.
@@ -587,9 +472,13 @@ def _keeps_vertex(rows: np.ndarray, i: int, tie_tol: Optional[Number]) -> np.nda
     return gap > GD_VERTEX_MARGIN * (n * n) * np.maximum(1.0, np.abs(rows).max(axis=1))
 
 
-def _vertex_block(walk: _Walk, t: int) -> int:
+def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.ndarray, ...],
+                  x: List[Number], v: List[Number], y: List[Number], i: int, t: int,
+                  ) -> Tuple[int, List[Number]]:
     """Take steps t, t+1, ... at once while their response stays the vertex
-    i of x^t, and return how many were taken.
+    i of x^t = ``x``, whose payoffs are ``v``; write their rows to
+    ``columns`` (xs, ys, energies, supports) and return how many were taken
+    and the dual the next step starts from.
 
     Only coordinate i+1 gains on y_i, at rate eta * w_i, so the gap to it
     predicts the segment; a prediction shorter than ``MIN_BLOCK`` takes
@@ -598,12 +487,11 @@ def _vertex_block(walk: _Walk, t: int) -> int:
     decided columnwise by ``_keeps_vertex``.  The block stops at the
     first row that fails, which the scalar step then takes.
     """
-    config, x, y, i = walk.config, walk.x, walk.y, walk.vertex
+    xs, ys, energies, supports = columns
     n = len(y)
     exact = config.is_exact
     is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
-    eta_t = walk.etas[t]
-    v = walk.mat.apply(x)
+    eta_t = etas[t]
     j = (i + 1) % n
     rate = eta_t * v[j]
     gap = y[i] - config.effective_tie_tolerance - y[j] if is_fp else y[i] - y[j] - 1
@@ -611,31 +499,117 @@ def _vertex_block(walk: _Walk, t: int) -> int:
     if rate > 0 and gap < rate * length:
         length = int(gap / rate) + 1 if gap > 0 else 0
     if length < MIN_BLOCK:
-        return 0
+        return 0, y
 
-    block = np.empty((length + 1, n), dtype=walk.ys.dtype)
+    block = np.empty((length + 1, n), dtype=ys.dtype)
     block[0] = y
     if config.eta_schedule is None:
         d = [eta_t * vi for vi in v]
         block[1:] = d
     else:
-        block[1:] = np.multiply.outer(walk.etas[t:t + length], v)
+        block[1:] = np.multiply.outer(etas[t:t + length], v)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail below
         rows = np.add.accumulate(block, axis=0)[1:]
         stay = _keeps_vertex(rows, i, config.effective_tie_tolerance if is_fp else None)
     taken = length if stay.all() else int(stay.argmin())
     if not taken:
-        return 0
+        return 0, y
     rows = rows[:taken]
     if exact:
         _check_block_bits(y, d, rows, config.bit_budget, t)
-    walk.xs[t:t + taken] = x
-    walk.ys[t + 1:t + 1 + taken] = rows
+    xs[t:t + taken] = x
+    ys[t + 1:t + 1 + taken] = rows
     # A one-coordinate support has energy_gd y_i - 1/2, in its number type.
-    walk.energies[t + 1:t + 1 + taken] = rows[:, i] if is_fp else rows[:, i] - (Fraction(1, 2) if exact else 0.5)
-    walk.supports[t + 1:t + 1 + taken] = 1 << i
-    walk.y = rows[-1].tolist()
-    return taken
+    energies[t + 1:t + 1 + taken] = rows[:, i] if is_fp else rows[:, i] - (Fraction(1, 2) if exact else 0.5)
+    supports[t + 1:t + 1 + taken] = 1 << i
+    return taken, rows[-1].tolist()
+
+
+def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Trajectory:
+    """The run of ``config`` on ``matrix``: ``run`` with ``blocks``,
+    ``oracle.run_stepwise`` without.
+
+    Scalar step t writes x^t to row t of ``xs``, forms y^{t+1} = y^t + eta_t
+    A x^t, and writes it and its response to row t+1 of the other columns.
+    With ``blocks``, a step whose response is a vertex is followed by a
+    ``_vertex_block``.  After a short or failed block the loop waits a
+    number of vertex steps before it tries again, doubling up to
+    ``MAX_BACKOFF``, so runs that switch vertex every few steps pay almost
+    nothing for it.
+    """
+    n = matrix.n
+    if config.x0.n != n:
+        raise DimensionMismatch(f"x0 has dimension {config.x0.n}, game has {n}")
+    exact = config.is_exact
+    if exact and not matrix.exact:
+        raise ConfigInvalid("rational mode needs exact game weights (int or Fraction)")
+
+    T = config.horizon
+    number = (lambda v: v) if exact else float
+    apply = RpsMatrix(tuple(number(w) for w in matrix.weights)).apply
+    x: List[Number] = [number(c) for c in config.x0.coords]
+    y: List[Number] = [number(0)] * n
+    dtype = object if exact else np.float64
+    xs = np.empty((T + 1, n), dtype=dtype)
+    ys = np.empty((T + 2, n), dtype=dtype)
+    energies = np.empty(T + 2, dtype=dtype)
+    # Masks have n bits; past 64 they need Python ints.
+    supports = np.zeros(T + 2, dtype=np.uint64 if n <= 64 else object)
+    columns = (xs, ys, energies, supports)
+
+    is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
+    ys[0] = y
+    energies[0] = energy_fp(y) if is_fp else energy_gd(y)
+    supports[0] = sum(1 << i for i, c in enumerate(x) if c > 0)
+    select = config.effective_tiebreak.select
+    tol = config.effective_tie_tolerance
+    budget = config.bit_budget
+    etas = config.etas().tolist()
+    vertex = config.x0.vertex_index
+    t, wait, backoff = 0, 0, 1
+    try:
+        while t <= T:
+            eta_t = etas[t]
+            xs[t] = x
+            v = apply(x)
+            y = [yi + eta_t * vi for yi, vi in zip(y, v)]
+            ys[t + 1] = y
+            if exact:
+                _check_bits(y, budget, t)
+            if is_fp:
+                top = max(y)  # energy_fp, and fp_primal's tie set
+                energies[t + 1] = top
+                floor = top - tol
+                vertex = select([i for i, yi in enumerate(y) if yi >= floor], vertex, n, t + 1)
+                supports[t + 1] = 1 << vertex
+                x = [0] * n
+                x[vertex] = 1
+            else:
+                support = find_support(y)
+                energies[t + 1] = energy_gd(y, support)
+                supports[t + 1] = sum(1 << i for i in support)
+                if t < T:
+                    x = _projection_coords(y, support)
+                    if exact:
+                        _check_bits(x, budget, t)
+                vertex = support[0] if len(support) == 1 else None
+            t += 1
+            if vertex is None or not blocks or t > T:
+                continue
+            if wait:
+                wait -= 1
+                continue
+            taken, y = _vertex_block(config, etas, columns, x, apply(x), y, vertex, t)
+            t += taken
+            if taken < MIN_BLOCK:
+                wait, backoff = backoff, min(2 * backoff, MAX_BACKOFF)
+            else:
+                wait, backoff = 0, 1
+    except OverflowError as exc:
+        raise ArithmeticOverflow(f"float state overflowed: {exc}") from exc
+    if not exact and not all(map(math.isfinite, y)):  # inf and nan never turn finite
+        raise ArithmeticOverflow("float dual state overflowed to inf or nan")
+    return Trajectory(config, matrix, *columns)
 
 
 def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
@@ -648,21 +622,7 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     Steps whose response is a vertex that the next steps keep are taken in
     blocks (``_vertex_block``); every other step is the scalar step.  The
     columns are identical, byte for byte and type for type, to those of
-    ``oracle.run_stepwise``, which takes every step through the same scalar
-    step and is the reference this engine is tested against.  After a short
-    or failed block the engine waits a number of scalar steps before it
-    tries again, doubling up to ``MAX_BACKOFF``, so runs that switch vertex
-    every few steps pay almost nothing for it.
+    ``oracle.run_stepwise``, the same loop without blocks and the reference
+    this engine is tested against.
     """
-    walk = _begin(config, matrix)
-    T = config.horizon
-    wait, backoff = 0, 1
-    t = _scalar_steps(walk, 0, T + 1, wait)
-    while t <= T:
-        taken = _vertex_block(walk, t)
-        if taken < MIN_BLOCK:
-            wait, backoff = backoff, min(2 * backoff, MAX_BACKOFF)
-        else:
-            wait, backoff = 0, 1
-        t = _scalar_steps(walk, t + taken, T + 1, wait)
-    return _trajectory(walk)
+    return _simulate(config, matrix, blocks=True)

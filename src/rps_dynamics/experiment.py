@@ -481,12 +481,17 @@ def _relative_gap(value: Number, reference: Number) -> Number:
 
 
 def dual_replay(traj: Trajectory) -> Tuple[bool, Number]:
-    """Whether y^{t+1} = y^t + eta_t A x^t holds on the stored columns, and
-    the largest residual."""
+    """Whether y^{t+1} = y^t + eta_t A x^t holds on the stored columns, each
+    row's residual within REL_TOL * max(1, |y^{t+1}|_inf) (0 in exact runs),
+    and the largest residual."""
     ys = traj.ys
     etas = traj.config.etas()
-    resid = np.abs(ys[1:] - ys[:-1] - traj.payoffs() * etas[:, None]).max()
-    return resid <= tolerance(traj.is_exact, REL_TOL), resid
+    resid = np.abs(ys[1:] - ys[:-1] - traj.payoffs() * etas[:, None])
+    if traj.is_exact:  # an exact residual is 0 or not, at any scale
+        top = resid.max()
+        return top == 0, top
+    resid = resid.max(axis=1)
+    return bool((resid <= REL_TOL * np.maximum(1.0, np.abs(ys[1:]).max(axis=1))).all()), resid.max()
 
 
 def energy_drops(traj: Trajectory) -> Tuple[List[int], float]:

@@ -7,7 +7,6 @@ differences instead of the closed-form projection, and one scalar step per
 row instead of ``run``'s vertex blocks.
 """
 
-import math
 from fractions import Fraction
 from typing import Sequence, Tuple
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .errors import DimensionTooLarge, TooCloseToBoundary
 from .analysis import classify_region
-from .dynamics import LearnerConfig, Trajectory, _begin, _scalar_steps, _trajectory, energy_gd
+from .dynamics import LearnerConfig, Trajectory, _simulate, energy_gd
 from .game import Number, RpsMatrix, SimplexPoint, all_exact
 
 
@@ -23,9 +22,7 @@ def run_stepwise(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     """``dynamics.run`` without blocks: every dual update goes through the
     scalar step.  ``run`` must give the same columns, byte for byte (float)
     or value and type for value and type (exact), and the same errors."""
-    walk = _begin(config, matrix)
-    _scalar_steps(walk, 0, config.horizon + 1, math.inf)
-    return _trajectory(walk)
+    return _simulate(config, matrix, blocks=False)
 
 
 def project_bruteforce(y: Sequence[Number]) -> Tuple[SimplexPoint, Number]:

@@ -27,6 +27,7 @@ from rps_dynamics import (
 )
 from rps_dynamics import dynamics, oracle
 from rps_dynamics.dynamics import _projection_coords
+from rps_dynamics.experiment import dual_replay
 
 
 # ---------------------------------------------------------------------------
@@ -391,6 +392,18 @@ def test_float_gd_with_huge_duals_completes(eta):
     for column in (traj.xs, traj.ys, traj.energies):
         assert np.isfinite(column).all()
     assert (traj.xs >= 0).all() and np.allclose(traj.xs.sum(axis=1), 1.0)
+
+
+@pytest.mark.parametrize("eta", [1e25, 1e150, 1e300])
+def test_dual_replay_residual_is_relative_to_the_dual(eta):
+    # Rounding alone leaves absolute residuals far above REL_TOL on duals near eta.
+    traj = run(_unit3_gd(eta), make_rps((1.0,) * 3))
+    ok, resid = dual_replay(traj)
+    assert ok and resid > 1
+    ys = traj.ys.copy()
+    ys[25] *= 1 + 1e-6
+    assert not dual_replay(dynamics.Trajectory(traj.config, traj.matrix, traj.xs, ys,
+                                               traj.energies, traj.supports))[0]
 
 
 @pytest.mark.parametrize("eta", [1e307, 1e308])

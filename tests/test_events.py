@@ -72,22 +72,43 @@ def test_run_matches_stepwise_on_every_store_slot(slot, cap):
     assert_same_columns(run(spec.learner, matrix), oracle.run_stepwise(spec.learner, matrix))
 
 
-def test_blocks_take_most_steps_of_vertex_runs(monkeypatch):
-    """The comparison above is not vacuous: blocks take most steps of runs
-    whose response stays on one vertex for long stretches."""
+@pytest.fixture
+def block_sizes(monkeypatch):
+    """The number of steps each block of ``run`` takes, in order."""
     taken = []
     block = dynamics._vertex_block
 
-    def counted(walk, t):
-        taken.append(block(walk, t))
-        return taken[-1]
+    def counted(*args):
+        result = block(*args)
+        taken.append(result[0])
+        return result
 
     monkeypatch.setattr(dynamics, "_vertex_block", counted)
+    return taken
+
+
+def test_blocks_take_most_steps_of_vertex_runs(block_sizes):
+    """The comparison above is not vacuous: blocks take most steps of runs
+    whose response stays on one vertex for long stretches."""
     for slot in ("fp3_lex", "fp4_random", "gd4_main", "fp_weighted_exact"):
         spec = parse_config(STORES[10**4].configs[slot])
-        taken.clear()
+        block_sizes.clear()
         run(spec.learner, make_rps(spec.weights))
-        assert sum(taken) > 0.8 * (spec.learner.horizon + 1), slot
+        assert sum(block_sizes) > 0.8 * (spec.learner.horizon + 1), slot
+
+
+@pytest.mark.parametrize("weights, arithmetic", [((0.001, 1.0, 1.0), Arithmetic.FLOAT64),
+                                                 ((1, 1000, 1000), Arithmetic.EXACT_RATIONAL)])
+def test_run_matches_stepwise_past_a_full_block(block_sizes, weights, arithmetic):
+    """Vertex segments longer than ``MAX_BLOCK`` rows: a full block is
+    followed by a scalar step and another block, which the store slots and
+    the random games above never reach."""
+    config = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=20000,
+                           x0=SimplexPoint.vertex(3, 0), arithmetic=arithmetic)
+    matrix = make_rps(weights)
+    fast = run(config, matrix)
+    assert dynamics.MAX_BLOCK in block_sizes
+    assert_same_columns(fast, oracle.run_stepwise(config, matrix))
 
 
 @st.composite
