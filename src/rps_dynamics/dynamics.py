@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -525,6 +525,14 @@ def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.n
     return taken, rows[-1].tolist()
 
 
+def _tile(column: np.ndarray, start: int, stop: int) -> None:
+    """Fill the rows of ``column`` from ``stop`` on with rows start..stop-1,
+    repeated."""
+    rows = len(column) - stop
+    reps = (rows // (stop - start) + 1,) + (1,) * (column.ndim - 1)
+    column[stop:] = np.tile(column[start:stop], reps)[:rows]
+
+
 def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Trajectory:
     """The run of ``config`` on ``matrix``: ``run`` with ``blocks``,
     ``oracle.run_stepwise`` without.
@@ -536,6 +544,15 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
     number of vertex steps before it tries again, doubling up to
     ``MAX_BACKOFF``, so runs that switch vertex every few steps pay almost
     nothing for it.
+
+    With ``blocks``, fictitious play under a rule that reads only (y,
+    incumbent), every rule but ``random_seeded``, also closes its orbit:
+    each row where the vertex switches is keyed by its state, and once a
+    state recurs, rows r1 and r2, every later row repeats rows r1..r2-1 and
+    is tiled from them.  Inside a vertex segment y changes at every step, so
+    every orbit passes through a switch row.  The keys of one energy level
+    are dropped when the energy moves, which keeps them few on runs whose
+    energy keeps rising.
     """
     n = matrix.n
     if config.x0.n != n:
@@ -566,6 +583,9 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
     budget = config.bit_budget
     etas = config.etas().tolist()
     vertex = config.x0.vertex_index
+    closes = blocks and is_fp and config.effective_tiebreak.kind != TiebreakKind.RANDOM_SEEDED
+    seen: Dict[tuple, int] = {}  # switch rows at energy `level`, by state
+    level = None
     t, wait, backoff = 0, 0, 1
     try:
         while t <= T:
@@ -580,10 +600,24 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
                 top = max(y)  # energy_fp, and fp_primal's tie set
                 energies[t + 1] = top
                 floor = top - tol
-                vertex = select([i for i, yi in enumerate(y) if yi >= floor], vertex, n, t + 1)
-                supports[t + 1] = 1 << vertex
+                chosen = select([i for i, yi in enumerate(y) if yi >= floor], vertex, n, t + 1)
+                supports[t + 1] = 1 << chosen
                 x = [0] * n
-                x[vertex] = 1
+                x[chosen] = 1
+                if closes and chosen != vertex:
+                    if top != level:
+                        seen.clear()
+                        level = top
+                    # The row's bytes, or each value with its type: a repeat
+                    # is a repeat of the very ints and Fractions stored.
+                    state = tuple((type(c), c) for c in y) if exact else ys[t + 1].tobytes()
+                    first = seen.setdefault((state, chosen), t + 1)
+                    if first <= t:
+                        for column in columns:
+                            _tile(column, first, t + 1)
+                        y = ys[-1].tolist()
+                        break
+                vertex = chosen
             else:
                 support = find_support(y)
                 energies[t + 1] = energy_gd(y, support)
@@ -620,7 +654,8 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     y^{T+1} is recorded as support row T+1, but x^{T+1} is not formed.
 
     Steps whose response is a vertex that the next steps keep are taken in
-    blocks (``_vertex_block``); every other step is the scalar step.  The
+    blocks (``_vertex_block``); every other step is the scalar step, and a
+    fictitious-play orbit that closes is tiled (see ``_simulate``).  The
     columns are identical, byte for byte and type for type, to those of
     ``oracle.run_stepwise``, the same loop without blocks and the reference
     this engine is tested against.

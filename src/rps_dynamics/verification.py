@@ -469,6 +469,11 @@ def run_suite(
         raise ValueError(f"level must be 'quick' or 'full', got {level!r}")
     if store is None:
         store = TrajectoryStore(QUICK_CAP if level == "quick" else FULL_CAP)
+    # Build every slot up front, so each check's time is its own.
+    t0 = time.perf_counter()
+    built = store.build_all()
+    if printer is not None:
+        printer(f"store: {len(built)} trajectories built in {time.perf_counter() - t0:.2f}s")
     results = []
     for check_id, fn in CHECKS:
         t0 = time.perf_counter()

@@ -1,11 +1,13 @@
-"""Block stepping against the stepwise oracle.
+"""Block stepping and orbit closure against the stepwise oracle.
 
-``run`` takes the steps of a vertex segment in blocks; ``oracle.run_stepwise``
-takes every step through the scalar step the two share.  Their columns must
-agree byte for byte in float runs, and value for value and type for type in
-exact runs; so must the errors they raise.
+``run`` takes the steps of a vertex segment in blocks and tiles a
+fictitious-play orbit once its state repeats; ``oracle.run_stepwise`` takes
+every step through the scalar step the two share.  Their columns must agree
+byte for byte in float runs, and value for value and type for type in exact
+runs; so must the errors they raise.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -179,6 +181,132 @@ def test_overflow_raises_like_stepwise(eta):
     matrix = make_rps((1.0,) * 3)
     fast, ref = outcome(run, _unit3_gd(eta), matrix), outcome(oracle.run_stepwise, _unit3_gd(eta), matrix)
     assert fast == ref and fast[0] is ArithmeticOverflow
+
+
+# ---------------------------------------------------------------------------
+# Orbit closure
+
+CLOSING_RULES = [kind for kind in TiebreakKind if kind != TiebreakKind.RANDOM_SEEDED]
+# The energy-conserving store runs: (y^t, incumbent) repeats from t=1 with
+# these periods.
+ORBIT_PERIODS = {"fp3_switch": 9, "fp4_switch": 8, "fp_tournament_3": 9,
+                 "fp_tournament_4": 8, "fp_tournament_5": 25}
+
+
+@pytest.fixture
+def closures(monkeypatch):
+    """The rows (r1, r2) of each orbit a run closes, once per tiled column."""
+    seen = []
+    tile = dynamics._tile
+
+    def counted(column, start, stop):
+        seen.append((start, stop))
+        tile(column, start, stop)
+
+    monkeypatch.setattr(dynamics, "_tile", counted)
+    return seen
+
+
+@pytest.fixture
+def scalar_steps(monkeypatch):
+    """A one-cell list: the fictitious-play scalar steps taken so far, that
+    is, the calls of ``TiebreakRule.select``."""
+    calls = [0]
+    select = TiebreakRule.select
+
+    def counted(self, *args):
+        calls[0] += 1
+        return select(self, *args)
+
+    monkeypatch.setattr(TiebreakRule, "select", counted)
+    return calls
+
+
+@st.composite
+def fp_orbits(draw, kind):
+    """Fictitious play under ``kind`` on a random game: n in 3..8, unit
+    weights (whose orbits close) or integer weights, float or exact, vertex
+    or interior start, over horizons of many orbit periods."""
+    n = draw(st.integers(3, 8))
+    exact = draw(st.booleans())
+    weights = (1,) * n if draw(st.booleans()) else tuple(
+        draw(st.lists(st.integers(1, 5), min_size=n, max_size=n)))
+    if draw(st.booleans()):
+        x0 = SimplexPoint.vertex(n, draw(st.integers(0, n - 1)))
+    else:
+        counts = draw(st.lists(st.integers(1, 20), min_size=n, max_size=n))
+        coords = [Fraction(c, sum(counts)) for c in counts]
+        x0 = SimplexPoint(tuple(coords if exact else map(float, coords)))
+    config = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, x0=x0, tiebreak=TiebreakRule(kind),
+                           horizon=draw(st.integers(100, 1000 if exact else 2000)),
+                           arithmetic=Arithmetic.EXACT_RATIONAL if exact else Arithmetic.FLOAT64)
+    return config, make_rps(weights if exact else tuple(map(float, weights)))
+
+
+@pytest.mark.parametrize("kind", CLOSING_RULES)
+def test_run_matches_stepwise_on_fp_orbits(closures, kind):
+    closed = []
+
+    @settings(derandomize=True, max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(fp_orbits(kind))
+    def check(case):
+        closures.clear()
+        assert_same_outcome(*case)
+        closed.append(bool(closures))
+
+    check()
+    if kind in (TiebreakKind.TOURNAMENT, TiebreakKind.PREFER_SWITCH):
+        assert sum(closed) >= 3  # not vacuous: unit-weight orbits close
+
+
+def test_overflowing_orbit_raises_like_stepwise(closures):
+    """Duals that overflow to inf and then repeat: the tiled run still ends
+    on the non-finite dual and raises the stepwise run's error."""
+    config = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=100, x0=SimplexPoint.vertex(3, 0),
+                           tiebreak=TiebreakRule(TiebreakKind.PREFER_SWITCH))
+    matrix = make_rps((5e307, 1e308, 1.7e308))
+    fast, ref = outcome(run, config, matrix), outcome(oracle.run_stepwise, config, matrix)
+    assert closures and fast == ref and fast[0] is ArithmeticOverflow
+
+
+@pytest.mark.parametrize("slot", sorted(ORBIT_PERIODS))
+def test_closed_orbits_take_few_scalar_steps(scalar_steps, slot):
+    """The comparisons above are not vacuous: at T=1e5 the energy-conserving
+    store runs close their orbit within a few periods."""
+    spec = parse_config(STORES[10**4].configs[slot])
+    config = dataclasses.replace(spec.learner, horizon=10**5)
+    run(config, make_rps(spec.weights))
+    assert scalar_steps[0] < 200
+
+
+def test_random_seeded_and_stepwise_never_close(closures):
+    """fp3_random revisits a switch state whose future differs, because its
+    rule reads the step index; run must step on.  The reference never
+    closes at all."""
+    spec = parse_config(STORES[10**4].configs["fp3_random"])
+    traj = run(spec.learner, make_rps(spec.weights))
+    first = {}
+    for r in range(1, traj.horizon + 2):
+        r1 = first.setdefault((traj.ys[r].tobytes(), traj.support_mask(r)), r)
+        if r1 < r:
+            break
+    assert r1 < r and traj.ys[r1 + 1:r1 + 100].tobytes() != traj.ys[r + 1:r + 100].tobytes()
+    spec = parse_config(STORES[10**4].configs["fp3_switch"])
+    oracle.run_stepwise(spec.learner, make_rps(spec.weights))
+    assert closures == []
+
+
+@pytest.mark.parametrize("slot, period", sorted(ORBIT_PERIODS.items()))
+def test_store_orbit_periods(slot, period):
+    traj = STORES[10**4].get(slot)
+
+    def state(r):
+        return traj.ys[r].tolist(), traj.support_mask(r)
+
+    assert next(p for p in range(1, traj.horizon) if state(1 + p) == state(1)) == period
+    for column in (traj.xs, traj.ys, traj.energies, traj.supports):
+        assert (column[1 + period:] == column[1:-period]).all()
 
 
 # ---------------------------------------------------------------------------

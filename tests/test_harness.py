@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -690,3 +691,12 @@ def test_cli_strict_passes_on_clean_run(tmp_path):
     path = write_json(tmp_path, fp_config())
     assert main(["run", "--config", path, "--out", str(tmp_path / "o"),
                  "--strict"]) == 0
+
+
+def test_cli_verify_reports_store_build_apart(capsys):
+    """The store is built once before the first check and timed on its own
+    line; the check lines follow.  c14 fails by design, so the exit code is 1."""
+    assert main(["verify", "--level", "quick"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"store: 17 trajectories built in \d+\.\d\ds", lines[0])
+    assert lines[1].startswith("[PASS] c01-") and len(lines) == 16
