@@ -48,7 +48,7 @@ from .dynamics import (
     Trajectory,
     tolerance,
 )
-from .game import Number, SimplexPoint, all_exact, duality_gap
+from .game import Number, SimplexPoint, div, duality_gap
 
 
 class RegionKind(str, Enum):
@@ -82,16 +82,13 @@ class RegionTag:
         return f"{self.kind.value}_{self.index}"
 
 
-def _div(q: Number, d: int, exact: bool) -> Number:
-    return Fraction(q, d) if exact else q / d
-
-
-def _slacks(y: Sequence, exact: bool) -> Iterator[Tuple[int, Optional[int], bool, Number]]:
+def _slacks(y: Sequence) -> Iterator[Tuple[int, Optional[int], bool, Number]]:
     """Every region-defining inequality on y as (kind code, index, strict,
     slack): the region of that kind and index is where each of its slacks is
     positive (strict) or nonnegative.  ``y`` is a dual vector or the float
     columns of a ``ys`` block; numpy rounds each element as Python rounds the
-    scalar, so a row's slacks are its scalar slacks bit for bit."""
+    scalar, so a row's slacks are its scalar slacks bit for bit.  A slack is
+    exact when the coordinates it reads are."""
     n = len(y)
     for i in range(n):
         for j in range(n):
@@ -102,10 +99,10 @@ def _slacks(y: Sequence, exact: bool) -> Iterator[Tuple[int, Optional[int], bool
         yield EDGE, i, False, 1 - abs(y[i] - y[j])
         for k in range(n):
             if k != i and k != j:
-                yield EDGE, i, True, _div(y[i] + y[j] - 2 * y[k] - 1, 2, exact)
+                yield EDGE, i, True, div(y[i] + y[j] - 2 * y[k] - 1, 2)
     total = sum(y)  # from 0, left to right, in the columnwise case too
     for i in range(n):
-        yield INTERIOR, None, False, _div(n * y[i] - total + 1, n, exact)
+        yield INTERIOR, None, False, div(n * y[i] - total + 1, n)
 
 
 def classify_region(y: Sequence[Number]) -> RegionTag:
@@ -114,10 +111,11 @@ def classify_region(y: Sequence[Number]) -> RegionTag:
     Checks vertex regions first, then edges, then the full-support region; the
     three families are pairwise disjoint, so order only decides how boundary
     points (where a non-strict inequality holds with equality) are labeled.
+    The margin has the type of the slack it comes from (see ``_slacks``).
     """
     holds: Dict[Tuple[int, Optional[int]], bool] = {}
     margin: Number = math.inf
-    for kind, index, strict, s in _slacks(y, all_exact(y)):
+    for kind, index, strict, s in _slacks(y):
         holds[kind, index] = holds.get((kind, index), True) and (s > 0 if strict else s >= 0)
         margin = min(margin, abs(s))
     kind, index = next((key for key, held in holds.items() if held), (OTHER_BOUNDARY, None))
@@ -175,7 +173,7 @@ def _boundary_margin(ys: np.ndarray) -> np.ndarray:
     """The margin ``classify_region`` tags each row of a float ``ys`` with,
     folded in one slack column at a time."""
     margin = np.full(len(ys), np.inf)
-    for _, _, _, s in _slacks([ys[:, i] for i in range(ys.shape[1])], False):
+    for _, _, _, s in _slacks([ys[:, i] for i in range(ys.shape[1])]):
         np.minimum(margin, np.abs(s), out=margin)
     return margin
 
@@ -215,7 +213,7 @@ def regret_at(traj: Trajectory, horizon: int) -> Number:
         raise ConfigInvalid("prefix regret needs a constant stepsize")
     if not 0 <= horizon <= traj.horizon:
         raise ValueError(f"horizon {horizon} outside [0, {traj.horizon}]")
-    return _div(2 * max(traj.y(horizon + 1)), traj.config.eta, traj.is_exact)
+    return div(2 * max(traj.y(horizon + 1)), traj.config.eta)
 
 
 def _curve_horizons(T: int) -> List[int]:
@@ -251,11 +249,11 @@ def regret(traj: Trajectory) -> RegretReport:
         total = regret_at(traj, T)
         curve = tuple((h, regret_at(traj, h)) for h in horizons)
         H = traj.energy(T + 1)
-        by_energy = _div(2 * H, eta, traj.is_exact)
-        upper = by_energy if is_fp else _div(2 * H + 1, eta, traj.is_exact)
+        by_energy = div(2 * H, eta)
+        upper = by_energy if is_fp else div(2 * H + 1, eta)
 
     sums = traj.xs.sum(axis=0).tolist()
-    avg = SimplexPoint(tuple(_div(s, T + 1, traj.is_exact) for s in sums))
+    avg = SimplexPoint(tuple(div(s, T + 1) for s in sums))
     gap = duality_gap(traj.matrix, avg)
 
     return RegretReport(

@@ -17,9 +17,11 @@ OGD the optimal value of max_{x in simplex} <x, y> - |x|^2 / 2.  Trajectories
 record primals, duals, energies, and supports so the analysis module can audit
 energy growth, regions, and regret.
 
-Arithmetic is generic over float64 and exact rationals.  In exact mode every
-quantity is an int or ``fractions.Fraction``, comparisons are exact, and a bit
-budget guards against denominator blowup.
+Arithmetic is generic over float64 and exact rationals, and the number type
+carries the mode (see ``game``): ``run`` fixes it once, converting x0 and the
+weights per the config, and each kernel reads it off the values it is given.
+In exact mode every quantity is an int or ``fractions.Fraction``, comparisons
+are exact, and a bit budget guards against denominator blowup.
 """
 
 import math
@@ -37,11 +39,11 @@ from .errors import (
     DimensionMismatch,
     ProjectionInfeasible,
 )
-from .game import Number, RpsMatrix, SimplexPoint, all_exact
+from .game import Number, RpsMatrix, SimplexPoint, all_exact, div, is_exact
 
 # Numeric tolerances of float runs.  Exact-rational runs compare exactly: every
-# tolerance below is 0 for them (see ``tolerance``).  Per-check acceptance
-# bounds of the verification suite stay with their checks.
+# tolerance below is 0 for them (see ``tolerance``); a run picks its mode once,
+# from its config.  Per-check acceptance bounds stay with their checks.
 TIE_TOL = 1e-9            # FP: coordinates this close to the max tie for argmax
 PROJECTION_CLAMP = 1e-12  # GD: round-off negatives down to -this project to 0
 LEDGER_BAND = 1e-9        # ledger: ambiguous-margin band and slack on bounds
@@ -166,11 +168,12 @@ def find_support(y: Sequence[Number]) -> Tuple[int, ...]:
     Starts from all coordinates and repeatedly drops the current argmin (lowest
     index on ties) while its projected value y_i - mean_S(y) + 1/|S| would be
     negative.  Every surviving coordinate then projects to a nonnegative value.
+    The drop tests are exact when sum(y) is, that is when no y_i is a float.
     """
     n = len(y)
     order = sorted(range(n), key=lambda i: (y[i], i))
-    exact = all_exact(y)
     total = sum(y)
+    exact = is_exact(total)  # one float coordinate makes the sum a float
     m = n
     k = 0
     while k < n - 1:  # a lone coordinate projects to 1, however y rounds
@@ -190,8 +193,9 @@ def find_support(y: Sequence[Number]) -> Tuple[int, ...]:
 def _projection_coords(y: Sequence[Number], indices: Tuple[int, ...]) -> List[Number]:
     """Coordinates of the simplex projection of y on a given active set.
 
-    The float path forms each coordinate from pairwise differences of dual
-    values (which are computed exactly when the values are close) rather than
+    Off the set they are int 0; on it, Fractions when y is exact there and
+    floats otherwise.  The float path forms each coordinate from pairwise
+    differences of dual values (which are computed exactly when the values are close) rather than
     subtracting a large mean from a large value; round-off negatives up to
     ``PROJECTION_CLAMP`` are clamped to zero, and anything lower means the
     support is not the projection's.
@@ -199,11 +203,10 @@ def _projection_coords(y: Sequence[Number], indices: Tuple[int, ...]) -> List[Nu
     n = len(y)
     m = len(indices)
     out: List[Number] = [0] * n
-    if all_exact(y):
-        mu = Fraction(sum(y[j] for j in indices)) / m
-        shift = Fraction(1, m)
+    shift = div(1 - sum(y[j] for j in indices), m)
+    if is_exact(shift):
         for i in indices:
-            out[i] = y[i] - mu + shift
+            out[i] = y[i] + shift
         return out
     inv_m = 1.0 / m
     for i in indices:
@@ -263,17 +266,14 @@ def energy_gd(y: Sequence[Number], support: Optional[Tuple[int, ...]] = None) ->
         sum_{j in S} (y_j - mu)^2 / 2  +  mu  -  1 / (2m),
 
     computed in deviation form so that large dual vectors with small spread do
-    not lose the spread to cancellation.
+    not lose the spread to cancellation.  It is a Fraction when y is exact on
+    the active set, and a float otherwise.
     """
     idx = find_support(y) if support is None else support
     m = len(idx)
-    if all_exact(y):
-        mu = Fraction(sum(y[j] for j in idx)) / m
-        dev = sum((y[j] - mu) ** 2 for j in idx)
-        return dev / 2 + mu - Fraction(1, 2 * m)
-    mu = sum(y[j] for j in idx) / m
+    mu = div(sum(y[j] for j in idx), m)
     dev = sum((y[j] - mu) ** 2 for j in idx)
-    return 0.5 * dev + mu - 0.5 / m
+    return div(dev, 2) + mu - div(mu ** 0, 2 * m)  # mu ** 0 is 1 in mu's type
 
 
 @dataclass(frozen=True)

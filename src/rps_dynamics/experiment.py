@@ -63,7 +63,7 @@ from .dynamics import (
     tolerance,
 )
 from .errors import ConfigInvalid, IoError, NoVertexReached
-from .game import Number, SimplexPoint, all_exact, is_exact, make_rps
+from .game import Number, SimplexPoint, all_exact, div, make_rps
 
 OUT_ENV = "RPSDYN_OUT"
 OUTPUT_KINDS = ("trajectory_csv", "phases_csv", "ledger_csv", "report_json")
@@ -476,8 +476,7 @@ def _verdict(check: str, passed: bool, details: str, chash: str) -> dict:
 
 
 def _relative_gap(value: Number, reference: Number) -> Number:
-    diff = abs(value - reference)
-    return (Fraction(diff) if is_exact(diff) else diff) / max(1, abs(reference))
+    return div(abs(value - reference), max(1, abs(reference)))
 
 
 def dual_replay(traj: Trajectory) -> Tuple[bool, Number]:

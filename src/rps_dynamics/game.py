@@ -7,8 +7,10 @@ zero-sum, and every such game is fully described by its tuple of positive cycle
 weights.
 
 Arithmetic is generic: weights and points may be ints, floats, or
-``fractions.Fraction``; computations stay in the types they are given, which
-lets the same code run in float64 or exact-rational mode.
+``fractions.Fraction``, and the number type carries the mode.  A result is exact
+when every number it is formed from is int or Fraction, and a float as soon as
+one is a float, mixed vectors included; ``div`` keeps that rule for division.
+So each kernel reads its mode off its values, and one code path serves both.
 """
 
 import math
@@ -26,11 +28,20 @@ from .errors import (
 )
 
 Number = Union[int, float, Fraction]
+_EXACT_TYPES = (int, Fraction)
 
 
 def is_exact(value: Number) -> bool:
     """True when the value carries no float rounding (int or Fraction)."""
     return not isinstance(value, float)
+
+
+def div(q: Number, d: Number) -> Number:
+    """q / d: a Fraction when both are int or Fraction, else the float (or
+    numpy) quotient.  Tests type(), as isinstance on Fraction's ABC is slow."""
+    if type(q) in _EXACT_TYPES and type(d) in _EXACT_TYPES:
+        return Fraction(q, d)
+    return q / d
 
 
 def all_exact(values: Sequence[Number]) -> bool:
@@ -214,12 +225,8 @@ def interior_nash(matrix: RpsMatrix) -> NashResult:
         lam = qq / (pp + qq)
         coords = tuple(lam * a + (1 - lam) * b for a, b in zip(p, q))
 
-    if matrix.exact:
-        point = SimplexPoint(coords)
-        residual: Number = max(abs(v) for v in matrix.apply(coords))
-    else:
-        point = SimplexPoint(tuple(float(c) for c in coords))
-        residual = max(abs(v) for v in matrix.apply(point.coords))
+    point = SimplexPoint(coords if matrix.exact else tuple(float(c) for c in coords))
+    residual = max(abs(v) for v in matrix.apply(point.coords))
     return NashResult(point=point, residual=residual)
 
 

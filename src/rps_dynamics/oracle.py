@@ -7,7 +7,6 @@ differences instead of the closed-form projection, and one scalar step per
 row instead of ``run``'s vertex blocks.
 """
 
-from fractions import Fraction
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -15,7 +14,7 @@ import numpy as np
 from .errors import DimensionTooLarge, TooCloseToBoundary
 from .analysis import classify_region
 from .dynamics import LearnerConfig, Trajectory, _simulate, energy_gd
-from .game import Number, RpsMatrix, SimplexPoint, all_exact
+from .game import Number, RpsMatrix, SimplexPoint, div
 
 
 def run_stepwise(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
@@ -36,17 +35,12 @@ def project_bruteforce(y: Sequence[Number]) -> Tuple[SimplexPoint, Number]:
     n = len(y)
     if n > 20:
         raise DimensionTooLarge(f"2^{n} supports is past the enumeration budget")
-    exact = all_exact(y)
     best_obj = None
     best_coords = None
     for mask in range(1, 1 << n):
         idx = [i for i in range(n) if mask >> i & 1]
         m = len(idx)
-        total = sum(y[i] for i in idx)
-        if exact:
-            shift = Fraction(1, m) - Fraction(total, m)
-        else:
-            shift = (1.0 - total) / m
+        shift = div(1 - sum(y[i] for i in idx), m)
         coords = [0] * n
         feasible = True
         for i in idx:
@@ -57,9 +51,7 @@ def project_bruteforce(y: Sequence[Number]) -> Tuple[SimplexPoint, Number]:
             coords[i] = c
         if not feasible:
             continue
-        obj = sum(coords[i] * y[i] for i in idx) - sum(
-            coords[i] * coords[i] for i in idx
-        ) / (Fraction(2) if exact else 2.0)
+        obj = sum(coords[i] * y[i] for i in idx) - div(sum(coords[i] * coords[i] for i in idx), 2)
         if best_obj is None or obj > best_obj:
             best_obj = obj
             best_coords = coords

@@ -325,7 +325,8 @@ def check_projection_oracle(store: TrajectoryStore) -> Tuple[bool, str]:
         for _ in range(draws):
             y = [float(v) for v in rng.uniform(-5.0, 5.0, n)]
             point, value = oracle.project_bruteforce(y)
-            if find_support(y) != point.support:
+            support = find_support(y)
+            if support != point.support:
                 mismatches += 1
                 continue
             px = gd_primal(y)
@@ -333,7 +334,7 @@ def check_projection_oracle(store: TrajectoryStore) -> Tuple[bool, str]:
                 worst_x,
                 max(abs(a - b) for a, b in zip(px.coords, point.coords)),
             )
-            worst_e = max(worst_e, abs(energy_gd(y) - value))
+            worst_e = max(worst_e, abs(energy_gd(y, support) - value))
     ok = mismatches == 0 and worst_x <= 1e-10 and worst_e <= 1e-10
     return ok, (
         f"{3 * draws} draws: {mismatches} support mismatches, "

@@ -15,6 +15,7 @@ from rps_dynamics import (
     LearnerConfig,
     ProjectionInfeasible,
     SimplexPoint,
+    classify_region,
     TiebreakKind,
     TiebreakRule,
     energy_fp,
@@ -28,6 +29,7 @@ from rps_dynamics import (
 from rps_dynamics import dynamics, oracle
 from rps_dynamics.dynamics import _projection_coords
 from rps_dynamics.experiment import dual_replay
+from rps_dynamics.game import is_exact
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +166,39 @@ def test_energy_gd_large_offset_precision():
     base = [0.5, 0.3, -5.0]
     off = 1e8
     assert abs((energy_gd([v + off for v in base]) - off) - 0.16) < 1e-6
+
+
+@pytest.mark.parametrize("y, margin_exact", [
+    ([0.5, 2, 3], True),            # exact support; margin from y_2 - y_1 - 1
+    ([1, 2, 3, 0.5], True),         # exact support
+    ([1.5, 1, 0, 0.25], True),      # support (0, 1) holds a float
+    ([0.25, 1, 3, 3], False),       # exact support; margin from a slack reading 0.25
+    ([0.5, 0.75, 1], False),        # every coordinate on the support
+])
+def test_mixed_vectors_follow_the_type_rule(y, margin_exact):
+    """A vector mixing ints and floats agrees with its all-float twin, and
+    each result is exact exactly when the coordinates it reads are."""
+    yf = [float(v) for v in y]
+    support = find_support(y)
+    assert support == find_support(yf)
+    exact_on_support = all(is_exact(y[i]) for i in support)
+
+    coords, coords_f = gd_primal(y).coords, gd_primal(yf).coords
+    assert max(abs(a - b) for a, b in zip(coords, coords_f)) < 1e-12
+    for i, c in enumerate(coords):
+        if i in support:
+            assert isinstance(c, Fraction if exact_on_support else float), (i, c)
+        else:
+            assert type(c) is int and c == 0, (i, c)
+
+    energy = energy_gd(y)
+    assert abs(energy - energy_gd(yf)) < 1e-12
+    assert isinstance(energy, Fraction if exact_on_support else float)
+
+    tag, tag_f = classify_region(y), classify_region(yf)
+    assert (tag.kind, tag.index) == (tag_f.kind, tag_f.index)
+    assert abs(tag.min_abs_margin - tag_f.min_abs_margin) < 1e-12
+    assert is_exact(tag.min_abs_margin) == margin_exact
 
 
 # ---------------------------------------------------------------------------
@@ -426,6 +461,39 @@ def test_float_and_exact_runs_agree_early():
             diff = max(abs(float(a) - b) for a, b in zip(te.y(t), tf.y(t)))
             assert diff < 1e-9, (algo, t, diff)
             assert te.support_mask(t) == tf.support_mask(t)
+
+
+@pytest.fixture
+def all_exact_calls(monkeypatch):
+    """A one-cell list counting calls of the ``all_exact`` dynamics imports."""
+    calls = [0]
+    inner = dynamics.all_exact
+
+    def counted(values):
+        calls[0] += 1
+        return inner(values)
+
+    monkeypatch.setattr(dynamics, "all_exact", counted)
+    return calls
+
+
+@pytest.mark.parametrize("config, weights", [
+    (LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=0,
+                   x0=SimplexPoint((0.3, 0.4, 0.3)), eta=0.01), (1.0,) * 3),
+    (LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=0,
+                   x0=SimplexPoint.vertex(3, 0), eta=Fraction(1, 2),
+                   arithmetic=Arithmetic.EXACT_RATIONAL), (1, 1, 1)),
+], ids=["float-interior", "exact"])
+def test_run_decides_the_mode_once(all_exact_calls, config, weights):
+    """The scalar gradient-descent step reads its mode off the values; no
+    step scans y for floats, so the call count does not grow with T."""
+    counts = []
+    for horizon in (100, 1000):
+        cfg = replace(config, horizon=horizon)
+        before = all_exact_calls[0]
+        run(cfg, make_rps(weights))
+        counts.append(all_exact_calls[0] - before)
+    assert counts[0] == counts[1]
 
 
 def test_eta_schedule_decreasing():
