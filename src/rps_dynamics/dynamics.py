@@ -195,10 +195,10 @@ def _projection_coords(y: Sequence[Number], indices: Tuple[int, ...]) -> List[Nu
 
     Off the set they are int 0; on it, Fractions when y is exact there and
     floats otherwise.  The float path forms each coordinate from pairwise
-    differences of dual values (which are computed exactly when the values are close) rather than
-    subtracting a large mean from a large value; round-off negatives up to
-    ``PROJECTION_CLAMP`` are clamped to zero, and anything lower means the
-    support is not the projection's.
+    differences of dual values (which are computed exactly when the values
+    are close) rather than subtracting a large mean from a large value;
+    round-off negatives up to ``PROJECTION_CLAMP`` are clamped to zero, and
+    anything lower means the support is not the projection's.
     """
     n = len(y)
     m = len(indices)
