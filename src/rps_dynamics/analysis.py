@@ -408,6 +408,19 @@ class Ledger:
             return LEDGER_CLASSES[code]
         return f"uncovered:{self.trace.label(t)}->{self.trace.label(t + 1)}"
 
+    def transitions(self) -> np.ndarray:
+        """``transition(t)`` of every row, as an object array; uncovered rows
+        are named once per distinct pair of end regions."""
+        names = np.array(LEDGER_CLASSES, dtype=object).take(self.cls)  # UNCOVERED (-1): patched
+        rows = np.flatnonzero(self.cls == UNCOVERED)
+        if rows.size:
+            kind, index = self.trace.kind, self.trace.index
+            ends = np.stack([kind[rows], index[rows], kind[rows + 1], index[rows + 1]], axis=1)
+            _, first, pair = np.unique(ends, axis=0, return_index=True, return_inverse=True)
+            pair_names = np.array([self.transition(t) for t in rows[first].tolist()], dtype=object)
+            names[rows] = pair_names.take(pair.reshape(-1))
+        return names
+
 
 def energy_growth_ledger(traj: Trajectory) -> Ledger:
     """Classify every dual step and check it against its case bound.

@@ -40,8 +40,6 @@ import numpy as np
 from . import analysis, oracle
 from .analysis import (
     INITIAL,
-    LEDGER_CLASSES,
-    UNCOVERED,
     Ledger,
     PhaseSummary,
     RegretReport,
@@ -355,9 +353,11 @@ def format_value(v) -> str:
 
 def _number_cell(v) -> str:
     """A float as ``format_value`` prints it; an exact value (a run's int or
-    Fraction) as explicit p/q, integers included."""
+    Fraction) as explicit p/q, integers included; None as empty."""
     if isinstance(v, float):
         return f"{v:.17g}"
+    if v is None:
+        return ""
     return f"{v.numerator}/{v.denominator}"
 
 
@@ -382,31 +382,64 @@ def _write_csv(path: str, header: List[str], lines) -> None:
         fh.writelines(lines)
 
 
-# Rows per .tolist() of the columns: enough that formatting dominates the
-# per-block cost, few enough that the block's Python objects stay under 1 MiB.
+# Rows per written string: enough that the per-block calls vanish against
+# formatting, few enough that a block's cells and text stay under 1 MiB
+# whatever the run's length.
 _CSV_BLOCK = 1024
 
 
-def _rows(*columns):
-    """Rows of equal-length numpy columns as Python values, ``_CSV_BLOCK`` at a time."""
-    for start in range(0, len(columns[0]), _CSV_BLOCK):
-        yield from zip(*(col[start:start + _CSV_BLOCK].tolist() for col in columns))
+def _raw(spec: str, col: np.ndarray):
+    """A column as a (%-spec, block) pair: ``block(s, e)`` is the list of the
+    values of rows s..e-1, which ``spec`` converts."""
+    return spec, lambda s, e: col[s:e].tolist()
+
+
+def _numbers(col: np.ndarray, blank: Optional[np.ndarray] = None):
+    """A number column as a (%-spec, block) pair, printing what
+    ``_number_cell`` prints; an exact column's None cells, and a float
+    column's ``blank`` rows, are empty.
+
+    A float column with blank rows, or with at most half its cells distinct,
+    formats each distinct value once and gathers the cells by index: one
+    format costs about as much as sorting and gathering two cells.  Distinct
+    means distinct bits, so -0.0 and 0.0 stay apart.  Other float columns go
+    raw into ``%.17g``.
+    """
+    if col.dtype == object:
+        return "%s", lambda s, e: list(map(_number_cell, col[s:e].tolist()))
+    bits = col.view(np.uint64)
+    # Sort and drop repeats: np.unique on uint64 took about 15 times as long
+    # (numpy 2.4).
+    ordered = np.sort(bits)
+    distinct = np.concatenate([ordered[:1], ordered[1:][ordered[1:] != ordered[:-1]]])
+    if blank is None and 2 * distinct.size > col.size:
+        return _raw("%.17g", col)
+    texts = np.array(["%.17g" % v for v in distinct.view(np.float64).tolist()] + [""], dtype=object)
+
+    def block(s, e):
+        index = np.searchsorted(distinct, bits[s:e])
+        if blank is not None:
+            index[blank[s:e]] = distinct.size  # the "" text
+        return texts.take(index).tolist()
+
+    return "%s", block
+
+
+def _lines(rows: int, columns):
+    """The lines of ``rows`` rows, one string per ``_CSV_BLOCK`` of them:
+    each row is its index, then a cell of each (%-spec, block) column."""
+    specs, blocks = zip(*columns)
+    row = ",".join(("%d",) + specs) + "\n"
+    for s in range(0, rows, _CSV_BLOCK):
+        e = min(rows, s + _CSV_BLOCK)
+        yield "".join(map(row.__mod__, zip(range(s, e), *(block(s, e) for block in blocks))))
 
 
 def _trajectory_lines(traj: Trajectory):
-    n = traj.n
     T = traj.horizon
-    exact = traj.is_exact
-    # One %-format per row; "%.17g" prints what format_value does, and exact
-    # cells arrive preformatted as p/q.
-    row = ",".join(["%d"] + ["%s" if exact else "%.17g"] * (2 * n + 1) + ["%d"]) + "\n"
-    rows = _rows(traj.xs, traj.ys[:T + 1], traj.energies[:T + 1], traj.supports[:T + 1])
-    for t, (x, y, e, mask) in enumerate(rows):
-        cells = x + y + [e]
-        if exact:
-            cells = [_number_cell(v) for v in cells]
-        yield row % (t, *cells, mask)
-    closing = [str(T + 1)] + [""] * n + [_number_cell(v) for v in traj.y(T + 1)]
+    columns = [*traj.xs.T, *traj.ys[:T + 1].T, traj.energies[:T + 1]]
+    yield from _lines(T + 1, [*map(_numbers, columns), _raw("%d", traj.supports[:T + 1])])
+    closing = [str(T + 1)] + [""] * traj.n + [_number_cell(v) for v in traj.y(T + 1)]
     yield ",".join(closing + [_number_cell(traj.energy(T + 1)), ""]) + "\n"
 
 
@@ -418,24 +451,25 @@ def write_trajectory_csv(traj: Trajectory, path: str) -> None:
 
 
 def write_phases_csv(summary: Optional[PhaseSummary], path: str) -> None:
-    rows = () if summary is None else _rows(
-        summary.t_start, summary.length, summary.vertex + 1,
-        summary.start_energy, summary.energy_increased)
-    lines = ("%d,%d,%d,%d,%s,%d\n" % (k, t, tau, vertex, _number_cell(gamma), c)
-             for k, (t, tau, vertex, gamma, c) in enumerate(rows))
+    lines = () if summary is None else _lines(summary.count, [
+        _raw("%d", summary.t_start), _raw("%d", summary.length), _raw("%d", summary.vertex + 1),
+        _numbers(summary.start_energy), _raw("%d", summary.energy_increased)])
     _write_csv(path, ["k", "t_k", "tau_k", "vertex", "gamma_k", "c_k"], lines)
 
 
+_OK_TEXTS = np.array(["false", "true"], dtype=object)
+
+
 def _ledger_lines(ledger: Ledger):
-    # "%.17g" prints a float as format_value does, without its type tests.
-    cell = _number_cell if ledger.delta.dtype == object else "%.17g".__mod__
-    rows = _rows(ledger.cls, ledger.ambiguous, ledger.delta, ledger.lo, ledger.hi, ledger.ok)
-    for t, (code, ambiguous, delta, lo, hi, ok) in enumerate(rows):
-        name = ledger.transition(t) if code == UNCOVERED else LEDGER_CLASSES[code]
-        if ambiguous:
-            name = "ambiguous:" + name
-        bounds = (cell(lo), cell(hi), "true" if ok else "false") if code > INITIAL else ("", "", "")
-        yield "%d,%s,%s,%s,%s,%s\n" % (t, name, cell(delta), *bounds)
+    names = ledger.transitions()
+    ambiguous = np.flatnonzero(ledger.ambiguous)
+    names[ambiguous] = ["ambiguous:" + name for name in names[ambiguous].tolist()]
+    blank = ledger.cls <= INITIAL  # no bounds
+    ok = _OK_TEXTS.take(ledger.ok)
+    ok[blank] = ""
+    return _lines(ledger.cls.size, [
+        _raw("%s", names), _numbers(ledger.delta), _numbers(ledger.lo, blank),
+        _numbers(ledger.hi, blank), _raw("%s", ok)])
 
 
 def write_ledger_csv(ledger: Ledger, path: str) -> None:

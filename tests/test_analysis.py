@@ -511,15 +511,18 @@ def _reference_run(index):
         return run(cfg, make_rps((1.0, 1.0, 1.0)))
     if index == 7:
         return _gd(T=200, eta=Fraction(1, 2), exact=True)
+    if index == 9:  # uncovered pairs that differ only in the destination region
+        return _gd(n=4, T=60, eta=0.3, x0=SimplexPoint((0.2, 0.2, 0.25, 0.35)))
     x0 = SimplexPoint(tuple(Fraction(k, 100) for k in (5, 35, 39, 21)))
     return _gd(n=4, T=200, eta=1, weights=(1, 2, 3, 4), x0=x0, exact=True)
 
 
-@pytest.mark.parametrize("index", range(9))
+@pytest.mark.parametrize("index", range(10))
 def test_ledger_columns_match_step_by_step_reference(index):
     traj = _reference_run(index)
     ledger = energy_growth_ledger(traj)
     expected = _reference_ledger(traj)
+    assert ledger.transitions().tolist() == [row[0] for row in expected]
     for t, (cls, lo, hi, ok, ambiguous) in enumerate(expected):
         assert ledger.transition(t) == cls, t
         assert ledger.delta[t] == traj.energy(t + 1) - traj.energy(t), t

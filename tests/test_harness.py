@@ -4,6 +4,7 @@ import json
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from rps_dynamics import (
@@ -28,9 +29,12 @@ from rps_dynamics.analysis import INITIAL, detect_phases, energy_growth_ledger
 from rps_dynamics.cli import main
 from rps_dynamics.errors import NoVertexReached
 from rps_dynamics.experiment import (
+    _CSV_BLOCK,
     OUT_ENV,
     OUTPUT_KINDS,
+    _lines,
     _number_cell,
+    _numbers,
     default_out_dir,
     format_value,
 )
@@ -304,6 +308,18 @@ _PER_CELL_CONFIGS = {
     "sweep": {"name": "sw", "weights": [1.0, 1.0, 1.0],
               "learner": dict(_GD_UNIT_CYCLE, horizon=200),
               "sweep": [["eta_schedule", [None, "inv_sqrt_t"]]]},
+    # Vertex-regime GD (gd4_main's start): few distinct floats per column.
+    "vertex_gd": {"name": "vx", "weights": [1.0] * 4,
+                  "learner": {"algorithm": "gd", "horizon": 3000, "eta": 6.0,
+                              "x0": [0.05, 0.35, 0.39, 0.21]}},
+    # Float FP whose orbit closes after 8 steps: rows from t = 9 on are tiled.
+    "closed_fp": {"name": "orbit", "weights": [1.0] * 4,
+                  "learner": {"algorithm": "fp", "horizon": 3000, "x0": [1.0, 0.0, 0.0, 0.0],
+                              "tiebreak": {"kind": "prefer_switch"}}},
+    "exact_tournament": {"name": "tour", "weights": [1] * 5,
+                         "learner": {"algorithm": "fp", "horizon": 1100, "x0": [1, 0, 0, 0, 0],
+                                     "tiebreak": {"kind": "tournament"},
+                                     "arithmetic": "rational"}},
 }
 
 
@@ -338,6 +354,48 @@ def test_trajectory_csv_matches_per_cell_writer(tmp_path, case):
         ledger = refs["ledger_csv"].decode()
         assert ledger.count("\n") > 2 * 1024
         assert "ambiguous:" in ledger and "uncovered:" in ledger
+    traj = results[0].trajectory
+    if case == "vertex_gd":  # the y columns take the formatted-once path
+        assert [_numbers(col)[0] for col in traj.ys.T] == ["%s"] * 4
+    if case == "closed_fp":
+        assert np.array_equal(traj.ys[9:], traj.ys[1:-8])
+
+
+def _special_floats():
+    """Floats whose text is easy to get wrong: signed zeros, one-ulp
+    neighbours, non-finite values and both ends of the range."""
+    return [-0.0, 0.0, np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0), np.nan,
+            np.inf, -np.inf, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("rows", [1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("column", ["few_floats", "all_floats", "exact"])
+def test_column_cells_match_per_cell_formatting(rows, column):
+    """A column's lines, across block edges, print each cell as
+    ``format_value`` (floats) or ``_number_cell`` (exact values) does."""
+    special = _special_floats()
+    if column == "few_floats":
+        values = np.resize(np.array(special), rows)
+    elif column == "all_floats":
+        values = np.concatenate([special, np.linspace(-3.0, 7.0, rows - len(special))])
+    else:
+        exact = [0, 1, -7, 10**30, Fraction(1, 3), Fraction(-22, 7), Fraction(5, 10**40), None]
+        values = np.empty(rows, dtype=object)
+        values[:] = [exact[t % len(exact)] for t in range(rows)]
+    cell = _number_cell if column == "exact" else format_value
+    cases = [(None, ["" if v is None else cell(v) for v in values.tolist()])]
+    if column != "exact":  # blank rows print empty
+        blank = np.arange(rows) % 5 == 3
+        cases.append((blank, ["" if b else cell(v) for v, b in zip(values.tolist(), blank)]))
+    for mask, cells in cases:
+        spec, block = _numbers(values, mask)
+        if column == "few_floats" or mask is not None:
+            assert spec == "%s"  # each distinct float formatted once
+        elif column == "all_floats":
+            assert spec == "%.17g"
+        lines = list(_lines(rows, [(spec, block)]))
+        assert len(lines) == -(-rows // _CSV_BLOCK)
+        assert "".join(lines).split("\n") == [f"{t},{c}" for t, c in enumerate(cells)] + [""]
 
 
 def test_rational_csv_cells(tmp_path):
