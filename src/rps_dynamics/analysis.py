@@ -414,11 +414,12 @@ class Ledger:
         names = np.array(LEDGER_CLASSES, dtype=object).take(self.cls)  # UNCOVERED (-1): patched
         rows = np.flatnonzero(self.cls == UNCOVERED)
         if rows.size:
-            kind, index = self.trace.kind, self.trace.index
-            ends = np.stack([kind[rows], index[rows], kind[rows + 1], index[rows + 1]], axis=1)
-            _, first, pair = np.unique(ends, axis=0, return_index=True, return_inverse=True)
+            # One int64 per region (kind, index), then one per pair of them.
+            region = (self.trace.index + 1) * len(REGION_KINDS) + self.trace.kind
+            key = region[rows] * (int(region.max()) + 1) + region[rows + 1]
+            _, first, pair = np.unique(key, return_index=True, return_inverse=True)
             pair_names = np.array([self.transition(t) for t in rows[first].tolist()], dtype=object)
-            names[rows] = pair_names.take(pair.reshape(-1))
+            names[rows] = pair_names.take(pair)
         return names
 
 
@@ -441,7 +442,7 @@ def energy_growth_ledger(traj: Trajectory) -> Ledger:
     T = traj.horizon
     cfg = traj.config
     exact = traj.is_exact
-    a_max = traj.matrix.a_max if exact else float(traj.matrix.a_max)
+    a_max = traj.matrix.a_max
     energies = traj.energies
     delta = energies[1:] - energies[:-1]
     cls = np.full(T + 1, UNCOVERED, dtype=np.int8)

@@ -368,8 +368,9 @@ class Trajectory:
     ``Fraction`` values the run produced.  ``supports`` (T+2,) holds bitmasks
     (bit i = coordinate i): supp(x^0) at t = 0, then the response to y^t, the
     chosen vertex (FP) or the projection's active set (OGD); row T+1 is the
-    closing response, decided but never played.  ``x``, ``y`` and ``energy``
-    return Python numbers; the ``*_array`` views are float64 in both modes.
+    closing response, decided but never played.  ``matrix`` is the game in the
+    run's number type.  ``x``, ``y`` and ``energy`` return Python numbers; the
+    ``*_array`` views are float64 in both modes.
     """
 
     config: LearnerConfig
@@ -412,14 +413,10 @@ class Trajectory:
         return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
     def payoffs(self) -> np.ndarray:
-        """(T+1, n) payoff vectors A x^t, in the column dtype.
-
-        Exact runs apply the cyclic matrix row by row, two products per
-        coordinate; an object-dtype matmul would do n of them.
-        """
-        if self.is_exact:
-            return np.array([self.matrix.apply(x) for x in self.xs.tolist()], dtype=object)
-        return self.xs @ self.matrix.as_array().T
+        """(T+1, n) payoff vectors A x^t, in the column dtype: ``matrix.apply``
+        on the n columns of ``xs``, the two products per coordinate that the
+        run formed at each step."""
+        return np.stack(self.matrix.apply(self.xs.T), axis=1)
 
     @property
     def xs_array(self) -> np.ndarray:
@@ -563,7 +560,7 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
 
     T = config.horizon
     number = (lambda v: v) if exact else float
-    apply = RpsMatrix(tuple(number(w) for w in matrix.weights)).apply
+    game = RpsMatrix(tuple(number(w) for w in matrix.weights))
     x: List[Number] = [number(c) for c in config.x0.coords]
     y: List[Number] = [number(0)] * n
     dtype = object if exact else np.float64
@@ -591,7 +588,7 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
         while t <= T:
             eta_t = etas[t]
             xs[t] = x
-            v = apply(x)
+            v = game.apply(x)
             y = [yi + eta_t * vi for yi, vi in zip(y, v)]
             ys[t + 1] = y
             if exact:
@@ -633,7 +630,7 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
             if wait:
                 wait -= 1
                 continue
-            taken, y = _vertex_block(config, etas, columns, x, apply(x), y, vertex, t)
+            taken, y = _vertex_block(config, etas, columns, x, game.apply(x), y, vertex, t)
             t += taken
             if taken < MIN_BLOCK:
                 wait, backoff = backoff, min(2 * backoff, MAX_BACKOFF)
@@ -643,7 +640,7 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
         raise ArithmeticOverflow(f"float state overflowed: {exc}") from exc
     if not exact and not all(map(math.isfinite, y)):  # inf and nan never turn finite
         raise ArithmeticOverflow("float dual state overflowed to inf or nan")
-    return Trajectory(config, matrix, *columns)
+    return Trajectory(config, game, *columns)
 
 
 def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:

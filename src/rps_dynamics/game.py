@@ -85,7 +85,8 @@ class RpsMatrix:
         return 0
 
     def apply(self, x: Sequence[Number]) -> Tuple[Number, ...]:
-        """A @ x using the two nonzero entries per row."""
+        """A @ x using the two nonzero entries per row.  ``x`` is a vector, or
+        the n columns of a block of rows, whose products come back as columns."""
         n = self.n
         if len(x) != n:
             raise DimensionMismatch(f"expected length {n}, got {len(x)}")

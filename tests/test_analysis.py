@@ -386,7 +386,7 @@ def _doctored(algorithm, ys, energies, supports, exact, eta=1):
     )
     return Trajectory(
         cfg,
-        make_rps((1, 1, 1)),
+        make_rps((1, 1, 1) if exact else (1.0, 1.0, 1.0)),  # the game in the run's number type
         np.array([[1, 0, 0], [1, 0, 0]], dtype=dtype),
         np.array(ys, dtype=dtype),
         np.array(energies, dtype=dtype),

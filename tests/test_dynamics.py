@@ -26,7 +26,7 @@ from rps_dynamics import (
     make_rps,
     run,
 )
-from rps_dynamics import dynamics, oracle
+from rps_dynamics import dynamics, oracle, verification
 from rps_dynamics.dynamics import _projection_coords
 from rps_dynamics.experiment import dual_replay
 from rps_dynamics.game import is_exact
@@ -523,6 +523,28 @@ def test_trajectory_storage_shapes():
     assert abs(traj.energy(0) + 1.0 / 8) < 1e-15  # energy of y = 0
     with pytest.raises(IndexError):
         traj.x(9)
+
+
+QUICK_STORE = verification.TrajectoryStore(verification.QUICK_CAP)
+
+
+@pytest.mark.parametrize("slot", QUICK_STORE.catalog())
+def test_payoffs_are_the_runs_own_products(slot):
+    """Row t of ``payoffs()`` is ``matrix.apply(x(t))``, the product the run
+    stepped with: byte for byte in float runs, value and type in exact runs.
+    The recorded game is in the run's number type, so a float run on int
+    weights (fp3_lex) records float weights."""
+    traj = QUICK_STORE.get(slot)
+    kinds = {type(w) for w in traj.matrix.weights}
+    assert kinds <= ({int, Fraction} if traj.is_exact else {float})
+    payoffs = traj.payoffs()
+    assert (payoffs.dtype, payoffs.shape) == (traj.xs.dtype, traj.xs.shape)
+    for t, row in enumerate(payoffs.tolist()):
+        expect = list(traj.matrix.apply(traj.x(t)))
+        if traj.is_exact:
+            assert (row, list(map(type, row))) == (expect, list(map(type, expect))), t
+        else:
+            assert np.array(row).tobytes() == np.array(expect).tobytes(), t
 
 
 def test_support_column_round_trips_find_support():
