@@ -18,8 +18,9 @@ detection read regions off it; no pass re-derives them from slacks.
 Phases segment a trajectory into maximal runs at one best-response vertex, and
 the energy-growth ledger classifies each dual step against the per-case growth
 bounds those regions admit.  In float mode a step whose defining inequalities
-sit within ``LEDGER_BAND`` of zero is tagged ambiguous and excluded from case
-assertions; exact-rational trajectories are audited with exact comparisons.
+sit within ``LEDGER_BAND`` of zero, or whose FP response was a tie the tie
+tolerance decided, is tagged ambiguous and excluded from case assertions;
+exact-rational trajectories are audited with exact comparisons.
 """
 
 import math
@@ -390,8 +391,9 @@ class Ledger:
     ``lo`` and ``hi`` are the case bounds and ``ok`` says whether delta keeps
     them; rows with ``cls <= INITIAL`` have no bounds (NaN or None) and
     ``ok`` False.  ``delta``, ``lo`` and ``hi`` share the trajectory's column
-    dtype.  ``ambiguous`` marks float gradient-descent steps with an end
-    within ``LEDGER_BAND`` of a region boundary.
+    dtype.  ``ambiguous`` marks float steps with an end within ``LEDGER_BAND``
+    of a region boundary (GD) or whose vertex the tie tolerance chose below
+    the maximum (FP).
     """
 
     delta: np.ndarray
@@ -453,13 +455,15 @@ def energy_growth_ledger(traj: Trajectory) -> Ledger:
     trace = None
 
     if cfg.algorithm == Algorithm.FICTITIOUS_PLAY:
-        # Row T+1 of the supports is the closing response to y^{T+1}.
-        masks = traj.supports
-        same = np.zeros(T + 1, dtype=bool)
-        same[1:] = masks[1:-1] == masks[2:]
-        switch = ~same
-        switch[0] = False
+        # The vertex played at y^1..y^{T+1}; row T+1 is the closing response.
+        _, played = _support_regions(traj.supports[1:], traj.n)
+        same = np.insert(played[:-1] == played[1:], 0, False)
+        switch = np.insert(played[:-1] != played[1:], 0, False)
         cases = [(FP_SAME, same, 0, 0), (FP_SWITCH, switch, 0, a_max)]
+        if not exact:  # step t is ambiguous when y^t or y^{t+1} played below its max
+            ys = traj.ys[1:]
+            below = ys[np.arange(T + 1), played] < ys.max(axis=1)
+            ambiguous[1:] = below[:-1] | below[1:]
     else:
         trace = region_trace(traj)
         src, dst = trace.kind[:-1], trace.kind[1:]

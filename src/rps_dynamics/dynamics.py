@@ -61,11 +61,10 @@ SMALL_STEP_REGRET_SLACK = 1e-6
 # margin covers both, so every row it keeps projects onto (i,).
 GD_VERTEX_MARGIN = 4 * 2.0**-52
 
-# Block stepping in ``run``: rows per block, shortest block worth its numpy
-# calls, and the longest wait in scalar steps after a short or failed one.
+# Block stepping in ``run``: rows per block, and the shortest block worth its
+# numpy calls.
 MAX_BLOCK = 4096
 MIN_BLOCK = 8
-MAX_BACKOFF = 64
 
 
 def tolerance(exact: bool, tol: float) -> Number:
@@ -300,8 +299,8 @@ class LearnerConfig:
             raise ConfigInvalid(f"horizon must be a nonnegative int, got {self.horizon!r}")
         # Here and for tie_tolerance, not math.isfinite: it overflows on
         # Fractions beyond the float range.
-        if not 0 < self.eta < math.inf:
-            raise ConfigInvalid(f"eta must be positive and finite, got {self.eta!r}")
+        if isinstance(self.eta, bool) or not 0 < self.eta < math.inf:
+            raise ConfigInvalid(f"eta must be a positive finite number, got {self.eta!r}")
         if self.eta_schedule not in (None, "inv_sqrt_t"):
             raise ConfigInvalid(f"unknown eta_schedule {self.eta_schedule!r}")
         if self.algorithm == Algorithm.FICTITIOUS_PLAY:
@@ -314,10 +313,9 @@ class LearnerConfig:
                 raise ConfigInvalid("tiebreak rules apply to fictitious play only")
             if self.tie_tolerance is not None:
                 raise ConfigInvalid("tie_tolerance applies to fictitious play only")
-        if self.tie_tolerance is not None and not 0 <= self.tie_tolerance < math.inf:
-            raise ConfigInvalid(
-                f"tie_tolerance must be nonnegative and finite, got {self.tie_tolerance!r}"
-            )
+        tie_tol = self.tie_tolerance
+        if tie_tol is not None and (isinstance(tie_tol, bool) or not 0 <= tie_tol < math.inf):
+            raise ConfigInvalid(f"tie_tolerance must be a nonnegative finite number, got {tie_tol!r}")
         if not isinstance(self.bit_budget, int) or self.bit_budget < 16:
             raise ConfigInvalid(f"bit_budget must be an int >= 16, got {self.bit_budget!r}")
         if self.arithmetic == Arithmetic.EXACT_RATIONAL:
@@ -536,11 +534,10 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
 
     Scalar step t writes x^t to row t of ``xs``, forms y^{t+1} = y^t + eta_t
     A x^t, and writes it and its response to row t+1 of the other columns.
-    With ``blocks``, a step whose response is a vertex is followed by a
-    ``_vertex_block``.  After a short or failed block the loop waits a
-    number of vertex steps before it tries again, doubling up to
-    ``MAX_BACKOFF``, so runs that switch vertex every few steps pay almost
-    nothing for it.
+    A x^t is formed once per primal iterate, when the step picks x, and
+    serves both the next dual update and a block.  With ``blocks``, every
+    step whose response is a vertex is followed by a ``_vertex_block``,
+    which takes nothing when its predicted length is below ``MIN_BLOCK``.
 
     With ``blocks``, fictitious play under a rule that reads only (y,
     incumbent), every rule but ``random_seeded``, also closes its orbit:
@@ -583,12 +580,11 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
     closes = blocks and is_fp and config.effective_tiebreak.kind != TiebreakKind.RANDOM_SEEDED
     seen: Dict[tuple, int] = {}  # switch rows at energy `level`, by state
     level = None
-    t, wait, backoff = 0, 0, 1
+    t, v = 0, game.apply(x)  # v is A x^t, formed once per primal iterate
     try:
         while t <= T:
             eta_t = etas[t]
             xs[t] = x
-            v = game.apply(x)
             y = [yi + eta_t * vi for yi, vi in zip(y, v)]
             ys[t + 1] = y
             if exact:
@@ -601,6 +597,7 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
                 supports[t + 1] = 1 << chosen
                 x = [0] * n
                 x[chosen] = 1
+                v = game.apply(x)
                 if closes and chosen != vertex:
                     if top != level:
                         seen.clear()
@@ -623,19 +620,12 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
                     x = _projection_coords(y, support)
                     if exact:
                         _check_bits(x, budget, t)
+                    v = game.apply(x)
                 vertex = support[0] if len(support) == 1 else None
             t += 1
-            if vertex is None or not blocks or t > T:
-                continue
-            if wait:
-                wait -= 1
-                continue
-            taken, y = _vertex_block(config, etas, columns, x, game.apply(x), y, vertex, t)
-            t += taken
-            if taken < MIN_BLOCK:
-                wait, backoff = backoff, min(2 * backoff, MAX_BACKOFF)
-            else:
-                wait, backoff = 0, 1
+            if vertex is not None and blocks and t <= T:
+                taken, y = _vertex_block(config, etas, columns, x, v, y, vertex, t)
+                t += taken
     except OverflowError as exc:
         raise ArithmeticOverflow(f"float state overflowed: {exc}") from exc
     if not exact and not all(map(math.isfinite, y)):  # inf and nan never turn finite
@@ -650,9 +640,10 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     responses (x^1 .. x^T) after the given x^0.  The closing response to
     y^{T+1} is recorded as support row T+1, but x^{T+1} is not formed.
 
-    Steps whose response is a vertex that the next steps keep are taken in
-    blocks (``_vertex_block``); every other step is the scalar step, and a
-    fictitious-play orbit that closes is tiled (see ``_simulate``).  The
+    After each scalar step whose response is a vertex, the steps that keep
+    it are taken in one block (``_vertex_block``); the others are scalar
+    steps.  A x^t is formed once per primal iterate, and a fictitious-play
+    orbit that closes is tiled (see ``_simulate``).  The
     columns are identical, byte for byte and type for type, to those of
     ``oracle.run_stepwise``, the same loop without blocks and the reference
     this engine is tested against.

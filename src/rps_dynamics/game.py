@@ -65,8 +65,8 @@ class RpsMatrix:
                 f"cyclic game needs at least 3 actions, got {len(ws)}"
             )
         for w in ws:
-            if not 0 < w < math.inf:
-                raise NonpositiveWeight(f"cycle weights must be positive and finite, got {w!r}")
+            if isinstance(w, bool) or not 0 < w < math.inf:
+                raise NonpositiveWeight(f"cycle weights must be positive and finite numbers, got {w!r}")
         self.weights = ws
         self.n = len(ws)
         self.a_min = min(ws)
@@ -125,8 +125,8 @@ class SimplexPoint:
         if len(cs) == 0:
             raise ValueError("empty strategy vector")
         for c in cs:
-            if not c >= 0:
-                raise ValueError(f"negative coordinate {c!r}")
+            if isinstance(c, bool) or not c >= 0:
+                raise ValueError(f"coordinate {c!r} is not a nonnegative number")
         total = sum(cs)
         if all_exact(cs):
             if total != 1:

@@ -461,6 +461,8 @@ def _reference_ledger(traj):
                 nxt = fp_primal(traj.y(T + 1), cfg.effective_tiebreak, incumbent=cur,
                                 tol=cfg.effective_tie_tolerance, step=T + 1)
             cls, lo, hi = ("fp_same", 0, 0) if nxt == cur else ("fp_switch", 0, a_max)
+            if not exact:  # a vertex below its row's max won a tie the tolerance decided
+                ambiguous = any(traj.y(s)[i] < max(traj.y(s)) for s, i in ((t, cur), (t + 1, nxt)))
         else:
             src, dst = tags[t], tags[t + 1]
             if not exact:
@@ -513,11 +515,13 @@ def _reference_run(index):
         return _gd(T=200, eta=Fraction(1, 2), exact=True)
     if index == 9:  # uncovered pairs that differ only in the destination region
         return _gd(n=4, T=60, eta=0.3, x0=SimplexPoint((0.2, 0.2, 0.25, 0.35)))
+    if index == 10:  # float FP whose tie tolerance keeps a vertex 1.25e-12 below the max
+        return _fp(T=3000, weights=(2.4, 1.2, 2.2))
     x0 = SimplexPoint(tuple(Fraction(k, 100) for k in (5, 35, 39, 21)))
     return _gd(n=4, T=200, eta=1, weights=(1, 2, 3, 4), x0=x0, exact=True)
 
 
-@pytest.mark.parametrize("index", range(10))
+@pytest.mark.parametrize("index", range(11))
 def test_ledger_columns_match_step_by_step_reference(index):
     traj = _reference_run(index)
     ledger = energy_growth_ledger(traj)

@@ -22,6 +22,7 @@ from rps_dynamics import (
     ArithmeticOverflow,
     LearnerConfig,
     RpsDynamicsError,
+    RpsMatrix,
     SimplexPoint,
     TiebreakKind,
     TiebreakRule,
@@ -97,6 +98,39 @@ def test_blocks_take_most_steps_of_vertex_runs(block_sizes):
         block_sizes.clear()
         run(spec.learner, make_rps(spec.weights))
         assert sum(block_sizes) > 0.8 * (spec.learner.horizon + 1), slot
+
+
+@pytest.fixture
+def apply_calls(monkeypatch):
+    """A one-cell list: the calls of ``RpsMatrix.apply`` so far."""
+    calls = [0]
+    apply = RpsMatrix.apply
+
+    def counted(self, x):
+        calls[0] += 1
+        return apply(self, x)
+
+    monkeypatch.setattr(RpsMatrix, "apply", counted)
+    return calls
+
+
+@pytest.mark.parametrize("slot", ["fp3_lex", "fp4_random", "gd4_main", "gd3_small"])
+def test_run_forms_one_payoff_vector_per_iterate(block_sizes, apply_calls, closures, slot):
+    """A x is formed for x^0 and then once per scalar step, and each block
+    reuses the vector of the step before it.  Every scalar step whose
+    response is a vertex tries a block, so fp4_random, whose vertex runs
+    are often short, takes few scalar steps.  gd3_small never reaches a
+    vertex: it takes no block and is the control."""
+    spec = parse_config(STORES[10**4].configs[slot])
+    matrix = make_rps(spec.weights)
+    run(spec.learner, matrix)
+    assert closures == []  # no row is tiled: every row is a block's or a scalar step's
+    scalar = spec.learner.horizon + 1 - sum(block_sizes)
+    assert apply_calls[0] <= scalar + 1, slot
+    if slot == "fp4_random":
+        assert scalar <= 300
+    if slot == "gd3_small":
+        assert block_sizes == []
 
 
 @pytest.mark.parametrize("weights, arithmetic", [((0.001, 1.0, 1.0), Arithmetic.FLOAT64),

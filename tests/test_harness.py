@@ -19,6 +19,7 @@ from rps_dynamics import (
     TiebreakRule,
     config_hash,
     load_config,
+    make_rps,
     parse_config,
     run_experiment,
     run_sweep,
@@ -27,7 +28,7 @@ from rps_dynamics import (
 )
 from rps_dynamics.analysis import INITIAL, detect_phases, energy_growth_ledger
 from rps_dynamics.cli import main
-from rps_dynamics.errors import NoVertexReached
+from rps_dynamics.errors import NonpositiveWeight, NoVertexReached
 from rps_dynamics.experiment import (
     _CSV_BLOCK,
     OUT_ENV,
@@ -155,6 +156,28 @@ def test_parse_rejects_bad_fields():
     cfg["weights"] = [1, "one", 1]
     with pytest.raises(ConfigInvalid):
         parse_config(cfg)
+
+
+def test_python_api_refuses_the_booleans_parse_config_refuses():
+    """True is an int to Python, so a range check alone lets it through; a
+    spec built from it would hash apart from the same run with 1 and echo a
+    config that does not parse back."""
+    vertex = SimplexPoint.vertex(3, 0)
+    with pytest.raises(ConfigInvalid, match="eta"):
+        LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=10, x0=vertex, eta=True)
+    with pytest.raises(ConfigInvalid, match="tie_tolerance"):
+        LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=10, x0=vertex, tie_tolerance=True)
+    with pytest.raises(ValueError, match="True"):
+        SimplexPoint((True, False, False))
+    with pytest.raises(NonpositiveWeight, match="True"):
+        make_rps((True, 1, 1))
+    for weights, learner in (([True, 1, 1], {}), ([1, 1, 1], {"x0": [True, False, False]}),
+                             ([1, 1, 1], {"tie_tolerance": True}),
+                             ([1, 1, 1], {"algorithm": "gd", "eta": True})):
+        cfg = fp_config(weights=weights)
+        cfg["learner"].update(learner)
+        with pytest.raises(ConfigInvalid):
+            parse_config(cfg)
 
 
 def test_tiebreak_seed_defaults_to_experiment_seed():
