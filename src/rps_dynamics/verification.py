@@ -321,19 +321,15 @@ def check_projection_oracle(store: TrajectoryStore) -> Tuple[bool, str]:
     worst_x = worst_e = 0.0
     mismatches = 0
     for n in (3, 4, 5):
-        rng = np.random.default_rng(900 + n)
-        for _ in range(draws):
-            y = [float(v) for v in rng.uniform(-5.0, 5.0, n)]
-            point, value = oracle.project_bruteforce(y)
+        ys = np.random.default_rng(900 + n).uniform(-5.0, 5.0, (draws, n))
+        coords, values = oracle.project_rows(ys)
+        for y, point, value in zip(ys.tolist(), coords.tolist(), values.tolist()):
             support = find_support(y)
-            if support != point.support:
+            if support != tuple(i for i, c in enumerate(point) if c > 0):
                 mismatches += 1
                 continue
             px = gd_primal(y)
-            worst_x = max(
-                worst_x,
-                max(abs(a - b) for a, b in zip(px.coords, point.coords)),
-            )
+            worst_x = max(worst_x, max(abs(a - b) for a, b in zip(px.coords, point)))
             worst_e = max(worst_e, abs(energy_gd(y, support) - value))
     ok = mismatches == 0 and worst_x <= 1e-10 and worst_e <= 1e-10
     return ok, (
