@@ -29,6 +29,8 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -39,7 +41,7 @@ from .errors import (
     DimensionMismatch,
     ProjectionInfeasible,
 )
-from .game import Number, RpsMatrix, SimplexPoint, all_exact, div, is_exact
+from .game import _EXACT_TYPES, Number, RpsMatrix, SimplexPoint, all_exact, is_exact
 
 # Numeric tolerances of float runs.  Exact-rational runs compare exactly: every
 # tolerance below is 0 for them (see ``tolerance``); a run picks its mode once,
@@ -160,74 +162,115 @@ class TiebreakRule:
         return tied[0]
 
 
-def find_support(y: Sequence[Number]) -> Tuple[int, ...]:
+def _support_scan(y: Sequence[Number]) -> Tuple[Tuple[int, ...], int, Number]:
     """Active set of the Euclidean projection of y onto the simplex, as
-    ascending indices.
+    ascending indices and as a bitmask, and the scan's running total.
 
     Starts from all coordinates and repeatedly drops the current argmin (lowest
     index on ties) while its projected value y_i - mean_S(y) + 1/|S| would be
     negative.  Every surviving coordinate then projects to a nonnegative value.
-    The drop tests are exact when sum(y) is, that is when no y_i is a float.
+    The drop tests read a running total: a fold of y from int 0, less each
+    dropped value.  They are exact when that fold is, that is when no y_i is a
+    float.
     """
     n = len(y)
-    order = sorted(range(n), key=lambda i: (y[i], i))
-    total = sum(y)
-    exact = is_exact(total)  # one float coordinate makes the sum a float
+    order = sorted(range(n), key=y.__getitem__)  # stable: lowest index first on ties
+    total = reduce(add, y, 0)
+    exact = is_exact(total)  # one float coordinate makes the fold a float
+    mask = (1 << n) - 1
     m = n
     k = 0
     while k < n - 1:  # a lone coordinate projects to 1, however y rounds
         i = order[k]
+        yi = y[i]
         if exact:
-            drop = m * y[i] - total + 1 < 0
+            drop = m * yi - total + 1 < 0
         else:
-            drop = y[i] - total / m + 1.0 / m < 0
+            drop = yi - total / m + 1.0 / m < 0
         if not drop:
             break
-        total -= y[i]
+        total -= yi
+        mask -= 1 << i
         m -= 1
         k += 1
-    return tuple(sorted(order[k:]))
+    support = tuple(sorted(order[k:])) if k else tuple(range(n))
+    return support, mask, total
 
 
-def _projection_coords(y: Sequence[Number], indices: Tuple[int, ...]) -> List[Number]:
-    """Coordinates of the simplex projection of y on a given active set.
+def find_support(y: Sequence[Number]) -> Tuple[int, ...]:
+    """Active set of the Euclidean projection of y onto the simplex, as
+    ascending indices (see ``_support_scan``)."""
+    return _support_scan(y)[0]
 
-    Off the set they are int 0; on it, Fractions when y is exact there and
-    floats otherwise.  The float path forms each coordinate from pairwise
-    differences of dual values (which are computed exactly when the values
-    are close) rather than subtracting a large mean from a large value;
-    round-off negatives up to ``PROJECTION_CLAMP`` are clamped to zero, and
-    anything lower means the support is not the projection's.
+
+def _gd_response(y: Sequence[Number], primal: bool = True,
+                 ) -> Tuple[Tuple[int, ...], Number, int, Optional[List[Number]]]:
+    """The gradient-descent response to a dual vector in one pass: the
+    projection's support S, its energy, the support's bitmask, and, with
+    ``primal``, the projection x itself (else None).
+
+    Every value keeps one stated order of operations, so that it does not
+    depend on how the interpreter's ``sum`` rounds: the drop tests read the
+    scan's running total (``_support_scan``); S's sum is a fresh
+    left-to-right fold from int 0 over S in index order (the scan's own fold
+    when it drops nothing), which gives
+    mu = mean_S(y); the energy
+
+        sum_{j in S} (y_j - mu)^2 / 2  +  mu  -  1 / (2m),    m = |S|,
+
+    folds the squared deviations the same way, so that large dual vectors
+    with small spread do not lose the spread to cancellation.  x is int 0
+    off S.  When y is exact on S, x_i = y_i + (1 - sum_S y) / m and the
+    energy are Fractions.  Otherwise they are floats, and x_i is formed from
+    pairwise differences of dual values (which are computed exactly when
+    the values are close) rather than subtracting a large mean from a large
+    value; round-off negatives up to ``PROJECTION_CLAMP`` are clamped to
+    zero, and anything lower raises ProjectionInfeasible.
     """
-    n = len(y)
-    m = len(indices)
-    out: List[Number] = [0] * n
-    shift = div(1 - sum(y[j] for j in indices), m)
-    if is_exact(shift):
-        for i in indices:
-            out[i] = y[i] + shift
-        return out
+    support, mask, total = _support_scan(y)
+    m = len(support)
+    if m == len(y):  # nothing dropped: the scan's fold is S's fold
+        on = y
+    else:
+        on = [y[j] for j in support]
+        total = reduce(add, on, 0)
+    exact = type(total) in _EXACT_TYPES  # y is exact on S
+    mu = Fraction(total, m) if exact else total / m
+    dev = 0
+    for v in on:
+        dev += (v - mu) ** 2
+    if exact:
+        energy = Fraction(dev, 2) + mu - Fraction(1, 2 * m)
+    else:
+        energy = dev / 2 + mu - 1.0 / (2 * m)
+    if not primal:
+        return support, energy, mask, None
+    x: List[Number] = [0] * len(y)
+    if exact:
+        shift = Fraction(1 - total, m)
+        for i, yi in zip(support, on):
+            x[i] = yi + shift
+        return support, energy, mask, x
     inv_m = 1.0 / m
-    for i in indices:
+    for i, yi in zip(support, on):
         s = 0.0
-        yi = y[i]
-        for j in indices:
-            s += yi - y[j]
+        for v in on:
+            s += yi - v
         c = s * inv_m + inv_m
         if c < 0.0:
             if c < -PROJECTION_CLAMP:
                 raise ProjectionInfeasible(
-                    f"projection coordinate {i} is {c!r} on support {indices}, "
+                    f"projection coordinate {i} is {c!r} on support {support}, "
                     f"below -{PROJECTION_CLAMP:g}"
                 )
             c = 0.0
-        out[i] = c
-    return out
+        x[i] = c
+    return support, energy, mask, x
 
 
 def gd_primal(y: Sequence[Number]) -> SimplexPoint:
     """Euclidean projection of a dual vector onto the simplex."""
-    return SimplexPoint(tuple(_projection_coords(y, find_support(y))))
+    return SimplexPoint(tuple(_gd_response(y)[3]))
 
 
 def fp_primal(
@@ -257,22 +300,11 @@ def energy_fp(y: Sequence[Number]) -> Number:
     return max(y)
 
 
-def energy_gd(y: Sequence[Number], support: Optional[Tuple[int, ...]] = None) -> Number:
-    """Projection energy: value of max_{x in simplex} <x, y> - |x|^2 / 2.
-
-    On the active set S with m = |S| and mu = mean_S(y) this equals
-
-        sum_{j in S} (y_j - mu)^2 / 2  +  mu  -  1 / (2m),
-
-    computed in deviation form so that large dual vectors with small spread do
-    not lose the spread to cancellation.  It is a Fraction when y is exact on
-    the active set, and a float otherwise.
-    """
-    idx = find_support(y) if support is None else support
-    m = len(idx)
-    mu = div(sum(y[j] for j in idx), m)
-    dev = sum((y[j] - mu) ** 2 for j in idx)
-    return div(dev, 2) + mu - div(mu ** 0, 2 * m)  # mu ** 0 is 1 in mu's type
+def energy_gd(y: Sequence[Number]) -> Number:
+    """Projection energy: value of max_{x in simplex} <x, y> - |x|^2 / 2 (see
+    ``_gd_response``).  It is a Fraction when y is exact on the active set, and
+    a float otherwise."""
+    return _gd_response(y, primal=False)[1]
 
 
 @dataclass(frozen=True)
@@ -570,7 +602,7 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
 
     is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
     ys[0] = y
-    energies[0] = energy_fp(y) if is_fp else energy_gd(y)
+    energies[0] = energy_fp(y) if is_fp else _gd_response(y, primal=False)[1]
     supports[0] = sum(1 << i for i, c in enumerate(x) if c > 0)
     select = config.effective_tiebreak.select
     tol = config.effective_tie_tolerance
@@ -613,11 +645,8 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
                         break
                 vertex = chosen
             else:
-                support = find_support(y)
-                energies[t + 1] = energy_gd(y, support)
-                supports[t + 1] = sum(1 << i for i in support)
-                if t < T:
-                    x = _projection_coords(y, support)
+                support, energies[t + 1], supports[t + 1], x = _gd_response(y, t < T)
+                if t < T:  # x^{T+1} is not formed
                     if exact:
                         _check_bits(x, budget, t)
                     v = game.apply(x)

@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
 
-import numpy as np
-
 from .errors import (
     DimensionMismatch,
     DimensionTooSmall,
@@ -56,7 +54,7 @@ class RpsMatrix:
     w[i] to the successor.  All other entries are zero.
     """
 
-    __slots__ = ("weights", "n", "a_min", "a_max", "exact")
+    __slots__ = ("weights", "n", "a_min", "a_max", "exact", "_terms")
 
     def __init__(self, weights: Sequence[Number]):
         ws = tuple(weights)
@@ -72,36 +70,18 @@ class RpsMatrix:
         self.a_min = min(ws)
         self.a_max = max(ws)
         self.exact = all_exact(ws)
+        n = self.n  # row i of A x is w[i-1] x[i-1] - w[i] x[i+1]
+        self._terms = tuple((ws[(i - 1) % n], (i - 1) % n, ws[i], (i + 1) % n) for i in range(n))
 
     def __repr__(self) -> str:
         return f"RpsMatrix(weights={self.weights!r})"
 
-    def entry(self, i: int, j: int) -> Number:
-        n = self.n
-        if j == (i + 1) % n:
-            return -self.weights[i]
-        if j == (i - 1) % n:
-            return self.weights[(i - 1) % n]
-        return 0
-
     def apply(self, x: Sequence[Number]) -> Tuple[Number, ...]:
         """A @ x using the two nonzero entries per row.  ``x`` is a vector, or
         the n columns of a block of rows, whose products come back as columns."""
-        n = self.n
-        if len(x) != n:
-            raise DimensionMismatch(f"expected length {n}, got {len(x)}")
-        w = self.weights
-        return tuple(
-            w[(i - 1) % n] * x[(i - 1) % n] - w[i] * x[(i + 1) % n] for i in range(n)
-        )
-
-    def as_array(self) -> np.ndarray:
-        n = self.n
-        mat = np.zeros((n, n))
-        for i in range(n):
-            mat[i, (i + 1) % n] = -float(self.weights[i])
-            mat[i, (i - 1) % n] = float(self.weights[(i - 1) % n])
-        return mat
+        if len(x) != self.n:
+            raise DimensionMismatch(f"expected length {self.n}, got {len(x)}")
+        return tuple(a * x[p] - b * x[q] for a, p, b, q in self._terms)
 
 
 def make_rps(weights: Sequence[Number]) -> RpsMatrix:
@@ -141,10 +121,6 @@ class SimplexPoint:
     @property
     def support(self) -> Tuple[int, ...]:
         return tuple(i for i, c in enumerate(self.coords) if c > 0)
-
-    @property
-    def is_vertex(self) -> bool:
-        return len(self.support) == 1
 
     @property
     def vertex_index(self) -> Optional[int]:

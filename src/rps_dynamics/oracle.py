@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import ArithmeticOverflow, DimensionTooLarge, TooCloseToBoundary
 from .analysis import classify_region
-from .dynamics import LearnerConfig, Trajectory, _simulate, energy_gd
+from .dynamics import LearnerConfig, Trajectory, _gd_response, _simulate
 from .game import Number, RpsMatrix, SimplexPoint, div
 
 MAX_ENUMERATION_N = 20  # 2^20 supports per row
@@ -167,5 +167,5 @@ def grad_fd(y: Sequence[float], h: float = 1e-6) -> np.ndarray:
         lo = list(base)
         hi[i] += h
         lo[i] -= h
-        out[i] = (energy_gd(hi) - energy_gd(lo)) / (2.0 * h)
+        out[i] = (_gd_response(hi, False)[1] - _gd_response(lo, False)[1]) / (2.0 * h)
     return out

@@ -39,7 +39,7 @@ from .analysis import (
     small_stepsize_energy_check,
     verify_cycling,
 )
-from .dynamics import REL_TOL, Trajectory, energy_gd, find_support, gd_primal, run
+from .dynamics import REL_TOL, Trajectory, _gd_response, run
 from .errors import SingularSystem, TooCloseToBoundary
 from .experiment import (
     config_document,
@@ -324,13 +324,12 @@ def check_projection_oracle(store: TrajectoryStore) -> Tuple[bool, str]:
         ys = np.random.default_rng(900 + n).uniform(-5.0, 5.0, (draws, n))
         coords, values = oracle.project_rows(ys)
         for y, point, value in zip(ys.tolist(), coords.tolist(), values.tolist()):
-            support = find_support(y)
+            support, energy, _, x = _gd_response(y)
             if support != tuple(i for i, c in enumerate(point) if c > 0):
                 mismatches += 1
                 continue
-            px = gd_primal(y)
-            worst_x = max(worst_x, max(abs(a - b) for a, b in zip(px.coords, point)))
-            worst_e = max(worst_e, abs(energy_gd(y, support) - value))
+            worst_x = max(worst_x, max(abs(a - b) for a, b in zip(x, point)))
+            worst_e = max(worst_e, abs(energy - value))
     ok = mismatches == 0 and worst_x <= 1e-10 and worst_e <= 1e-10
     return ok, (
         f"{3 * draws} draws: {mismatches} support mismatches, "
@@ -356,7 +355,7 @@ def check_conjugate_gradient(store: TrajectoryStore) -> Tuple[bool, str]:
             except TooCloseToBoundary:
                 continue
             accepted += 1
-            px = np.array(gd_primal(y).coords)
+            px = np.array(_gd_response(y)[3])
             worst = max(worst, float(np.abs(g - px).max()))
         used += accepted
     ok = used == 2 * per_n and worst <= 1e-5

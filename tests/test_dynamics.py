@@ -27,7 +27,6 @@ from rps_dynamics import (
     run,
 )
 from rps_dynamics import dynamics, oracle, verification
-from rps_dynamics.dynamics import _projection_coords
 from rps_dynamics.experiment import dual_replay
 from rps_dynamics.game import is_exact
 
@@ -98,10 +97,11 @@ def test_projection_is_idempotent_on_simplex_points():
         assert max(abs(a - b) for a, b in zip(p.coords, x)) < 1e-12
 
 
-def test_projection_on_wrong_support_raises_package_error():
+def test_projection_on_wrong_support_raises_package_error(monkeypatch):
     # On the full support the first coordinate is (0 - 10) / 3 + 1/3 = -3.
+    monkeypatch.setattr(dynamics, "_support_scan", lambda y: ((0, 1, 2), 0b111, 10.0))
     with pytest.raises(ProjectionInfeasible, match=r"coordinate 0 .*support \(0, 1, 2\)"):
-        _projection_coords((0.0, 10.0, 0.0), (0, 1, 2))
+        gd_primal((0.0, 10.0, 0.0))
 
 
 def test_projection_clamps_round_off_negative_to_zero(monkeypatch):
@@ -110,7 +110,7 @@ def test_projection_clamps_round_off_negative_to_zero(monkeypatch):
     y = (3.2328354047641312, -1.0891765741722308, -0.5233187487047002, 2.2328354047641303)
     point, value = oracle.project_bruteforce(y)
     assert find_support(y) == (0, 3) and point.support == (0,)
-    assert _projection_coords(y, (0, 3))[3] == 0.0
+    assert gd_primal(y).coords[3] == 0.0
     assert max(abs(a - b) for a, b in zip(gd_primal(y).coords, point.coords)) <= 1e-15
     assert energy_gd(y) == value
     monkeypatch.setattr(dynamics, "PROJECTION_CLAMP", 0.0)

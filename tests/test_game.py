@@ -17,16 +17,51 @@ from rps_dynamics import (
 )
 
 
+# ---------------------------------------------------------------------------
+# References: the dense matrix, entry by entry, for checking ``apply``.
+
+
+def entry(m, i, j):
+    """A[i, j]: +w[i-1] in column i-1, -w[i] in column i+1 (mod n), else 0."""
+    n = m.n
+    if j == (i + 1) % n:
+        return -m.weights[i]
+    if j == (i - 1) % n:
+        return m.weights[(i - 1) % n]
+    return 0
+
+
+def as_array(m):
+    """The payoff matrix as a dense float array."""
+    return np.array([[float(entry(m, i, j)) for j in range(m.n)] for i in range(m.n)])
+
+
+def dense_apply(m, x):
+    """A @ x on the dense matrix: each row a left-to-right fold over every
+    column, zeros included."""
+    out = []
+    for i in range(m.n):
+        acc = 0
+        for j in range(m.n):
+            acc += entry(m, i, j) * x[j]
+        out.append(acc)
+    return tuple(out)
+
+
+def is_vertex(point):
+    return len(point.support) == 1
+
+
 def test_matrix_pattern_n3():
     # Row i: +w[i-1] on column i-1, -w[i] on column i+1 (cyclic).
     m = make_rps((1, 2, 3))
-    assert m.entry(0, 2) == 3      # row 0 beats row 2 with weight w_2
-    assert m.entry(0, 1) == -1
-    assert m.entry(1, 0) == 1
-    assert m.entry(1, 2) == -2
-    assert m.entry(2, 1) == 2
-    assert m.entry(2, 0) == -3
-    assert m.entry(0, 0) == 0
+    assert entry(m, 0, 2) == 3      # row 0 beats row 2 with weight w_2
+    assert entry(m, 0, 1) == -1
+    assert entry(m, 1, 0) == 1
+    assert entry(m, 1, 2) == -2
+    assert entry(m, 2, 1) == 2
+    assert entry(m, 2, 0) == -3
+    assert entry(m, 0, 0) == 0
     assert m.a_min == 1 and m.a_max == 3
 
 
@@ -35,7 +70,7 @@ def test_matrix_is_skew_symmetric():
     for _ in range(25):
         n = rng.randint(3, 8)
         w = tuple(rng.uniform(0.1, 9.0) for _ in range(n))
-        arr = make_rps(w).as_array()
+        arr = as_array(make_rps(w))
         assert np.allclose(arr, -arr.T)
 
 
@@ -47,7 +82,43 @@ def test_apply_matches_matrix_vector_product():
         m = make_rps(w)
         x = rng.uniform(-2, 2, n)
         via_loop = np.array(m.apply(tuple(float(v) for v in x)))
-        assert np.allclose(via_loop, m.as_array() @ x, atol=1e-12)
+        assert np.allclose(via_loop, as_array(m) @ x, atol=1e-12)
+
+
+def _typed(values):
+    return [(type(v), repr(v)) for v in values]  # repr: a float's every bit
+
+
+@pytest.mark.parametrize("kind", ["float", "int", "fraction"])
+def test_apply_is_the_dense_product(kind):
+    """``apply`` on a vector, and on the n columns of a block as ``payoffs()``
+    passes them, equals the dense fold in value and type; for floats each
+    two-term difference is the dense sum bit for bit (IEEE addition
+    commutes, and adding the zero entries changes nothing but a zero's sign)."""
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(3, 9)
+        if kind == "float":
+            w = tuple(rng.uniform(0.1, 9.0) for _ in range(n))
+            rows = [tuple(rng.uniform(-5, 5) for _ in range(n)) for _ in range(6)]
+        elif kind == "int":
+            w = tuple(rng.randint(1, 9) for _ in range(n))
+            rows = [tuple(rng.randint(-50, 50) for _ in range(n)) for _ in range(6)]
+        else:
+            w = tuple(Fraction(rng.randint(1, 40), rng.randint(1, 9)) for _ in range(n))
+            rows = [tuple(Fraction(rng.randint(-50, 50), rng.randint(1, 12)) for _ in range(n))
+                    for _ in range(6)]
+        m = make_rps(w)
+        for row in rows:
+            assert _typed(m.apply(row)) == _typed(dense_apply(m, row))
+        block = np.array(rows, dtype=float if kind == "float" else object)
+        columns = m.apply(block.T)
+        assert len(columns) == n
+        for r, row in enumerate(rows):
+            got = [column[r] for column in columns]
+            if kind == "float":  # numpy scalars: compare as Python floats
+                got = [float(v) for v in got]
+            assert _typed(got) == _typed(dense_apply(m, row))
 
 
 def test_apply_exact_stays_exact():
@@ -89,10 +160,10 @@ def test_simplex_point_validation():
 def test_vertex_and_uniform():
     v = SimplexPoint.vertex(4, 2)
     assert v.coords == (0, 0, 1, 0)
-    assert v.is_vertex and v.vertex_index == 2
+    assert is_vertex(v) and v.vertex_index == 2
     u = SimplexPoint.uniform(3, exact=True)
     assert u.coords == (Fraction(1, 3),) * 3
-    assert not u.is_vertex and u.vertex_index is None
+    assert not is_vertex(u) and u.vertex_index is None
     assert SimplexPoint.uniform(5).support == (0, 1, 2, 3, 4)
     with pytest.raises(ValueError):
         SimplexPoint.vertex(3, 3)
@@ -206,5 +277,5 @@ def test_duality_gap_is_twice_best_payoff():
         best = max(m.apply(x.coords))
         assert abs(gap - 2.0 * best) < 1e-12
         # The definition, max_i (Ax)_i - min_j (x^T A)_j, on the dense matrix.
-        arr, xv = m.as_array(), np.array(x.coords)
+        arr, xv = as_array(m), np.array(x.coords)
         assert abs(gap - ((arr @ xv).max() - (xv @ arr).min())) < 1e-12
