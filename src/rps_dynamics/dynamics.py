@@ -219,7 +219,10 @@ def _gd_response(y: Sequence[Number], primal: bool = True,
         sum_{j in S} (y_j - mu)^2 / 2  +  mu  -  1 / (2m),    m = |S|,
 
     folds the squared deviations the same way, so that large dual vectors
-    with small spread do not lose the spread to cancellation.  x is int 0
+    with small spread do not lose the spread to cancellation.  A square is
+    the IEEE product d * d, not libm's ``pow``, which is not correctly
+    rounded everywhere; a finite d whose square overflows raises
+    ArithmeticOverflow, where ``d ** 2`` raised OverflowError.  x is int 0
     off S.  When y is exact on S, x_i = y_i + (1 - sum_S y) / m and the
     energy are Fractions.  Otherwise they are floats, and x_i is formed from
     pairwise differences of dual values (which are computed exactly when
@@ -238,10 +241,13 @@ def _gd_response(y: Sequence[Number], primal: bool = True,
     mu = Fraction(total, m) if exact else total / m
     dev = 0
     for v in on:
-        dev += (v - mu) ** 2
+        d = v - mu
+        dev += d * d
     if exact:
         energy = Fraction(dev, 2) + mu - Fraction(1, 2 * m)
     else:
+        if not dev < math.inf and any(math.isfinite(d) and d * d == math.inf for d in [v - mu for v in on]):
+            raise ArithmeticOverflow("float state overflowed: the square of a finite deviation")
         energy = dev / 2 + mu - 1.0 / (2 * m)
     if not primal:
         return support, energy, mask, None

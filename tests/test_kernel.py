@@ -6,7 +6,7 @@ composition of three separate functions (``find_support``, ``energy_gd`` and
 ``_projection_coords``), each of which summed for itself.  Their sums are
 written as explicit folds from int 0, which is how ``sum`` adds on Python 3.11;
 since 3.12 ``sum`` compensates float rounding, so the builtin would no longer
-be the reference.  The kernel must give the reference's results bit for bit on
+be the reference.  Squares are IEEE products, as in the kernel.  The kernel must give the reference's results bit for bit on
 float rows, value for value and type for type on exact rows, and the same
 errors.  Against ``oracle.project_rows``, which enumerates every support,
 it must agree on the support: exactly on exact rows, and up to rounding on
@@ -14,13 +14,15 @@ float rows.
 """
 
 import math
+import platform
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rps_dynamics import ProjectionInfeasible, energy_gd, find_support, gd_primal, oracle
+from rps_dynamics import ArithmeticOverflow, ProjectionInfeasible, dynamics, energy_gd, find_support, gd_primal, oracle
 from rps_dynamics.dynamics import PROJECTION_CLAMP, _gd_response
 from rps_dynamics.game import div, is_exact
 
@@ -60,7 +62,7 @@ def ref_find_support(y):
 def ref_energy_gd(y, idx):
     m = len(idx)
     mu = div(_fold(y[j] for j in idx), m)
-    dev = _fold((y[j] - mu) ** 2 for j in idx)
+    dev = _fold((y[j] - mu) * (y[j] - mu) for j in idx)  # IEEE squares, not pow
     return div(dev, 2) + mu - div(mu ** 0, 2 * m)
 
 
@@ -253,3 +255,37 @@ def test_kernel_mode_follows_the_support():
     support, energy, mask, x = _gd_response([1.5, 2, -7.5])
     assert typed([energy]) == typed([1.5625]) and typed(x) == typed([0.25, 0.75, 0])
     assert _gd_response([1.5, 2, -7.5], primal=False) == ((0, 1), 1.5625, 0b011, None)
+
+
+# Rows of the unit 3-cycle's interior where glibc's pow(d, 2) and the IEEE
+# product d * d differ for one deviation d, so the energy's last bit does.
+POW_ROWS = [
+    [-0.1373758749627957, -0.24238801202171723, -0.013465746794134925],
+    [-0.27290011614341175, 0.06321953283967036, 0.17831389948963045],
+    [-0.2864258472639086, 0.06451818936165954, 0.11145842228537528],
+]
+
+
+def test_energy_squares_are_ieee_products():
+    for y in POW_ROWS:
+        mu = (0 + y[0] + y[1] + y[2]) / 3
+        products = powers = 0
+        for v in y:
+            products += (v - mu) * (v - mu)
+            powers += (v - mu) ** 2
+        assert find_support(y) == (0, 1, 2)
+        assert typed([energy_gd(y)]) == typed([products / 2 + mu - 1.0 / 6])
+        if platform.libc_ver()[0] == "glibc":  # the rows are glibc's cases
+            assert products != powers
+
+
+def test_overflowing_square_raises_package_error(monkeypatch):
+    """``d ** 2`` raised OverflowError for a finite d whose square overflows;
+    the product raises ArithmeticOverflow there.  A deviation that is already
+    inf or nan is no overflow, as it was not for ``**``."""
+    monkeypatch.setattr(dynamics, "_support_scan", lambda y: ((0, 1, 2), 0b111, _fold(y)))
+    with pytest.raises(OverflowError):
+        (1e200) ** 2
+    with pytest.raises(ArithmeticOverflow, match="square of a finite deviation"):
+        energy_gd([1e200, -1e200, 0.0])
+    assert math.isnan(energy_gd([math.inf, 0.0, 0.0]))
