@@ -27,6 +27,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -101,7 +103,7 @@ def _slacks(y: Sequence) -> Iterator[Tuple[int, Optional[int], bool, Number]]:
         for k in range(n):
             if k != i and k != j:
                 yield EDGE, i, True, div(y[i] + y[j] - 2 * y[k] - 1, 2)
-    total = sum(y)  # from 0, left to right, in the columnwise case too
+    total = reduce(add, y, 0)  # a fold from int 0, scalar or columnwise: never 3.12's compensated sum
     for i in range(n):
         yield INTERIOR, None, False, div(n * y[i] - total + 1, n)
 

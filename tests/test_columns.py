@@ -11,14 +11,17 @@ columns on purpose re-records the file with
 ``PYTHONPATH=src python tests/test_columns.py`` and says why.
 """
 
+import builtins
 import hashlib
 import json
+import math
 import os
 import sys
 
 import pytest
 
-from rps_dynamics import verification
+from rps_dynamics import classify_region, verification
+from rps_dynamics.analysis import _boundary_margin
 
 PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_columns.json")
 COLUMNS = ("xs", "ys", "energies", "supports")
@@ -52,6 +55,54 @@ def test_pins_cover_every_slot():
 @pytest.mark.parametrize("slot", STORE.catalog())
 def test_store_columns_match_pins(slot):
     assert slot_digests(slot) == load_pins()[slot]
+
+
+def sum_312(iterable, start=0):
+    """Python 3.12's ``sum``, in Python: ints add exactly; once the total is
+    a float, each further float is added with Neumaier's compensation (ints
+    that fit a C long are added plainly), and the compensation is added at
+    the end, or before an item of any other type, after which every item is
+    added plainly."""
+    items = iter(iterable)
+    result = start
+    if type(result) is int:
+        for item in items:
+            result = result + item
+            if type(result) is not int:
+                break
+    if type(result) is float:
+        total, comp = result, 0.0
+        for item in items:
+            if type(item) is float:
+                t = total + item
+                comp += (total - t) + item if abs(total) >= abs(item) else (item - t) + total
+                total = t
+            elif isinstance(item, int) and -2**63 <= item < 2**63:
+                total += float(item)
+            else:
+                result = (total + comp if comp and math.isfinite(comp) else total) + item
+                break
+        else:
+            return total + comp if comp and math.isfinite(comp) else total
+    for item in items:
+        result = result + item
+    return result
+
+
+def test_store_columns_do_not_depend_on_the_sum_rule(monkeypatch):
+    """The float kernels fold left to right and never call ``sum`` on
+    floats, so Python 3.12's compensated ``sum`` moves no pinned column, and
+    the region pass's margins still equal ``classify_region``'s."""
+    assert sum_312([1e16, 1.0, -1e16]) == 1.0 and sum_312([0.1] * 10) == 1.0
+    monkeypatch.setattr(builtins, "sum", sum_312)
+    store = verification.TrajectoryStore(10**4)
+    pins = load_pins()
+    for slot in store.catalog():
+        traj = store.get(slot)
+        assert {name: column_digest(getattr(traj, name)) for name in COLUMNS} == pins[slot], slot
+        if traj.config.algorithm.value == "gd" and not traj.is_exact:
+            ys = traj.ys[:400]
+            assert _boundary_margin(ys).tolist() == [classify_region(y).min_abs_margin for y in ys.tolist()]
 
 
 if __name__ == "__main__":
