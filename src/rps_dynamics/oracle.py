@@ -62,11 +62,15 @@ def project_rows(ys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def project_bruteforce(y: Sequence[Number]) -> Tuple[SimplexPoint, Number]:
     """``project_rows`` on the single row y, in float64 when every entry is
     a float: the projection as a SimplexPoint and its objective value as a
-    Python number."""
+    Python number.  Raises ArithmeticOverflow where the coordinates do not
+    sum to 1, as when the mean shift cancels."""
     _check_width(len(y))
     floats = all(isinstance(v, float) for v in y)
     coords, values = project_rows(np.array([tuple(y)], dtype=float if floats else object))
-    return SimplexPoint(tuple(coords.tolist()[0])), values.tolist()[0]
+    try:
+        return SimplexPoint(tuple(coords.tolist()[0])), values.tolist()[0]
+    except ValueError as exc:  # far past |y| ~ 1e16, 1 - sum_S y rounds away the 1
+        raise ArithmeticOverflow(f"the mean shift (1 - sum_S y) / |S| cancelled on {tuple(y)!r}: {exc}") from exc
 
 
 def _check_width(n: int) -> None:

@@ -107,6 +107,16 @@ def test_bruteforce_refuses_nan_and_inf():
             oracle.project_rows(np.array([[0.0, 1.0, 2.0], [0.0, bad, 1.0]]))
 
 
+def test_bruteforce_refuses_a_cancelled_shift():
+    """At (1e300, -1e300, 0) the shift (1 - 1e300) / 1 rounds to -1e300, so
+    support {0} gets coordinate 0.0; the enumeration says so in a package
+    error.  The fast path's pairwise form still gives the vertex."""
+    y = (1e300, -1e300, 0.0)
+    with pytest.raises(ArithmeticOverflow, match=r"mean shift .* cancelled"):
+        project_bruteforce(y)
+    assert gd_primal(y).coords == (1.0, 0, 0)
+
+
 @pytest.mark.parametrize("n", range(2, 10))
 def test_project_rows_is_the_loop_bit_for_bit_on_floats(n):
     """n = 2..9 spans numpy's sequential (< 8) and pairwise (>= 8) reduce;
