@@ -179,22 +179,15 @@ def _support_scan(y: Sequence[Number]) -> Tuple[Tuple[int, ...], int, Number]:
     exact = is_exact(total)  # one float coordinate makes the fold a float
     mask = (1 << n) - 1
     m = n
-    k = 0
-    while k < n - 1:  # a lone coordinate projects to 1, however y rounds
-        i = order[k]
+    while m > 1:  # a lone coordinate projects to 1, however y rounds
+        i = order[n - m]
         yi = y[i]
-        if exact:
-            drop = m * yi - total + 1 < 0
-        else:
-            drop = yi - total / m + 1.0 / m < 0
-        if not drop:
+        if not (m * yi - total + 1 < 0 if exact else yi - total / m + 1.0 / m < 0):
             break
         total -= yi
         mask -= 1 << i
         m -= 1
-        k += 1
-    support = tuple(sorted(order[k:])) if k else tuple(range(n))
-    return support, mask, total
+    return (tuple(sorted(order[n - m:])) if m < n else tuple(range(n))), mask, total
 
 
 def find_support(y: Sequence[Number]) -> Tuple[int, ...]:
@@ -209,12 +202,11 @@ def _gd_response(y: Sequence[Number], primal: bool = True,
     projection's support S, its energy, the support's bitmask, and, with
     ``primal``, the projection x itself (else None).
 
-    Every value keeps one stated order of operations, so that it does not
-    depend on how the interpreter's ``sum`` rounds: the drop tests read the
-    scan's running total (``_support_scan``); S's sum is a fresh
-    left-to-right fold from int 0 over S in index order (the scan's own fold
-    when it drops nothing), which gives
-    mu = mean_S(y); the energy
+    Every value keeps one stated order of operations, whatever the
+    interpreter's ``sum`` does: the drop tests read the scan's running total
+    (``_support_scan``); S's sum, which gives mu = mean_S(y), is a fresh
+    left-to-right fold from int 0 over S in index order (the scan's own
+    fold when it drops nothing); and the energy
 
         sum_{j in S} (y_j - mu)^2 / 2  +  mu  -  1 / (2m),    m = |S|,
 
@@ -232,9 +224,8 @@ def _gd_response(y: Sequence[Number], primal: bool = True,
     """
     support, mask, total = _support_scan(y)
     m = len(support)
-    if m == len(y):  # nothing dropped: the scan's fold is S's fold
-        on = y
-    else:
+    on = y
+    if m < len(y):  # else the scan's fold is S's fold
         on = [y[j] for j in support]
         total = reduce(add, on, 0)
     exact = type(total) in _EXACT_TYPES  # y is exact on S
