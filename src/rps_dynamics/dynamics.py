@@ -22,6 +22,12 @@ carries the mode (see ``game``): ``run`` fixes it once, converting x0 and the
 weights per the config, and each kernel reads it off the values it is given.
 In exact mode every quantity is an int or ``fractions.Fraction``, comparisons
 are exact, and a bit budget guards against denominator blowup.
+
+The gradient-descent response is one kernel, ``_gd_response``: one pass per
+dual row gives the projection's support, energy, bitmask and coordinates.  Its
+sums are explicit left-to-right folds from int 0, never the builtin ``sum``
+(compensated on floats since Python 3.12), and its squares are IEEE products,
+never libm's ``pow``; so its bytes depend on neither.
 """
 
 import math
@@ -202,25 +208,21 @@ def _gd_response(y: Sequence[Number], primal: bool = True,
     projection's support S, its energy, the support's bitmask, and, with
     ``primal``, the projection x itself (else None).
 
-    Every value keeps one stated order of operations, whatever the
-    interpreter's ``sum`` does: the drop tests read the scan's running total
-    (``_support_scan``); S's sum, which gives mu = mean_S(y), is a fresh
-    left-to-right fold from int 0 over S in index order (the scan's own
-    fold when it drops nothing); and the energy
+    The drop tests read the scan's running total (``_support_scan``).  S's
+    sum, which gives mu = mean_S(y), is a fresh fold over S in index order
+    (the scan's own fold when it drops nothing), and the energy
 
         sum_{j in S} (y_j - mu)^2 / 2  +  mu  -  1 / (2m),    m = |S|,
 
-    folds the squared deviations the same way, so that large dual vectors
-    with small spread do not lose the spread to cancellation.  A square is
-    the IEEE product d * d, not libm's ``pow``, which is not correctly
-    rounded everywhere; a finite d whose square overflows raises
-    ArithmeticOverflow, where ``d ** 2`` raised OverflowError.  x is int 0
+    folds the squares d * d the same way: deviation form, so that large duals
+    with small spread keep the spread.  A finite d whose square overflows
+    raises ArithmeticOverflow (``d ** 2`` raised OverflowError).  x is int 0
     off S.  When y is exact on S, x_i = y_i + (1 - sum_S y) / m and the
     energy are Fractions.  Otherwise they are floats, and x_i is formed from
-    pairwise differences of dual values (which are computed exactly when
-    the values are close) rather than subtracting a large mean from a large
-    value; round-off negatives up to ``PROJECTION_CLAMP`` are clamped to
-    zero, and anything lower raises ProjectionInfeasible.
+    pairwise differences of dual values (exact when the values are close)
+    rather than subtracting a large mean from a large value; round-off
+    negatives up to ``PROJECTION_CLAMP`` are clamped to zero, and anything
+    lower raises ProjectionInfeasible.
     """
     support, mask, total = _support_scan(y)
     m = len(support)
