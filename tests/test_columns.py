@@ -22,6 +22,8 @@ import pytest
 
 from rps_dynamics import classify_region, verification
 from rps_dynamics.analysis import _boundary_margin
+from test_golden import DIGESTS, produce_digests
+from test_verify_lines import GOLDEN, verify_lines
 
 PINS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_columns.json")
 COLUMNS = ("xs", "ys", "energies", "supports")
@@ -103,6 +105,16 @@ def test_store_columns_do_not_depend_on_the_sum_rule(monkeypatch):
         if traj.config.algorithm.value == "gd" and not traj.is_exact:
             ys = traj.ys[:400]
             assert _boundary_margin(ys).tolist() == [classify_region(y).min_abs_margin for y in ys.tolist()]
+
+
+def test_artifacts_and_verify_lines_do_not_depend_on_the_sum_rule(monkeypatch, tmp_path):
+    """Under the same rule, the golden artifact digests and the quick suite's
+    verdict lines (c09's max |dE| among them) hold too."""
+    monkeypatch.setattr(builtins, "sum", sum_312)
+    with open(DIGESTS, encoding="utf-8") as fh:
+        assert produce_digests(str(tmp_path)) == json.load(fh)
+    with open(GOLDEN, encoding="utf-8") as fh:
+        assert verify_lines() == json.load(fh)
 
 
 if __name__ == "__main__":
