@@ -15,7 +15,6 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     DimensionTooSmall,
-    EmptyTrajectory,
     IoError,
     NonpositiveRegret,
     NonpositiveWeight,
@@ -95,7 +94,7 @@ __all__ = [
     # errors
     "RpsDynamicsError", "DimensionTooSmall", "DimensionTooLarge",
     "DimensionMismatch", "NonpositiveWeight", "SingularSystem",
-    "ConfigInvalid", "ArithmeticOverflow", "EmptyTrajectory",
+    "ConfigInvalid", "ArithmeticOverflow",
     "NoVertexReached", "TooFewPhases", "NonpositiveRegret",
     "TooCloseToBoundary", "IoError",
     "ProjectionInfeasible",

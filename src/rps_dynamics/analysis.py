@@ -12,8 +12,8 @@ dual vector y:
 * ``other_boundary`` — everything else.
 
 ``classify_region`` assigns one vector.  A run's ``supports`` column records
-the projection's active set at every step, so ``region_trace`` and phase
-detection read regions off it; no pass re-derives them from slacks.
+its response at every step, so ``region_trace`` reads both learners' regions
+off it for phase detection and the ledger; no pass re-derives them.
 
 Phases segment a trajectory into maximal runs at one best-response vertex, and
 the energy-growth ledger classifies each dual step against the per-case growth
@@ -35,7 +35,6 @@ import numpy as np
 
 from .errors import (
     ConfigInvalid,
-    EmptyTrajectory,
     NonpositiveRegret,
     NoVertexReached,
     TooFewPhases,
@@ -127,13 +126,15 @@ def classify_region(y: Sequence[Number]) -> RegionTag:
 
 @dataclass(frozen=True, eq=False)  # array fields: == would be ambiguous
 class RegionTrace:
-    """Region of every dual vector y^0..y^{T+1} of one gradient-descent run.
+    """Region of every dual vector y^0..y^{T+1} of one run, either learner.
 
-    Row t is the region of the support the run recorded for y^t, which is
-    what ``classify_region`` says of ``traj.y(t)``: ``kind`` holds codes into
-    ``REGION_KINDS`` and ``index`` the vertex or edge index (-1 where the
-    region has none).  At a float row within rounding of a region boundary
-    the two may differ; the trace then names the support that was played."""
+    Row t is the region of the support the run recorded for y^t: the vertex
+    fictitious play played, or the active set of the gradient-descent
+    projection, which is what ``classify_region`` says of ``traj.y(t)``.
+    ``kind`` holds codes into ``REGION_KINDS`` and ``index`` the vertex or
+    edge index (-1 where the region has none).  At a float row within
+    rounding of a region boundary the two may differ; the trace then names
+    the support that was played."""
 
     kind: np.ndarray
     index: np.ndarray
@@ -160,12 +161,11 @@ def _support_regions(masks: np.ndarray, n: int) -> Tuple[np.ndarray, np.ndarray]
 
 
 def region_trace(traj: Trajectory) -> RegionTrace:
-    """The regions of a gradient-descent run, read off its ``supports``; row 0,
-    y^0 = 0, is the interior.  ``find_support`` keeps a coordinate that
-    projects to exactly 0, as the non-strict edge and interior tests of
+    """The regions of a run, read off its ``supports``; row 0, y^0 = 0, is the
+    interior, and a fictitious-play row t >= 1 is the vertex played.  For
+    gradient descent, ``find_support`` keeps a coordinate that projects to
+    exactly 0, as the non-strict edge and interior tests of
     ``classify_region`` do, so the two agree on every exact row."""
-    if traj.config.algorithm != Algorithm.GRADIENT_DESCENT:
-        raise ConfigInvalid("region traces read gradient-descent supports")
     kind, index = _support_regions(traj.supports, traj.n)
     kind[0], index[0] = INTERIOR, -1
     kind.flags.writeable = index.flags.writeable = False
@@ -235,8 +235,6 @@ def _curve_horizons(T: int) -> List[int]:
 def regret(traj: Trajectory) -> RegretReport:
     """Full regret accounting for one trajectory."""
     T = traj.horizon
-    if traj.ys.shape[0] < 2:
-        raise EmptyTrajectory("trajectory holds no dual step")
     cfg = traj.config
     is_fp = cfg.algorithm == Algorithm.FICTITIOUS_PLAY
     horizons = _curve_horizons(T)
@@ -324,13 +322,13 @@ def detect_phases(traj: Trajectory) -> PhaseSummary:
     if T < 1:
         raise NoVertexReached("no iterate beyond the starting point")
 
-    # Iterate t sits at vertex index[t] where kind[t] is VERTEX; FP iterates
-    # t >= 1 all do.
-    kind, index = _support_regions(traj.supports[: T + 1], traj.n)
-    at = np.flatnonzero(kind[1:] == VERTEX) + 1
+    # Iterate t sits at vertex trace.index[t] where its kind is VERTEX; FP
+    # iterates t >= 1 all do.
+    trace = region_trace(traj)
+    at = np.flatnonzero(trace.kind[1 : T + 1] == VERTEX) + 1
     if at.size == 0:
         raise NoVertexReached("no vertex-region iterate found")
-    v = index[at]
+    v = trace.index[at]
     starts = np.flatnonzero(np.concatenate(([True], v[1:] != v[:-1])))
     t_start = at[starts]
     gamma = traj.energies[t_start]
@@ -365,23 +363,28 @@ LEDGER_CLASSES: Tuple[str, ...] = (
  GD_VERTEX_TO_EDGE, GD_EDGE_TO_VERTEX, GD_EDGE_ADVANCE) = range(len(LEDGER_CLASSES))
 UNCOVERED = -1
 
-# Classes whose bound is an exact point get a tighter float tolerance.
-_POINT_CLASSES = (FP_SAME, GD_VERTEX_SAME)
-# Classes whose bounds exclude their ends in exact runs.
-_OPEN_CLASSES = (GD_VERTEX_ADVANCE,)
-
-# Gradient-descent steps by (source region, destination region, destination
-# index minus source index mod n), with the bounds on the energy gain given
-# b = eta_t * a_max and a number type ``d``.  Lingering on one edge never
-# happens under a large stepsize, so it stays uncovered rather than get an
-# invented bound; so does a float step whose bound overflows to inf.
-_GD_CASES = (
-    (GD_VERTEX_SAME, VERTEX, VERTEX, (0,), lambda b, d: (0, 0)),
-    (GD_VERTEX_ADVANCE, VERTEX, VERTEX, (1,), lambda b, d: (1, b)),
-    (GD_VERTEX_TO_EDGE, VERTEX, EDGE, (0,), lambda b, d: (0, 1)),
-    (GD_EDGE_TO_VERTEX, EDGE, VERTEX, (1, 2), lambda b, d: (0, b * b / d(4))),
-    (GD_EDGE_ADVANCE, EDGE, EDGE, (1,), lambda b, d: (0, b + d(5) / d(4))),
-)
+# One ledger case per row, by learner: (class, source and destination
+# region, a predicate on the index advance (destination index minus source
+# index mod n), the energy-gain bounds given b = eta_t * a_max and a number
+# type ``d``, point bound or not, open in exact runs or not).  FP's b is a_max,
+# as FP has eta = 1.  Lingering on one edge never happens under a large
+# stepsize, so it stays uncovered rather than get an invented bound; so does
+# a float step whose bound overflows to inf.
+_LEDGER_CASES = {
+    Algorithm.FICTITIOUS_PLAY: (
+        (FP_SAME, VERTEX, VERTEX, lambda a: a == 0, lambda b, d: (0, 0), True, False),
+        (FP_SWITCH, VERTEX, VERTEX, lambda a: a != 0, lambda b, d: (0, b), False, False),
+    ),
+    Algorithm.GRADIENT_DESCENT: (
+        (GD_VERTEX_SAME, VERTEX, VERTEX, lambda a: a == 0, lambda b, d: (0, 0), True, False),
+        (GD_VERTEX_ADVANCE, VERTEX, VERTEX, lambda a: a == 1, lambda b, d: (1, b), False, True),
+        (GD_VERTEX_TO_EDGE, VERTEX, EDGE, lambda a: a == 0, lambda b, d: (0, 1), False, False),
+        (GD_EDGE_TO_VERTEX, EDGE, VERTEX, lambda a: (a == 1) | (a == 2),
+         lambda b, d: (0, b * b / d(4)), False, False),
+        (GD_EDGE_ADVANCE, EDGE, EDGE, lambda a: a == 1,
+         lambda b, d: (0, b + d(5) / d(4)), False, False),
+    ),
+}
 
 
 @dataclass(frozen=True, eq=False)  # array fields: == would be ambiguous
@@ -395,7 +398,8 @@ class Ledger:
     ``ok`` False.  ``delta``, ``lo`` and ``hi`` share the trajectory's column
     dtype.  ``ambiguous`` marks float steps with an end within ``LEDGER_BAND``
     of a region boundary (GD) or whose vertex the tie tolerance chose below
-    the maximum (FP).
+    the maximum (FP).  ``trace`` is the run's region trace, which names the
+    ends of an uncovered step.
     """
 
     delta: np.ndarray
@@ -404,7 +408,7 @@ class Ledger:
     hi: np.ndarray
     ok: np.ndarray
     ambiguous: np.ndarray
-    trace: Optional[RegionTrace]  # gradient descent only
+    trace: RegionTrace
 
     def transition(self, t: int) -> str:
         code = int(self.cls[t])
@@ -428,16 +432,18 @@ class Ledger:
 
 
 def energy_growth_ledger(traj: Trajectory) -> Ledger:
-    """Classify every dual step and check it against its case bound.
+    """Classify every dual step by its end regions in ``region_trace`` and
+    check it against its case bound in ``_LEDGER_CASES``.
 
-    FP steps split on whether the best response changed: an unchanged response
+    FP steps split on whether the played vertex changed: an unchanged vertex
     cannot move the maximum (bound exactly 0), a switch gains at most a_max.
     OGD steps are classified by the source/destination regions: staying on a
     vertex costs nothing; jumping a vertex forward gains in (1, eta*a_max);
     sliding from a vertex onto its edge gains at most 1; leaving an edge for a
     vertex at most (eta*a_max)^2/4; and hopping edge-to-edge at most
-    eta*a_max + 5/4.  The step from y^0 is recorded as "initial" with no
-    bound, since x^0 is chosen by the experimenter rather than the dynamics.
+    eta*a_max + 5/4.  The step from y^0, the interior for both learners, is
+    recorded as "initial" with no bound, since x^0 is chosen by the
+    experimenter rather than the dynamics.
 
     Exact runs compare exactly, and the forward jump's interval is open.
     Float runs allow ``EXACT_CLASS_TOL`` around the point bounds and
@@ -446,62 +452,41 @@ def energy_growth_ledger(traj: Trajectory) -> Ledger:
     T = traj.horizon
     cfg = traj.config
     exact = traj.is_exact
-    a_max = traj.matrix.a_max
     energies = traj.energies
     delta = energies[1:] - energies[:-1]
     cls = np.full(T + 1, UNCOVERED, dtype=np.int8)
     cls[0] = INITIAL
     lo = np.full(T + 1, None if exact else np.nan, dtype=energies.dtype)
     hi = lo.copy()
-    ambiguous = np.zeros(T + 1, dtype=bool)
-    trace = None
-
-    if cfg.algorithm == Algorithm.FICTITIOUS_PLAY:
-        # The vertex played at y^1..y^{T+1}; row T+1 is the closing response.
-        _, played = _support_regions(traj.supports[1:], traj.n)
-        same = np.insert(played[:-1] == played[1:], 0, False)
-        switch = np.insert(played[:-1] != played[1:], 0, False)
-        cases = [(FP_SAME, same, 0, 0), (FP_SWITCH, switch, 0, a_max)]
-        if not exact:  # step t is ambiguous when y^t or y^{t+1} played below its max
-            ys = traj.ys[1:]
-            below = ys[np.arange(T + 1), played] < ys.max(axis=1)
-            ambiguous[1:] = below[:-1] | below[1:]
-    else:
-        trace = region_trace(traj)
-        src, dst = trace.kind[:-1], trace.kind[1:]
-        advance = (trace.index[1:] - trace.index[:-1]) % traj.n
-        number = Fraction if exact else float
-        cases = []
-        with np.errstate(over="ignore"):  # a bound past the float range comes out inf
-            b = cfg.etas() * a_max
-            for code, src_kind, dst_kind, advances, bounds in _GD_CASES:
-                rows = (src == src_kind) & (dst == dst_kind) & np.isin(advance, advances)
-                rows[0] = False
-                cases.append((code, rows, *bounds(b[rows], number)))
-        if not exact:  # step t is ambiguous when y^t or y^{t+1} sits within the band
-            margins = _boundary_margin(traj.ys)
-            ambiguous[1:] = np.minimum(margins[1:-1], margins[2:]) <= LEDGER_BAND
-
-    for code, rows, low, high in cases:
-        cls[rows] = code
-        lo[rows] = low
-        hi[rows] = high
-    if not exact:  # an infinite bound is no bound: the step stays uncovered
-        beyond = np.isinf(hi)
-        cls[beyond] = UNCOVERED
-        lo[beyond] = hi[beyond] = np.nan
-
-    bounded = cls > INITIAL
-    c, d = cls[bounded], delta[bounded]
-    tol = np.where(
-        np.isin(c, _POINT_CLASSES),
-        tolerance(exact, EXACT_CLASS_TOL),
-        tolerance(exact, LEDGER_BAND),
-    )
-    low, high = lo[bounded] - tol, hi[bounded] + tol
-    strict = np.isin(c, _OPEN_CLASSES) & exact
     ok = np.zeros(T + 1, dtype=bool)
-    ok[bounded] = np.where(strict, (low < d) & (d < high), (low <= d) & (d <= high))
+    ambiguous = np.zeros(T + 1, dtype=bool)
+    trace = region_trace(traj)
+    src, dst = trace.kind[:-1], trace.kind[1:]
+    advance = (trace.index[1:] - trace.index[:-1]) % traj.n
+    number = Fraction if exact else float
+
+    with np.errstate(over="ignore"):  # a bound past the float range comes out inf
+        b = cfg.etas() * traj.matrix.a_max
+        for code, src_kind, dst_kind, moves, bounds, point, open_ in _LEDGER_CASES[cfg.algorithm]:
+            rows = np.flatnonzero((src == src_kind) & (dst == dst_kind) & moves(advance))
+            lo[rows], hi[rows] = bounds(b[rows], number)
+            if not exact:  # an infinite bound is no bound: the step stays uncovered
+                beyond = np.isinf(hi[rows])
+                lo[rows[beyond]] = hi[rows[beyond]] = np.nan
+                rows = rows[~beyond]
+            cls[rows] = code
+            tol = tolerance(exact, EXACT_CLASS_TOL if point else LEDGER_BAND)
+            d, low, high = delta[rows], lo[rows] - tol, hi[rows] + tol
+            ok[rows] = (low < d) & (d < high) if open_ and exact else (low <= d) & (d <= high)
+
+    if not exact and cfg.algorithm == Algorithm.FICTITIOUS_PLAY:
+        # Step t is ambiguous when y^t or y^{t+1} played below its max.
+        ys = traj.ys[1:]
+        below = ys[np.arange(T + 1), trace.index[1:]] < ys.max(axis=1)
+        ambiguous[1:] = below[:-1] | below[1:]
+    elif not exact:  # step t is ambiguous when y^t or y^{t+1} sits within the band
+        margins = _boundary_margin(traj.ys)
+        ambiguous[1:] = np.minimum(margins[1:-1], margins[2:]) <= LEDGER_BAND
     for column in (delta, cls, lo, hi, ok, ambiguous):
         column.flags.writeable = False
     return Ledger(delta, cls, lo, hi, ok, ambiguous, trace)
@@ -611,7 +596,7 @@ def small_stepsize_energy_check(traj: Trajectory) -> SmallStepVerdict:
             energy_final=e_final,
             energy_bound=bound_e,
         )
-    reg = float(regret(traj).regret_total)
+    reg = float(regret_at(traj, T))
     bound_r = math.sqrt(T) * (bound_e + 1.0) + SMALL_STEP_REGRET_SLACK
     ok = ok and reg <= bound_r
     return SmallStepVerdict(

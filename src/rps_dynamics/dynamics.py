@@ -399,7 +399,8 @@ class Trajectory:
     chosen vertex (FP) or the projection's active set (OGD); row T+1 is the
     closing response, decided but never played.  ``matrix`` is the game in the
     run's number type.  ``x``, ``y`` and ``energy`` return Python numbers; the
-    ``*_array`` views are float64 in both modes.
+    ``*_array`` views are float64 in both modes.  A column whose shape does
+    not fit ``config.horizon`` and ``matrix.n`` raises ``DimensionMismatch``.
     """
 
     config: LearnerConfig
@@ -410,7 +411,12 @@ class Trajectory:
     supports: np.ndarray
 
     def __post_init__(self):
-        for column in (self.xs, self.ys, self.energies, self.supports):
+        T, n = self.config.horizon, self.matrix.n
+        shapes = {"xs": (T + 1, n), "ys": (T + 2, n), "energies": (T + 2,), "supports": (T + 2,)}
+        for name, shape in shapes.items():
+            column = getattr(self, name)
+            if column.shape != shape:
+                raise DimensionMismatch(f"{name} has shape {column.shape}, expected {shape}")
             column.flags.writeable = False
 
     @property

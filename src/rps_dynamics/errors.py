@@ -33,10 +33,6 @@ class ArithmeticOverflow(RpsDynamicsError):
     """Exact-rational state exceeded the bit budget, or float state overflowed."""
 
 
-class EmptyTrajectory(RpsDynamicsError):
-    """An analysis routine was handed a trajectory with no steps."""
-
-
 class NoVertexReached(RpsDynamicsError):
     """Phase detection found no vertex-region iterate after the start time."""
 

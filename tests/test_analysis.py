@@ -38,6 +38,7 @@ from rps_dynamics import (
     small_stepsize_energy_check,
     verify_cycling,
 )
+from rps_dynamics import dynamics
 from rps_dynamics.analysis import FP_SWITCH, INITIAL, UNCOVERED
 from rps_dynamics.dynamics import EXACT_CLASS_TOL, LEDGER_BAND
 from rps_dynamics.experiment import write_ledger_csv
@@ -283,7 +284,7 @@ def _reference_phases(traj):
     return t0, phases
 
 
-@pytest.mark.parametrize("index", range(9))
+@pytest.mark.parametrize("index", range(13))
 def test_phase_columns_match_step_by_step_reference(index):
     traj = _reference_run(index)
     expected = _reference_phases(traj)
@@ -517,11 +518,35 @@ def _reference_run(index):
         return _gd(n=4, T=60, eta=0.3, x0=SimplexPoint((0.2, 0.2, 0.25, 0.35)))
     if index == 10:  # float FP whose tie tolerance keeps a vertex 1.25e-12 below the max
         return _fp(T=3000, weights=(2.4, 1.2, 2.2))
+    if index == 11:  # float FP whose wide tie tolerance switches past the successor
+        cfg = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=3000,
+                            x0=SimplexPoint.vertex(5, 0), tie_tolerance=0.5,
+                            tiebreak=TiebreakRule(TiebreakKind.PREFER_SWITCH))
+        return run(cfg, make_rps((1.0, 2.0, 1.5, 3.0, 0.5)))
+    if index == 12:  # exact FP whose orbit closes, so that most rows are tiled
+        return _fp(n=5, T=500, rule=TiebreakRule(TiebreakKind.TOURNAMENT), exact=True)
     x0 = SimplexPoint(tuple(Fraction(k, 100) for k in (5, 35, 39, 21)))
     return _gd(n=4, T=200, eta=1, weights=(1, 2, 3, 4), x0=x0, exact=True)
 
 
-@pytest.mark.parametrize("index", range(11))
+def test_reference_runs_reach_backward_switches_and_tiled_rows(monkeypatch):
+    traj = _reference_run(11)
+    played = [traj.support(t)[0] for t in range(1, traj.horizon + 2)]
+    assert {(b - a) % traj.n for a, b in zip(played, played[1:])} - {0, 1}
+
+    tiled = []  # (start, stop) of each tiled column: rows from stop on repeat
+    tile = dynamics._tile
+
+    def counted(column, start, stop):
+        tiled.append((start, stop))
+        tile(column, start, stop)
+
+    monkeypatch.setattr(dynamics, "_tile", counted)
+    traj = _reference_run(12)
+    assert tiled and traj.horizon - tiled[0][1] > 100
+
+
+@pytest.mark.parametrize("index", range(13))
 def test_ledger_columns_match_step_by_step_reference(index):
     traj = _reference_run(index)
     ledger = energy_growth_ledger(traj)

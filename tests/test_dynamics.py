@@ -316,6 +316,17 @@ def test_run_dimension_checks():
         run(cfg, make_rps((1.0, 1.0, 1.0)))  # float weights in rational mode
 
 
+def test_trajectory_checks_column_shapes():
+    traj = run(_unit3_gd(3.0), make_rps((1.0,) * 3))
+    assert replace(traj).ys is traj.ys
+    for name, column in [("xs", traj.xs[:-1]), ("ys", traj.ys[:-1]), ("ys", traj.ys[:, :2]),
+                         ("energies", traj.energies[:-1]), ("supports", traj.supports[:-1])]:
+        with pytest.raises(DimensionMismatch, match=name):
+            replace(traj, **{name: column})
+    with pytest.raises(DimensionMismatch):  # a game of another size
+        replace(traj, matrix=make_rps((1.0,) * 4))
+
+
 # ---------------------------------------------------------------------------
 # Full runs
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from rps_dynamics import (
     Algorithm,
+    Arithmetic,
     LearnerConfig,
     SimplexPoint,
     classify_region,
@@ -35,7 +36,6 @@ from rps_dynamics import (
 from rps_dynamics import analysis
 from rps_dynamics.analysis import REGION_KINDS, RegionKind, detect_phases, energy_growth_ledger
 from rps_dynamics.dynamics import LEDGER_BAND
-from rps_dynamics.errors import ConfigInvalid
 from rps_dynamics.experiment import with_arithmetic
 from rps_dynamics.presets import all_presets
 from rps_dynamics.verification import (
@@ -263,11 +263,24 @@ def test_masks_wider_than_64_bits():
     assert energy_growth_ledger(traj).cls.shape == (cfg.horizon + 1,)
 
 
-def test_region_trace_refuses_fictitious_play():
-    cfg = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=10,
-                        x0=SimplexPoint((1, 0, 0)))
-    with pytest.raises(ConfigInvalid):
-        region_trace(run(cfg, make_rps((1, 1, 1))))
+@pytest.mark.parametrize("arithmetic", list(Arithmetic))
+def test_region_trace_of_fictitious_play_is_the_played_vertex(arithmetic):
+    exact = arithmetic == Arithmetic.EXACT_RATIONAL
+    cfg = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=300,
+                        x0=SimplexPoint((0, 1, 0, 0)), arithmetic=arithmetic)
+    traj = run(cfg, make_rps((1, 2, 3, 4) if exact else (1.0, 2.0, 3.0, 4.0)))
+    trace = region_trace(traj)
+    assert trace.kind.shape == trace.index.shape == (traj.horizon + 2,)
+    assert (REGION_KINDS[trace.kind[0]], trace.index[0]) == (RegionKind.INTERIOR, -1)
+    for t in range(1, traj.horizon + 2):
+        (played,) = traj.support(t)
+        assert (REGION_KINDS[trace.kind[t]], trace.index[t]) == (RegionKind.VERTEX, played), t
+        assert trace.label(t) == f"vertex_{played}"
+    assert len(set(trace.index[1:].tolist())) == 4
+    ledger = energy_growth_ledger(traj)
+    assert isinstance(ledger.trace, analysis.RegionTrace)
+    assert ledger.trace.kind.tolist() == trace.kind.tolist()
+    assert ledger.trace.index.tolist() == trace.index.tolist()
 
 
 _GD_SMALL = LearnerConfig(
