@@ -47,7 +47,8 @@ from .errors import (
     DimensionMismatch,
     ProjectionInfeasible,
 )
-from .game import _EXACT_TYPES, Number, RpsMatrix, SimplexPoint, all_exact, is_exact
+from .game import (_EXACT_TYPES, Number, RpsMatrix, SimplexPoint, all_exact, is_exact,
+                   over_common_denominator)
 
 # Numeric tolerances of float runs.  Exact-rational runs compare exactly: every
 # tolerance below is 0 for them (see ``tolerance``); a run picks its mode once,
@@ -452,6 +453,18 @@ class Trajectory:
         on the n columns of ``xs``, the two products per coordinate that the
         run formed at each step."""
         return np.stack(self.matrix.apply(self.xs.T), axis=1)
+
+    def over_common_denominator(self, name: str) -> Tuple[np.ndarray, int]:
+        """An exact run's column ``name`` ("xs", "ys" or "energies") as
+        ``game.over_common_denominator`` gives it.  Fictitious play from int
+        weights, x0 and eta forms every cell by int sums and products, never
+        a division, so its columns come back as they are, over D = 1, with no
+        scan of their cells."""
+        column = getattr(self, name)
+        inputs = (*self.matrix.weights, *self.config.x0.coords, self.config.eta)
+        if self.config.algorithm == Algorithm.FICTITIOUS_PLAY and all(type(v) is int for v in inputs):
+            return column, 1
+        return over_common_denominator(column)
 
     @property
     def xs_array(self) -> np.ndarray:

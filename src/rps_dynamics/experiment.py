@@ -33,6 +33,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from operator import truediv
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -61,7 +62,7 @@ from .dynamics import (
     tolerance,
 )
 from .errors import ConfigInvalid, IoError, NoVertexReached
-from .game import Number, SimplexPoint, all_exact, div, make_rps
+from .game import Number, SimplexPoint, all_exact, div, make_rps, over_common_denominator
 
 OUT_ENV = "RPSDYN_OUT"
 OUTPUT_KINDS = ("trajectory_csv", "phases_csv", "ledger_csv", "report_json")
@@ -516,24 +517,50 @@ def _relative_gap(value: Number, reference: Number) -> Number:
 def dual_replay(traj: Trajectory) -> Tuple[bool, Number]:
     """Whether y^{t+1} = y^t + eta_t A x^t holds on the stored columns, each
     row's residual within REL_TOL * max(1, |y^{t+1}|_inf) (0 in exact runs),
-    and the largest residual."""
+    and the largest residual.
+
+    An exact run has a constant eta = p/q.  Over common denominators, x = X/D_x,
+    y = Y/D_y and the weights W/D_w, the check is q D_w D_x (Y[t+1] - Y[t]) ==
+    p D_y (W X)[t] in ints, and the largest residual is the largest gap over
+    q D_w D_x D_y, a Fraction."""
+    if traj.is_exact:  # an exact residual is 0 or not, at any scale
+        X, Dx = traj.over_common_denominator("xs")
+        Y, Dy = traj.over_common_denominator("ys")
+        W, Dw = over_common_denominator(traj.matrix.weights)
+        p, q = traj.config.eta.as_integer_ratio()
+        scale = q * Dw * Dx
+        steps = Y[1:] - Y[:-1]
+        payoffs = make_rps((p * Dy * W).tolist()).apply(X.T)  # p D_y (W X), by column
+        top = max(np.abs(scale * steps[:, i] - v).max() for i, v in enumerate(payoffs))
+        return top == 0, Fraction(top, scale * Dy)
     ys = traj.ys
     etas = traj.config.etas()
-    resid = np.abs(ys[1:] - ys[:-1] - traj.payoffs() * etas[:, None])
-    if traj.is_exact:  # an exact residual is 0 or not, at any scale
-        top = resid.max()
-        return top == 0, top
-    resid = resid.max(axis=1)
+    resid = np.abs(ys[1:] - ys[:-1] - traj.payoffs() * etas[:, None]).max(axis=1)
     return bool((resid <= REL_TOL * np.maximum(1.0, np.abs(ys[1:]).max(axis=1))).all()), resid.max()
 
 
 def energy_drops(traj: Trajectory) -> Tuple[List[int], float]:
     """Steps t >= 1 where the energy falls, relative to max(1, |H(y^t)|), and
-    the worst relative one-step change."""
+    the worst relative one-step change.
+
+    An exact run's energies are E/D over one common denominator: a step falls
+    when its int difference is negative, and its relative change is
+    (E[t+1] - E[t]) / max(D, |E[t]|).  That int quotient is correctly rounded,
+    and rounding is monotone, so the least of the quotients is the float of
+    the least relative change."""
+    if traj.is_exact:
+        E, D = traj.over_common_denominator("energies")
+        steps = np.diff(E)[1:]
+        drops = [int(t) + 1 for t in np.nonzero(steps < 0)[0]]
+        steps, scale = steps.tolist(), np.maximum(D, np.abs(E[1:-1])).tolist()
+        try:
+            return drops, min(map(truediv, steps, scale), default=0.0)
+        except OverflowError:  # a quotient past the float range: find the least exactly
+            return drops, float(min(map(Fraction, steps, scale)))
     H = traj.energies
     steps = np.diff(H)[1:]
     scale = np.maximum(1, np.abs(H[1:-1]))
-    floor = -tolerance(traj.is_exact, REL_TOL) * scale
+    floor = -REL_TOL * scale
     drops = [int(t) + 1 for t in np.nonzero(steps < floor)[0]]
     return drops, float((steps / scale).min()) if steps.size else 0.0
 

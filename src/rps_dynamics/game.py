@@ -11,12 +11,16 @@ Arithmetic is generic: weights and points may be ints, floats, or
 when every number it is formed from is int or Fraction, and a float as soon as
 one is a float, mixed vectors included; ``div`` keeps that rule for division.
 So each kernel reads its mode off its values, and one code path serves both.
+Folds over many exact values go through ``over_common_denominator``: Python-int
+numerators over one denominator, so they pay no gcd per operation.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from .errors import (
     DimensionMismatch,
@@ -44,6 +48,18 @@ def div(q: Number, d: Number) -> Number:
 
 def all_exact(values: Sequence[Number]) -> bool:
     return all(is_exact(v) for v in values)
+
+
+def over_common_denominator(cells) -> Tuple[np.ndarray, int]:
+    """Exact cells (ints and Fractions, an array or a sequence) as Python-int
+    numerators over one common denominator D, the LCM of their denominators:
+    ``(nums, D)`` with ``nums`` an object array of the cells' shape and cell k
+    equal to nums[k] / D.  Sums, differences and products of the numerators
+    are int operations, with no gcd per operation as a Fraction takes."""
+    cells = np.asarray(cells, dtype=object)
+    ratios = [c.as_integer_ratio() for c in cells.ravel().tolist()]
+    D = math.lcm(*{d for _, d in ratios})
+    return np.array([p * (D // d) for p, d in ratios], dtype=object).reshape(cells.shape), D
 
 
 class RpsMatrix:

@@ -3,8 +3,9 @@
 Each oracle reaches the same quantity as a fast implementation through a
 different route: exhaustive support enumeration over a stack of rows
 (``project_rows``) instead of the sorted active-set scan, fresh payoff sums
-instead of stored duals, finite differences instead of the closed-form
-projection, and one scalar step per row instead of ``run``'s vertex blocks.
+(in ints over common denominators, for exact runs) instead of stored duals,
+finite differences instead of the closed-form projection, and one scalar step
+per row instead of ``run``'s vertex blocks.
 """
 
 import math
@@ -15,7 +16,7 @@ import numpy as np
 from .errors import ArithmeticOverflow, DimensionTooLarge, TooCloseToBoundary
 from .analysis import classify_region
 from .dynamics import LearnerConfig, Trajectory, _gd_response, _simulate
-from .game import Number, RpsMatrix, SimplexPoint, div
+from .game import Number, RpsMatrix, SimplexPoint, div, over_common_denominator
 
 MAX_ENUMERATION_N = 20  # 2^20 supports per row
 CHUNK_CELLS = 4096  # (row, support) cells in each temporary of project_rows
@@ -148,7 +149,13 @@ def _objectives(y: np.ndarray, masks: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 
 
 def regret_direct(traj: Trajectory) -> Number:
-    """2 * max_i of the summed payoff vectors, straight from the primals."""
+    """2 * max_i of the summed payoff vectors, straight from the primals.  An
+    exact run sums int payoff rows, its weights and primals over common
+    denominators D_w and D_x, and divides once by D_w D_x."""
+    if traj.is_exact:
+        X, Dx = traj.over_common_denominator("xs")
+        W, Dw = over_common_denominator(traj.matrix.weights)
+        return div(2 * max(v.sum() for v in RpsMatrix(W.tolist()).apply(X.T)), Dw * Dx)
     return 2 * max(traj.payoffs().sum(axis=0).tolist())
 
 

@@ -21,6 +21,7 @@ from rps_dynamics import (
     Arithmetic,
     ArithmeticOverflow,
     LearnerConfig,
+    ProjectionInfeasible,
     RpsDynamicsError,
     RpsMatrix,
     SimplexPoint,
@@ -208,6 +209,15 @@ def _unit3_gd(eta):
 def test_run_matches_stepwise_with_huge_duals(eta):
     # At 1e100 both engines raise the same ProjectionInfeasible.
     assert_same_outcome(_unit3_gd(eta), make_rps((1.0,) * 3))
+
+
+def test_huge_stepsize_breaks_down_past_a_horizon_like_stepwise():
+    """eta = 1e25 completes at T=50, but from T=405 on a projected coordinate
+    comes out near -8.6e9, and both engines raise the same error."""
+    matrix = make_rps((1.0,) * 3)
+    config = dataclasses.replace(_unit3_gd(1e25), horizon=500)
+    fast, ref = outcome(run, config, matrix), outcome(oracle.run_stepwise, config, matrix)
+    assert fast == ref and fast[0] is ProjectionInfeasible
 
 
 @pytest.mark.parametrize("eta", [1e307, 1e308])

@@ -238,16 +238,22 @@ def test_regret_direct_matches_dual_route():
 
 
 def test_regret_direct_exact_equality():
-    traj = run(
-        LearnerConfig(
-            algorithm=Algorithm.FICTITIOUS_PLAY,
-            horizon=150,
-            x0=SimplexPoint.vertex(3, 2),
-            arithmetic=Arithmetic.EXACT_RATIONAL,
-        ),
-        make_rps((1, 2, 3)),
-    )
-    assert regret_direct(traj) == regret(traj).regret_total
+    cases = [
+        # Int weights from a vertex: every payoff cell is an int.
+        (Algorithm.FICTITIOUS_PLAY, (1, 2, 3), 1, SimplexPoint.vertex(3, 2)),
+        # Fraction weights, eta and x0: payoff rows over denominators D_w D_x.
+        (Algorithm.GRADIENT_DESCENT, (Fraction(1, 2), 2, Fraction(5, 3)), Fraction(7, 3),
+         SimplexPoint((Fraction(1, 3), Fraction(1, 2), Fraction(1, 6)))),
+        (Algorithm.GRADIENT_DESCENT, (Fraction(3, 10), Fraction(7, 4), 1, Fraction(2, 9)), Fraction(9, 2),
+         SimplexPoint((Fraction(1, 20), Fraction(7, 20), Fraction(39, 100), Fraction(21, 100)))),
+        (Algorithm.FICTITIOUS_PLAY, (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10)), 1,
+         SimplexPoint((Fraction(1, 4), Fraction(3, 4), 0))),
+    ]
+    for algorithm, weights, eta, x0 in cases:
+        config = LearnerConfig(algorithm=algorithm, horizon=150, x0=x0, eta=eta,
+                               arithmetic=Arithmetic.EXACT_RATIONAL)
+        traj = run(config, make_rps(weights))
+        assert regret_direct(traj) == regret(traj).regret_total, weights
 
 
 def test_grad_fd_is_projection():
