@@ -229,10 +229,6 @@ def test_store_slots_fold_like_the_per_cell_formulas(slot):
     assert_folds_match(traj, star)
 
 
-def _with_ys(traj, ys):
-    return dynamics.Trajectory(traj.config, traj.matrix, traj.xs, ys, traj.energies, traj.supports)
-
-
 @pytest.mark.parametrize("delta", [Fraction(1, 7), Fraction(-3, 2), 1])
 @pytest.mark.parametrize("case", ["gd", "fp_ints"])
 def test_tampered_dual_fails_replay_with_the_reference_residual(case, delta):
@@ -249,7 +245,7 @@ def test_tampered_dual_fails_replay_with_the_reference_residual(case, delta):
     assert dual_replay(traj) == (True, 0)
     ys = traj.ys.copy()
     ys[17, 1] += delta
-    tampered = _with_ys(traj, ys)
+    tampered = dynamics.Trajectory(traj.config, traj.matrix, traj.xs, ys, traj.energies, traj.supports)
     ok, resid = dual_replay(tampered)
     ref_ok, ref_resid = dual_replay_reference(tampered)
     assert not ok and not ref_ok
