@@ -50,7 +50,7 @@ from .dynamics import (
     Trajectory,
     tolerance,
 )
-from .game import Number, SimplexPoint, all_exact, div, duality_gap, over_common_denominator
+from .game import Number, SimplexPoint, div, duality_gap, over_common_denominator
 
 
 class RegionKind(str, Enum):
@@ -253,12 +253,8 @@ def regret(traj: Trajectory) -> RegretReport:
         by_energy = div(2 * H, eta)
         upper = by_energy if is_fp else div(2 * H + 1, eta)
 
-    if traj.is_exact:  # the int numerators' sums over (T+1) D
-        X, D = traj.over_common_denominator("xs")
-        sums, count = X.sum(axis=0).tolist(), (T + 1) * D
-    else:
-        sums, count = traj.xs.sum(axis=0).tolist(), T + 1
-    avg = SimplexPoint(tuple(div(s, count) for s in sums))
+    X, D = traj.over_common_denominator("xs")  # the numerators' sums over (T+1) D
+    avg = SimplexPoint(tuple(div(s, (T + 1) * D) for s in X.sum(axis=0).tolist()))
     gap = duality_gap(traj.matrix, avg)
 
     return RegretReport(
@@ -522,17 +518,15 @@ def ledger_summary(ledger: Ledger) -> Dict[str, int]:
 def check_dual_subspace(traj: Trajectory, star: SimplexPoint) -> Number:
     """max over t of |<x*, y^t>|; the dual walk never leaves the hyperplane
     orthogonal to an interior equilibrium, so this is rounding noise (exactly
-    zero in rational mode).  An exact run with an exact x* takes the products
-    in ints, y^t and x* over common denominators D_y and D_*, and divides the
-    largest once by D_y D_*."""
+    zero in rational mode).  x* is taken in the run's dtype: a float run
+    rounds it to float64, and an exact run reads a float coordinate as its
+    exact binary value.  The products are taken over common denominators,
+    y^t = Y/D_y and x* = S/D_*, and the largest is divided once by D_y D_*."""
     if star.n != traj.n:
         raise ConfigInvalid(f"equilibrium has dimension {star.n}, game {traj.n}")
-    if traj.is_exact and all_exact(star.coords):
-        Y, Dy = traj.over_common_denominator("ys")
-        S, Ds = over_common_denominator(star.coords)
-        return div(max(np.abs(Y @ S).tolist()), Dy * Ds)
-    prods = traj.ys @ np.array(star.coords, dtype=traj.ys.dtype)
-    return max(np.abs(prods).tolist())
+    Y, Dy = traj.over_common_denominator("ys")
+    S, Ds = over_common_denominator(np.array(star.coords, dtype=traj.ys.dtype))
+    return div(max(np.abs(Y @ S).tolist()), Dy * Ds)
 
 
 @dataclass(frozen=True)

@@ -133,17 +133,13 @@ def _cmd_preset(args) -> int:
     return 1 if args.strict and not all(passed) else 0
 
 
+_COMMANDS = {"run": _cmd_run, "sweep": _cmd_run, "verify": _cmd_verify, "preset": _cmd_preset}
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)  # its required subparsers admit only _COMMANDS
     try:
-        if args.command in ("run", "sweep"):
-            return _cmd_run(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "preset":
-            return _cmd_preset(args)
-        parser.error(f"unknown command {args.command!r}")
+        return _COMMANDS[args.command](args)
     except ConfigInvalid as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -153,7 +149,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RpsDynamicsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

@@ -81,6 +81,15 @@ def tolerance(exact: bool, tol: float) -> Number:
     return 0 if exact else tol
 
 
+def _member(enum, value, field: str):
+    """``value`` as a member of ``enum``: a member, or a member's value such
+    as ``"fp"``.  Anything else raises ConfigInvalid."""
+    try:
+        return enum(value)
+    except ValueError:
+        raise ConfigInvalid(f"{field} must be one of {[m.value for m in enum]}, got {value!r}") from None
+
+
 class Algorithm(str, Enum):
     FICTITIOUS_PLAY = "fp"
     GRADIENT_DESCENT = "gd"
@@ -112,6 +121,7 @@ class TiebreakRule:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", _member(TiebreakKind, self.kind, "tiebreak kind"))
         if self.seed is not None and (not isinstance(self.seed, int) or isinstance(self.seed, bool)):
             raise ConfigInvalid(f"tiebreak seed must be an int, got {self.seed!r}")
         if self.kind == TiebreakKind.RANDOM_SEEDED:
@@ -145,9 +155,7 @@ class TiebreakRule:
         if kind == TiebreakKind.PREFER_SWITCH:
             others = [i for i in tied if i != incumbent]
             return others[0] if others else tied[0]
-        if kind == TiebreakKind.TOURNAMENT:
-            return self._tournament(tied, incumbent, n)
-        raise ValueError(f"unknown tiebreak kind {kind!r}")
+        return self._tournament(tied, incumbent, n)  # TOURNAMENT, the one kind left
 
     @staticmethod
     def _tournament(tied: Sequence[int], incumbent: Optional[int], n: int) -> int:
@@ -327,6 +335,8 @@ class LearnerConfig:
     eta_schedule: Optional[str] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "algorithm", _member(Algorithm, self.algorithm, "algorithm"))
+        object.__setattr__(self, "arithmetic", _member(Arithmetic, self.arithmetic, "arithmetic"))
         if not isinstance(self.horizon, int) or isinstance(self.horizon, bool) or self.horizon < 0:
             raise ConfigInvalid(f"horizon must be a nonnegative int, got {self.horizon!r}")
         # Here and for tie_tolerance, not math.isfinite: it overflows on
@@ -455,11 +465,11 @@ class Trajectory:
         return np.stack(self.matrix.apply(self.xs.T), axis=1)
 
     def over_common_denominator(self, name: str) -> Tuple[np.ndarray, int]:
-        """An exact run's column ``name`` ("xs", "ys" or "energies") as
-        ``game.over_common_denominator`` gives it.  Fictitious play from int
-        weights, x0 and eta forms every cell by int sums and products, never
-        a division, so its columns come back as they are, over D = 1, with no
-        scan of their cells."""
+        """The column ``name`` ("xs", "ys" or "energies") as
+        ``game.over_common_denominator`` gives it: a float run's as it is, over
+        D = 1.  Fictitious play from int weights, x0 and eta forms every cell
+        by int sums and products, never a division, so its columns too come
+        back as they are, over D = 1, with no scan of their cells."""
         column = getattr(self, name)
         inputs = (*self.matrix.weights, *self.config.x0.coords, self.config.eta)
         if self.config.algorithm == Algorithm.FICTITIOUS_PLAY and all(type(v) is int for v in inputs):

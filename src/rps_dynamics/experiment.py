@@ -33,7 +33,6 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from operator import truediv
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -58,6 +57,7 @@ from .dynamics import (
     TiebreakKind,
     TiebreakRule,
     Trajectory,
+    _member,
     run,
     tolerance,
 )
@@ -171,24 +171,16 @@ def _parse_list(value, where: str) -> list:
     return value
 
 
-def _parse_enum(enum, value, where: str):
-    try:
-        return enum(value)
-    except ValueError as exc:
-        raise ConfigInvalid(f"{where} must be one of {[m.value for m in enum]}") from exc
-
-
 def _parse_tiebreak(raw, seed) -> TiebreakRule:
     if not isinstance(raw, dict) or "kind" not in raw:
         raise ConfigInvalid('tiebreak must be {"kind": ..., "seed": optional}')
     unknown = set(raw) - {"kind", "seed"}
     if unknown:
         raise ConfigInvalid(f"unknown tiebreak keys: {sorted(unknown)}")
-    kind = _parse_enum(TiebreakKind, raw["kind"], "tiebreak.kind")
     tb_seed = raw.get("seed")
-    if kind == TiebreakKind.RANDOM_SEEDED and tb_seed is None:
+    if raw["kind"] == TiebreakKind.RANDOM_SEEDED and tb_seed is None:  # a str enum: "random_seeded" too
         tb_seed = seed
-    return TiebreakRule(kind, tb_seed)
+    return TiebreakRule(raw["kind"], tb_seed)
 
 
 def _parse_sweep_item(item) -> Tuple[str, Tuple]:
@@ -240,10 +232,9 @@ def parse_config(data: dict) -> ExperimentSpec:
         learner["tie_tolerance"] = _parse_number(learner["tie_tolerance"], "tie_tolerance")
     if learner.get("tiebreak") is not None:
         learner["tiebreak"] = _parse_tiebreak(learner["tiebreak"], seed)
-    learner["algorithm"] = _parse_enum(Algorithm, learner["algorithm"], "learner.algorithm")
     arithmetic = Arithmetic.FLOAT64
     if learner.get("arithmetic") is not None:
-        arithmetic = _parse_enum(Arithmetic, learner["arithmetic"], "arithmetic")
+        arithmetic = _member(Arithmetic, learner["arithmetic"], "arithmetic")
     sweep = tuple(map(_parse_sweep_item, _parse_list(data.get("sweep", []), "sweep")))
     outputs = tuple(_parse_list(data["outputs"], "outputs")) if "outputs" in data else OUTPUT_KINDS
 
@@ -314,10 +305,7 @@ def with_arithmetic(spec: ExperimentSpec, target: str) -> ExperimentSpec:
     reinterpret them bit-for-bit.  Switching to float converts the weights,
     x0, eta and tie_tolerance, sweep values included.
     """
-    try:
-        arith = Arithmetic(target)
-    except ValueError as exc:
-        raise ConfigInvalid(f"unknown arithmetic {target!r}") from exc
+    arith = _member(Arithmetic, target, "arithmetic")
     lc = spec.learner
     if arith == lc.arithmetic:
         return spec
@@ -343,8 +331,6 @@ def format_value(v) -> str:
     """Canonical cell text: 17-significant-digit floats, explicit p/q rationals."""
     if v is None:
         return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
     if isinstance(v, float):
         return f"{v:.17g}"
     if isinstance(v, Fraction):
@@ -522,7 +508,10 @@ def dual_replay(traj: Trajectory) -> Tuple[bool, Number]:
     An exact run has a constant eta = p/q.  Over common denominators, x = X/D_x,
     y = Y/D_y and the weights W/D_w, the check is q D_w D_x (Y[t+1] - Y[t]) ==
     p D_y (W X)[t] in ints, and the largest residual is the largest gap over
-    q D_w D_x D_y, a Fraction."""
+    q D_w D_x D_y, a Fraction.  This is the one invariant with two paths: one
+    fold would put the etas column over a common denominator and form the
+    float path's |y| bound in object ints, 2-3x slower on exact runs (exact
+    FP at n=5, T=3000: 1.9 ms -> 4.9 ms)."""
     if traj.is_exact:  # an exact residual is 0 or not, at any scale
         X, Dx = traj.over_common_denominator("xs")
         Y, Dy = traj.over_common_denominator("ys")
@@ -543,26 +532,20 @@ def energy_drops(traj: Trajectory) -> Tuple[List[int], float]:
     """Steps t >= 1 where the energy falls, relative to max(1, |H(y^t)|), and
     the worst relative one-step change.
 
-    An exact run's energies are E/D over one common denominator: a step falls
-    when its int difference is negative, and its relative change is
-    (E[t+1] - E[t]) / max(D, |E[t]|).  That int quotient is correctly rounded,
-    and rounding is monotone, so the least of the quotients is the float of
-    the least relative change."""
-    if traj.is_exact:
-        E, D = traj.over_common_denominator("energies")
-        steps = np.diff(E)[1:]
-        drops = [int(t) + 1 for t in np.nonzero(steps < 0)[0]]
-        steps, scale = steps.tolist(), np.maximum(D, np.abs(E[1:-1])).tolist()
-        try:
-            return drops, min(map(truediv, steps, scale), default=0.0)
-        except OverflowError:  # a quotient past the float range: find the least exactly
-            return drops, float(min(map(Fraction, steps, scale)))
-    H = traj.energies
-    steps = np.diff(H)[1:]
-    scale = np.maximum(1, np.abs(H[1:-1]))
-    floor = -REL_TOL * scale
-    drops = [int(t) + 1 for t in np.nonzero(steps < floor)[0]]
-    return drops, float((steps / scale).min()) if steps.size else 0.0
+    The energies are E/D over one common denominator (a float run's are
+    their own numerators, over 1): a step falls when its difference is below
+    -REL_TOL max(D, |E[t]|) (0 in exact runs), and its relative change is
+    (E[t+1] - E[t]) / max(D, |E[t]|).  An exact run's int quotient is
+    correctly rounded, and rounding is monotone, so the least of the
+    quotients is the float of the least relative change."""
+    E, D = traj.over_common_denominator("energies")
+    steps = np.diff(E)[1:]
+    scale = np.maximum(D, np.abs(E[1:-1]))
+    drops = [int(t) + 1 for t in np.nonzero(steps < -tolerance(traj.is_exact, REL_TOL) * scale)[0]]
+    try:
+        return drops, float((steps / scale).min()) if steps.size else 0.0
+    except OverflowError:  # an int quotient past the float range: find the least exactly
+        return drops, float(min(map(Fraction, steps.tolist(), scale.tolist())))
 
 
 def regret_route_gaps(traj: Trajectory, rep: RegretReport) -> Dict[str, Tuple[bool, Number]]:

@@ -11,8 +11,9 @@ Arithmetic is generic: weights and points may be ints, floats, or
 when every number it is formed from is int or Fraction, and a float as soon as
 one is a float, mixed vectors included; ``div`` keeps that rule for division.
 So each kernel reads its mode off its values, and one code path serves both.
-Folds over many exact values go through ``over_common_denominator``: Python-int
-numerators over one denominator, so they pay no gcd per operation.
+Folds over a column go through ``over_common_denominator``: numerators over
+one denominator, Python ints for exact cells, so they pay no gcd per operation,
+and a float64 column as itself over 1, so one fold serves both modes.
 """
 
 import math
@@ -51,11 +52,13 @@ def all_exact(values: Sequence[Number]) -> bool:
 
 
 def over_common_denominator(cells) -> Tuple[np.ndarray, int]:
-    """Exact cells (ints and Fractions, an array or a sequence) as Python-int
-    numerators over one common denominator D, the LCM of their denominators:
-    ``(nums, D)`` with ``nums`` an object array of the cells' shape and cell k
-    equal to nums[k] / D.  Sums, differences and products of the numerators
-    are int operations, with no gcd per operation as a Fraction takes."""
+    """Cells as numerators over one common denominator: ``(nums, D)``, cell k
+    equal to nums[k] / D.  A float64 array is its own numerators over D = 1,
+    read off its dtype.  Other cells, an array or a sequence, come back as
+    Python ints in an object array of their shape over the LCM of their
+    denominators: int folds, with no gcd per operation as a Fraction takes."""
+    if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
+        return cells, 1
     cells = np.asarray(cells, dtype=object)
     ratios = [c.as_integer_ratio() for c in cells.ravel().tolist()]
     D = math.lcm(*{d for _, d in ratios})

@@ -149,14 +149,14 @@ def _objectives(y: np.ndarray, masks: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 
 
 def regret_direct(traj: Trajectory) -> Number:
-    """2 * max_i of the summed payoff vectors, straight from the primals.  An
-    exact run sums int payoff rows, its weights and primals over common
-    denominators D_w and D_x, and divides once by D_w D_x."""
-    if traj.is_exact:
-        X, Dx = traj.over_common_denominator("xs")
-        W, Dw = over_common_denominator(traj.matrix.weights)
-        return div(2 * max(v.sum() for v in RpsMatrix(W.tolist()).apply(X.T)), Dw * Dx)
-    return 2 * max(traj.payoffs().sum(axis=0).tolist())
+    """2 * max_i of the summed payoff vectors, straight from the primals: the
+    payoff rows of the weights and primals over common denominators D_w and
+    D_x (int rows in an exact run, the run's own float rows in a float one),
+    stacked and summed down the rows, divided once by D_w D_x."""
+    X, Dx = traj.over_common_denominator("xs")
+    W, Dw = over_common_denominator(np.array(traj.matrix.weights, dtype=traj.xs.dtype))
+    payoffs = np.stack(RpsMatrix(W.tolist()).apply(X.T), axis=1)
+    return div(2 * max(payoffs.sum(axis=0).tolist()), Dw * Dx)
 
 
 def grad_fd(y: Sequence[float], h: float = 1e-6) -> np.ndarray:

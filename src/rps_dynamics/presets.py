@@ -23,7 +23,10 @@ class FigurePreset:
 
 
 _LEX = {"kind": "lexicographic"}
+# Pinned starting points, shared with the verification store's slots.
 _X0_GD3 = (0.3, 0.4, 0.3)
+_X0_GD4 = (0.05, 0.35, 0.39, 0.21)
+_X0_GD4_COMPARE = (0.2, 0.2, 0.25, 0.35)
 _doc = config_document
 
 _FIGURES = (
@@ -38,13 +41,13 @@ _FIGURES = (
     ("fig1c",
      "Gradient descent, eta=1, on the unit 4-cycle from an interior "
      "point close to uniform.",
-     [_doc("fig1c", [1] * 4, "gd", 200, [0.05, 0.35, 0.39, 0.21], eta=1,
+     [_doc("fig1c", [1] * 4, "gd", 200, _X0_GD4, eta=1,
           note="companion run: same weights with x0 cyclically "
           "permuted one step gives the same picture rotated")]),
     ("fig_gd_eta_compare",
      "Gradient descent on the unit 4-cycle, one interior start, three "
      "stepsizes: sublinear drift vs. fast lock-in to the cycling regime.",
-     [_doc("fig_gd_eta_compare", [1] * 4, "gd", 100, [0.2, 0.2, 0.25, 0.35], eta=0.1,
+     [_doc("fig_gd_eta_compare", [1] * 4, "gd", 100, _X0_GD4_COMPARE, eta=0.1,
           sweep=[["eta", [0.1, 0.3, 10]]])]),
     ("fig_fp_regret",
      "Fictitious play regret growth over T=1000 from a vertex, "

@@ -49,6 +49,7 @@ from .experiment import (
     regret_route_gaps,
 )
 from .game import SimplexPoint, gamma, interior_nash, make_rps
+from .presets import _X0_GD3, _X0_GD4, _X0_GD4_COMPARE  # the x0 of the figures the criteria cite
 
 QUICK_CAP = 10**3
 FULL_CAP = 10**5
@@ -59,11 +60,6 @@ _FP_RULES = {
     "random": {"kind": "random_seeded", "seed": 0},
     "switch": {"kind": "prefer_switch"},
 }
-
-# x0 values pinned by the figure configurations the criteria refer to.
-_X0_GD4 = (0.05, 0.35, 0.39, 0.21)
-_X0_GD4_COMPARE = (0.2, 0.2, 0.25, 0.35)
-_X0_GD3 = (0.3, 0.4, 0.3)
 
 
 @dataclass

@@ -587,6 +587,22 @@ def test_dual_subspace_float_rounding_only():
     assert check_dual_subspace(traj, star) < 1e-10
 
 
+def test_dual_subspace_takes_x_star_in_the_run_dtype():
+    """A float run rounds an exact x* to float64.  An exact run reads a float
+    x* at its exact binary value, so its largest product is a Fraction: the
+    exact distance of the rounded x* from the hyperplane, not float noise."""
+    star = interior_nash(make_rps((1, 2, 3))).point
+    rounded = SimplexPoint(tuple(float(c) for c in star.coords))
+    floats = _gd(T=500, eta=0.3, weights=(1.0, 2.0, 3.0), x0=SimplexPoint.uniform(3))
+    worst = check_dual_subspace(floats, star)
+    assert type(worst) is float and worst == check_dual_subspace(floats, rounded)
+    exact = _fp(T=1000, weights=(1, 2, 3), exact=True)
+    worst = check_dual_subspace(exact, rounded)
+    assert type(worst) is Fraction and worst == Fraction(31, 2**55)
+    assert worst == max(abs(sum(Fraction(c) * y for c, y in zip(rounded.coords, row)))
+                        for row in exact.ys.tolist())
+
+
 def test_dual_subspace_dimension_check():
     traj = _fp(T=5)
     with pytest.raises(ConfigInvalid):

@@ -27,7 +27,7 @@ from rps_dynamics import (
     run,
 )
 from rps_dynamics import dynamics, oracle, verification
-from rps_dynamics.experiment import dual_replay
+from rps_dynamics.experiment import ExperimentSpec, config_hash, dual_replay
 from rps_dynamics.game import is_exact
 
 
@@ -287,6 +287,34 @@ def test_config_rejects_bad_values():
         LearnerConfig(algorithm=gd, horizon=10, x0=x0, bit_budget=8)
     with pytest.raises(ConfigInvalid):
         LearnerConfig(algorithm=fp, horizon=True, x0=x0)
+    exact_gd = {"algorithm": gd, "eta": 1, "arithmetic": Arithmetic.EXACT_RATIONAL}
+    for kwargs in (
+        {"algorithm": "xx"},
+        {"algorithm": fp, "arithmetic": "rationall"},
+        {"algorithm": fp, "eta_schedule": "inv_sqrt_t"},
+        {"algorithm": gd, "tie_tolerance": 1e-6},
+        {**exact_gd, "x0": SimplexPoint((0.5, 0.25, 0.25))},  # exact eta, float x0
+        {**exact_gd, "eta_schedule": "inv_sqrt_t"},
+    ):
+        with pytest.raises(ConfigInvalid):
+            LearnerConfig(**{"horizon": 10, "x0": x0, **kwargs})
+    with pytest.raises(ConfigInvalid):
+        TiebreakRule("foo")
+
+
+def test_config_coerces_enum_values():
+    """The values of the enums stand for their members, and hash alike."""
+    x0 = SimplexPoint.vertex(3, 0)
+    named = LearnerConfig(algorithm="fp", horizon=10, x0=x0, arithmetic="rational",
+                          tiebreak=TiebreakRule("tournament"))
+    members = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=10, x0=x0,
+                            arithmetic=Arithmetic.EXACT_RATIONAL,
+                            tiebreak=TiebreakRule(TiebreakKind.TOURNAMENT))
+    assert named.algorithm is Algorithm.FICTITIOUS_PLAY
+    assert named.arithmetic is Arithmetic.EXACT_RATIONAL
+    assert named.tiebreak.kind is TiebreakKind.TOURNAMENT
+    assert config_hash(ExperimentSpec("t", (1, 1, 1), named)) == \
+        config_hash(ExperimentSpec("t", (1, 1, 1), members))
 
 
 @pytest.mark.parametrize("eta", [math.inf, math.nan])

@@ -21,12 +21,14 @@ from rps_dynamics import (
     load_config,
     make_rps,
     parse_config,
+    run,
     run_experiment,
     run_sweep,
     with_arithmetic,
     with_seed,
 )
-from rps_dynamics.analysis import INITIAL, detect_phases, energy_growth_ledger
+from rps_dynamics.analysis import (INITIAL, detect_phases, energy_growth_ledger, regret_at,
+                                   small_stepsize_energy_check)
 from rps_dynamics.cli import main
 from rps_dynamics.errors import NonpositiveWeight, NoVertexReached
 from rps_dynamics.experiment import (
@@ -156,6 +158,23 @@ def test_parse_rejects_bad_fields():
     cfg["weights"] = [1, "one", 1]
     with pytest.raises(ConfigInvalid):
         parse_config(cfg)
+    with pytest.raises(ConfigInvalid, match="root"):
+        parse_config([fp_config()])
+    for field, spoil in (
+        ("name", lambda cfg: cfg.pop("name")),
+        ("horizon", lambda cfg: cfg["learner"].pop("horizon")),
+        ("tiebreak", lambda cfg: cfg["learner"].update(tiebreak="lexicographic")),
+        ("sweep entries", lambda cfg: cfg.update(sweep=[["horizon"]])),
+        ("x0", lambda cfg: cfg["learner"].update(x0=[1, 1, 0])),
+        # ExperimentSpec's own rules
+        ("name", lambda cfg: cfg.update(name="")),
+        ("output kind", lambda cfg: cfg.update(outputs=["pdf"])),
+        ("nonempty value list", lambda cfg: cfg.update(sweep=[["horizon", []]])),
+    ):
+        cfg = fp_config()
+        spoil(cfg)
+        with pytest.raises(ConfigInvalid, match=field):
+            parse_config(cfg)
 
 
 def test_python_api_refuses_the_booleans_parse_config_refuses():
@@ -731,6 +750,31 @@ def test_tiebreak_seed_must_be_an_int(tmp_path, seed):
     cfg["learner"]["tiebreak"] = {"kind": "random_seeded", "seed": seed}
     path = write_json(tmp_path, cfg)
     assert main(["run", "--config", path, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_edge_horizons(tmp_path):
+    """T = 0 and T = 1 runs, where the phase, slope, small-step and prefix
+    regret audits have too little to go on."""
+    gd = Algorithm.GRADIENT_DESCENT
+    x0 = SimplexPoint.uniform(3)
+    zero = run(LearnerConfig(gd, 0, x0, eta=1.0), make_rps((1.0,) * 3))
+    with pytest.raises(NoVertexReached):
+        detect_phases(zero)
+    assert small_stepsize_energy_check(zero).reason == "single dual step; regret bound not evaluated"
+    with pytest.raises(ValueError, match="outside"):
+        regret_at(zero, 1)
+    schedule = run(LearnerConfig(gd, 5, x0, eta_schedule="inv_sqrt_t"), make_rps((1.0,) * 3))
+    with pytest.raises(ConfigInvalid, match="constant stepsize"):
+        regret_at(schedule, 3)
+    spec = ExperimentSpec("one", (1.0,) * 3, LearnerConfig(gd, 1, x0, eta=1.0),
+                          sweep=(("eta", (1.0, 2.0)),), outputs=("report_json",))
+    sweep = run_sweep(spec, str(tmp_path))
+    for res in sweep.results:
+        with open(res.paths["report_json"]) as fh:
+            assert json.load(fh)["slope"] is None
+    with open(sweep.csv_path) as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["slope"] for row in rows] == ["", ""]
 
 
 def test_cli_sweep(tmp_path):
