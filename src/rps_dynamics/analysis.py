@@ -240,7 +240,7 @@ def regret(traj: Trajectory) -> RegretReport:
     horizons = _curve_horizons(T)
 
     if cfg.eta_schedule is not None:
-        cum = np.cumsum(traj.payoffs(), axis=0)
+        cum = np.cumsum(traj.payoffs()[0], axis=0)  # over D = 1: schedules are float-only
         total: Number = 2.0 * float(cum[T].max())
         curve = tuple((h, 2.0 * float(cum[h].max())) for h in horizons)
         by_energy: Optional[Number] = None

@@ -339,6 +339,10 @@ class LearnerConfig:
         object.__setattr__(self, "arithmetic", _member(Arithmetic, self.arithmetic, "arithmetic"))
         if not isinstance(self.horizon, int) or isinstance(self.horizon, bool) or self.horizon < 0:
             raise ConfigInvalid(f"horizon must be a nonnegative int, got {self.horizon!r}")
+        if not isinstance(self.x0, SimplexPoint):
+            raise ConfigInvalid(f"x0 must be a SimplexPoint, got {self.x0!r}")
+        if not isinstance(self.tiebreak, (TiebreakRule, type(None))):
+            raise ConfigInvalid(f"tiebreak must be a TiebreakRule or None, got {self.tiebreak!r}")
         # Here and for tie_tolerance, not math.isfinite: it overflows on
         # Fractions beyond the float range.
         if isinstance(self.eta, bool) or not 0 < self.eta < math.inf:
@@ -458,11 +462,14 @@ class Trajectory:
         mask = self.support_mask(t)
         return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
-    def payoffs(self) -> np.ndarray:
-        """(T+1, n) payoff vectors A x^t, in the column dtype: ``matrix.apply``
-        on the n columns of ``xs``, the two products per coordinate that the
-        run formed at each step."""
-        return np.stack(self.matrix.apply(self.xs.T), axis=1)
+    def payoffs(self) -> Tuple[np.ndarray, int]:
+        """The (T+1, n) payoff rows A x^t as ``(P, D)``, numerators over D =
+        D_w D_x: ``RpsMatrix.apply`` on the numerators of the weights, in the
+        column dtype, and of the columns of ``xs``.  P is Python ints in an
+        exact run, and in a float run the rows it stepped with, over D = 1."""
+        W, Dw = over_common_denominator(np.array(self.matrix.weights, dtype=self.xs.dtype))
+        X, Dx = self.over_common_denominator("xs")
+        return np.stack(RpsMatrix(W.tolist()).apply(X.T), axis=1), Dw * Dx
 
     def over_common_denominator(self, name: str) -> Tuple[np.ndarray, int]:
         """The column ``name`` ("xs", "ys" or "energies") as

@@ -62,7 +62,7 @@ from .dynamics import (
     tolerance,
 )
 from .errors import ConfigInvalid, IoError, NoVertexReached
-from .game import Number, SimplexPoint, all_exact, div, make_rps, over_common_denominator
+from .game import Number, SimplexPoint, all_exact, div, make_rps
 
 OUT_ENV = "RPSDYN_OUT"
 OUTPUT_KINDS = ("trajectory_csv", "phases_csv", "ledger_csv", "report_json")
@@ -505,26 +505,24 @@ def dual_replay(traj: Trajectory) -> Tuple[bool, Number]:
     row's residual within REL_TOL * max(1, |y^{t+1}|_inf) (0 in exact runs),
     and the largest residual.
 
-    An exact run has a constant eta = p/q.  Over common denominators, x = X/D_x,
-    y = Y/D_y and the weights W/D_w, the check is q D_w D_x (Y[t+1] - Y[t]) ==
-    p D_y (W X)[t] in ints, and the largest residual is the largest gap over
-    q D_w D_x D_y, a Fraction.  This is the one invariant with two paths: one
-    fold would put the etas column over a common denominator and form the
-    float path's |y| bound in object ints, 2-3x slower on exact runs (exact
-    FP at n=5, T=3000: 1.9 ms -> 4.9 ms)."""
+    An exact run has a constant eta = p/q.  With the payoff rows P/D of
+    ``traj.payoffs()`` and y = Y/D_y, the check is q D (Y[t+1] - Y[t]) ==
+    p D_y P[t] in ints, one column at a time, and the largest residual is the
+    largest gap over q D D_y, a Fraction.  This is the one invariant with two
+    paths: one fold would put the etas column over a common denominator and
+    form the float path's |y| bound in object ints, 2-3x slower on exact runs
+    (exact FP at n=5, T=3000: 1.9 ms -> 4.9 ms)."""
+    P, D = traj.payoffs()
     if traj.is_exact:  # an exact residual is 0 or not, at any scale
-        X, Dx = traj.over_common_denominator("xs")
         Y, Dy = traj.over_common_denominator("ys")
-        W, Dw = over_common_denominator(traj.matrix.weights)
         p, q = traj.config.eta.as_integer_ratio()
-        scale = q * Dw * Dx
+        scale = q * D
         steps = Y[1:] - Y[:-1]
-        payoffs = make_rps((p * Dy * W).tolist()).apply(X.T)  # p D_y (W X), by column
-        top = max(np.abs(scale * steps[:, i] - v).max() for i, v in enumerate(payoffs))
+        top = max(np.abs(scale * steps[:, i] - p * Dy * P[:, i]).max() for i in range(traj.n))
         return top == 0, Fraction(top, scale * Dy)
     ys = traj.ys
     etas = traj.config.etas()
-    resid = np.abs(ys[1:] - ys[:-1] - traj.payoffs() * etas[:, None]).max(axis=1)
+    resid = np.abs(ys[1:] - ys[:-1] - P * etas[:, None]).max(axis=1)
     return bool((resid <= REL_TOL * np.maximum(1.0, np.abs(ys[1:]).max(axis=1))).all()), resid.max()
 
 
@@ -551,7 +549,9 @@ def energy_drops(traj: Trajectory) -> Tuple[List[int], float]:
 def regret_route_gaps(traj: Trajectory, rep: RegretReport) -> Dict[str, Tuple[bool, Number]]:
     """(holds, relative gap) of each other regret route against the dual-based
     total: summed payoffs (``direct``), the average iterate's duality gap times
-    T+1 (``gap``) and, for FP, the energy (``energy``)."""
+    T+1 (``gap``) and, for FP, the energy (``energy``).  On ``eta_schedule``
+    runs the total sums the same payoff rows in the same order as ``direct``,
+    so that gap is 0.0 by construction."""
     routes = {
         "direct": oracle.regret_direct(traj),
         "gap": rep.duality_gap_avg * (traj.horizon + 1),

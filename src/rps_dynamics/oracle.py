@@ -16,7 +16,7 @@ import numpy as np
 from .errors import ArithmeticOverflow, DimensionTooLarge, TooCloseToBoundary
 from .analysis import classify_region
 from .dynamics import LearnerConfig, Trajectory, _gd_response, _simulate
-from .game import Number, RpsMatrix, SimplexPoint, div, over_common_denominator
+from .game import Number, RpsMatrix, SimplexPoint, div
 
 MAX_ENUMERATION_N = 20  # 2^20 supports per row
 CHUNK_CELLS = 4096  # (row, support) cells in each temporary of project_rows
@@ -150,13 +150,10 @@ def _objectives(y: np.ndarray, masks: np.ndarray) -> Tuple[np.ndarray, np.ndarra
 
 def regret_direct(traj: Trajectory) -> Number:
     """2 * max_i of the summed payoff vectors, straight from the primals: the
-    payoff rows of the weights and primals over common denominators D_w and
-    D_x (int rows in an exact run, the run's own float rows in a float one),
-    stacked and summed down the rows, divided once by D_w D_x."""
-    X, Dx = traj.over_common_denominator("xs")
-    W, Dw = over_common_denominator(np.array(traj.matrix.weights, dtype=traj.xs.dtype))
-    payoffs = np.stack(RpsMatrix(W.tolist()).apply(X.T), axis=1)
-    return div(2 * max(payoffs.sum(axis=0).tolist()), Dw * Dx)
+    rows of ``traj.payoffs()`` (ints in an exact run, the run's own float rows
+    in a float one), summed down the stack and divided once by their D."""
+    P, D = traj.payoffs()
+    return div(2 * max(P.sum(axis=0).tolist()), D)
 
 
 def grad_fd(y: Sequence[float], h: float = 1e-6) -> np.ndarray:

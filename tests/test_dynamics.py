@@ -295,6 +295,9 @@ def test_config_rejects_bad_values():
         {"algorithm": gd, "tie_tolerance": 1e-6},
         {**exact_gd, "x0": SimplexPoint((0.5, 0.25, 0.25))},  # exact eta, float x0
         {**exact_gd, "eta_schedule": "inv_sqrt_t"},
+        {"algorithm": fp, "tiebreak": "tournament"},  # a kind, not a TiebreakRule
+        {"algorithm": fp, "x0": (1, 0, 0)},  # coordinates, not a SimplexPoint
+        {**exact_gd, "x0": (1, 0, 0)},  # checked before the exact-x0 test reads x0.coords
     ):
         with pytest.raises(ConfigInvalid):
             LearnerConfig(**{"horizon": 10, "x0": x0, **kwargs})
@@ -569,19 +572,23 @@ QUICK_STORE = verification.TrajectoryStore(verification.QUICK_CAP)
 
 @pytest.mark.parametrize("slot", QUICK_STORE.catalog())
 def test_payoffs_are_the_runs_own_products(slot):
-    """Row t of ``payoffs()`` is ``matrix.apply(x(t))``, the product the run
-    stepped with: byte for byte in float runs, value and type in exact runs.
-    The recorded game is in the run's number type, so a float run on int
-    weights (fp3_lex) records float weights."""
+    """Row t of ``payoffs()``'s P / D is ``matrix.apply(x(t))``, the product
+    the run stepped with: byte for byte over D = 1 in float runs, Python-int
+    numerators of the same values in exact runs.  The recorded game is in the
+    run's number type, so a float run on int weights (fp3_lex) records float
+    weights."""
     traj = QUICK_STORE.get(slot)
     kinds = {type(w) for w in traj.matrix.weights}
     assert kinds <= ({int, Fraction} if traj.is_exact else {float})
-    payoffs = traj.payoffs()
-    assert (payoffs.dtype, payoffs.shape) == (traj.xs.dtype, traj.xs.shape)
-    for t, row in enumerate(payoffs.tolist()):
+    P, D = traj.payoffs()
+    assert (P.dtype, P.shape, type(D)) == (traj.xs.dtype, traj.xs.shape, int)
+    if not traj.is_exact:
+        assert D == 1
+    for t, row in enumerate(P.tolist()):
         expect = list(traj.matrix.apply(traj.x(t)))
         if traj.is_exact:
-            assert (row, list(map(type, row))) == (expect, list(map(type, expect))), t
+            assert all(type(p) is int for p in row), t
+            assert [Fraction(p, D) for p in row] == expect, t
         else:
             assert np.array(row).tobytes() == np.array(expect).tobytes(), t
 

@@ -45,7 +45,8 @@ DETERMINISTIC_RULES = [kind for kind in TiebreakKind if kind != TiebreakKind.RAN
 def dual_replay_reference(traj):
     ys = traj.ys
     etas = traj.config.etas()
-    resid = np.abs(ys[1:] - ys[:-1] - traj.payoffs() * etas[:, None])
+    payoffs = np.stack(traj.matrix.apply(traj.xs.T), axis=1)
+    resid = np.abs(ys[1:] - ys[:-1] - payoffs * etas[:, None])
     if traj.is_exact:
         top = resid.max()
         return top == 0, top
@@ -63,7 +64,7 @@ def energy_drops_reference(traj):
 
 
 def regret_direct_reference(traj):
-    return 2 * max(traj.payoffs().sum(axis=0).tolist())
+    return 2 * max(np.stack(traj.matrix.apply(traj.xs.T), axis=1).sum(axis=0).tolist())
 
 
 def average_iterate_reference(traj):

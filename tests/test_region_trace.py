@@ -24,8 +24,11 @@ from rps_dynamics import (
     Arithmetic,
     LearnerConfig,
     SimplexPoint,
+    TiebreakKind,
+    TiebreakRule,
     classify_region,
     find_support,
+    ledger_summary,
     make_rps,
     parse_config,
     region_trace,
@@ -33,10 +36,10 @@ from rps_dynamics import (
     run_experiment,
     run_sweep,
 )
-from rps_dynamics import analysis
+from rps_dynamics import analysis, oracle
 from rps_dynamics.analysis import REGION_KINDS, RegionKind, detect_phases, energy_growth_ledger
 from rps_dynamics.dynamics import LEDGER_BAND
-from rps_dynamics.experiment import with_arithmetic
+from rps_dynamics.experiment import with_arithmetic, write_trajectory_csv
 from rps_dynamics.presets import all_presets
 from rps_dynamics.verification import (
     QUICK_CAP,
@@ -45,6 +48,7 @@ from rps_dynamics.verification import (
     check_gd_cycling,
 )
 
+from test_events import assert_same_columns
 from test_golden import EXACT_GD3_HALF, EXACT_GD4_WEIGHTED, EXACT_GD_SWEEP
 
 
@@ -261,6 +265,40 @@ def test_masks_wider_than_64_bits():
     assert_trace_matches_oracle(traj)
     assert detect_phases(traj).count >= 1
     assert energy_growth_ledger(traj).cls.shape == (cfg.horizon + 1,)
+
+
+_WIDE = 65  # one coordinate past a uint64 mask
+
+
+@pytest.mark.parametrize("cfg", [
+    LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=400, x0=SimplexPoint.vertex(_WIDE, 4),
+                  tiebreak=TiebreakRule(TiebreakKind.TOURNAMENT)),
+    LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=400,
+                  x0=SimplexPoint((0.5,) + (0.5 / (_WIDE - 1),) * (_WIDE - 1)), eta=3.0),
+], ids=["fp_tournament", "gd_interior"])
+def test_runs_past_64_actions(cfg, tmp_path):
+    """Past n = 64 the support masks are Python ints in an object column:
+    ``run`` still equals the stepwise oracle, the region labels are the
+    played vertices (FP) or ``classify_region``'s (GD), the ledger finds no
+    violation, and the trajectory CSV writes row 0's mask in full."""
+    matrix = make_rps((1.0,) * _WIDE)
+    traj = run(cfg, matrix)
+    assert_same_columns(traj, oracle.run_stepwise(cfg, matrix))
+    assert traj.supports.dtype == object
+    gd = cfg.algorithm == Algorithm.GRADIENT_DESCENT
+    if gd:
+        assert_trace_matches_oracle(traj)
+    else:
+        trace = region_trace(traj)
+        assert trace.label(0) == "interior"
+        assert [trace.label(t) for t in range(1, traj.horizon + 2)] == [
+            f"vertex_{traj.support(t)[0]}" for t in range(1, traj.horizon + 2)]
+    summary = ledger_summary(energy_growth_ledger(traj))
+    assert summary["violations"] == 0 and summary["in_bounds"] > 0
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(traj, str(path))
+    row0 = path.read_text().splitlines()[1].split(",")
+    assert row0[-1] == str((1 << _WIDE) - 1 if gd else 1 << 4)  # interior x0, or e_4
 
 
 @pytest.mark.parametrize("arithmetic", list(Arithmetic))

@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+from rps_dynamics import Trajectory
+from rps_dynamics import verification as V
 from rps_dynamics.verification import run_suite
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_verify_quick.json")
@@ -26,6 +28,42 @@ def test_quick_verify_lines_match_golden():
     with open(GOLDEN, encoding="utf-8") as fh:
         expected = json.load(fh)
     assert verify_lines() == expected
+
+
+def _tampered(traj, **columns):
+    """A new run from copies of ``traj``'s columns, with ``columns`` replaced."""
+    fields = {name: getattr(traj, name).copy() for name in ("xs", "ys", "energies", "supports")}
+    return Trajectory(traj.config, traj.matrix, **{**fields, **columns})
+
+
+def test_store_checks_fail_on_tampered_runs():
+    """c06, c08, c12 and c13 each report what a quick store of tampered or
+    swapped runs holds: an energy drop, a raised closing dual, and the
+    gd3_small and gd3_boundary runs under each other's keys."""
+    store = V.TrajectoryStore(V.QUICK_CAP)
+    fp3, gd4 = store.get("fp3_lex"), store.get("gd4_main")
+    energies = fp3.energies.copy()
+    energies[400] -= 50.0  # the step into t = 400 falls by 50
+    store._cache["fp3_lex"] = _tampered(fp3, energies=energies)
+    ys = gd4.ys.copy()
+    ys[-1] += 1000.0  # y^{T+1}: the dual-based regret leaves both other routes
+    store._cache["gd4_main"] = _tampered(gd4, ys=ys)
+    small, boundary = store.get("gd3_small"), store.get("gd3_boundary")
+    store._cache["gd3_small"], store._cache["gd3_boundary"] = boundary, small
+
+    c06 = V.check_energy_monotone(store, "quick")
+    assert not c06.passed
+    assert c06.details.endswith("(fp3_lex)"), c06.details
+    c08 = V.check_gd_small_stepsize(store, "quick")
+    assert c08.passed
+    assert c08.details == f"NotApplicable: stepsize 0.3 is not 1/sqrt({V.QUICK_CAP})"
+    c12 = V.check_regret_identities(store, "quick")
+    assert not c12.passed
+    assert "gd4_main: direct route off by" in c12.details, c12.details
+    assert "gd4_main: upper bound violated by" in c12.details, c12.details
+    c13 = V.check_boundary_invariance(store, "quick")
+    assert c13.passed
+    assert c13.details.startswith("gd3_boundary: ceiling never exceeded (vacuous); "), c13.details
 
 
 if __name__ == "__main__":
