@@ -28,6 +28,12 @@ dual row gives the projection's support, energy, bitmask and coordinates.  Its
 sums are explicit left-to-right folds from int 0, never the builtin ``sum``
 (compensated on floats since Python 3.12), and its squares are IEEE products,
 never libm's ``pow``; so its bytes depend on neither.
+
+``run`` takes the steps of a vertex segment in blocks (``_vertex_block``),
+where every step adds the same d = eta A e_i.  Float rows come from one
+accumulate and a row test; exact rows are y + k d in closed form, decided
+in O(n) and filled with 2 values a row, as only the two neighbours of i
+move.  Both give the scalar steps' columns, type for type.
 """
 
 import math
@@ -35,7 +41,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -466,10 +472,18 @@ class Trajectory:
         """The (T+1, n) payoff rows A x^t as ``(P, D)``, numerators over D =
         D_w D_x: ``RpsMatrix.apply`` on the numerators of the weights, in the
         column dtype, and of the columns of ``xs``.  P is Python ints in an
-        exact run, and in a float run the rows it stepped with, over D = 1."""
+        exact run, and in a float run the rows it stepped with, over D = 1.
+        They are formed on the first call; every call returns that read-only
+        P."""
+        return self._payoffs
+
+    @cached_property
+    def _payoffs(self) -> Tuple[np.ndarray, int]:
         W, Dw = over_common_denominator(np.array(self.matrix.weights, dtype=self.xs.dtype))
         X, Dx = self.over_common_denominator("xs")
-        return np.stack(RpsMatrix(W.tolist()).apply(X.T), axis=1), Dw * Dx
+        P = np.stack(RpsMatrix(W.tolist()).apply(X.T), axis=1)
+        P.flags.writeable = False
+        return P, Dw * Dx
 
     def over_common_denominator(self, name: str) -> Tuple[np.ndarray, int]:
         """The column ``name`` ("xs", "ys" or "energies") as
@@ -515,13 +529,14 @@ def _check_block_bits(y: List[Number], d: List[Number], rows: np.ndarray, budget
 
 
 def _keeps_vertex(rows: np.ndarray, i: int, tie_tol: Optional[Number]) -> np.ndarray:
-    """Which dual rows certainly get the response vertex i, as a bool column.
+    """Which float dual rows certainly get the response vertex i, as a bool
+    column.
 
     Fictitious play (``tie_tol`` set): the tie set y_j >= max - tie_tol is
     exactly {i}.  Gradient descent (``tie_tol`` None): the projection's
-    support is (i,), that is y_i - max_{j != i} y_j - 1 > 0 in exact rows,
-    and past ``GD_VERTEX_MARGIN``'s rounding bound in float rows.  A row
-    that fails may still get i; the scalar step decides it.
+    support is (i,), that is y_i - max_{j != i} y_j - 1 past
+    ``GD_VERTEX_MARGIN``'s rounding bound.  A row that fails may still get
+    i; the scalar step decides it.
     """
     n = rows.shape[1]
     yi = rows[:, i]
@@ -529,9 +544,50 @@ def _keeps_vertex(rows: np.ndarray, i: int, tie_tol: Optional[Number]) -> np.nda
     if tie_tol is not None:
         return (others < (yi - tie_tol)[:, None]).all(axis=1)
     gap = yi - others.max(axis=1) - 1
-    if rows.dtype == object:
-        return gap > 0
     return gap > GD_VERTEX_MARGIN * (n * n) * np.maximum(1.0, np.abs(rows).max(axis=1))
+
+
+def _progression(y0: Number, d: Number, count: int) -> List[Number]:
+    """y0 + k d for k = 1..count, each in the type of y0 + d: ints when both
+    are ints, else Fractions formed from int numerators over L = lcm(den y0,
+    den d)."""
+    if type(y0) is int and type(d) is int:
+        return list(range(y0 + d, y0 + (count + 1) * d, d))
+    L = math.lcm(y0.denominator, d.denominator)
+    P, Q = y0.numerator * (L // y0.denominator), d.numerator * (L // d.denominator)
+    return [Fraction(p, L) for p in range(P + Q, P + (count + 1) * Q, Q)]
+
+
+def _exact_rows(y: List[Number], d: List[Number], i: int, c: Number, rows: np.ndarray) -> int:
+    """Write to the front of ``rows`` the exact rows y + d, y + 2d, ... that
+    keep vertex i, at most ``len(rows)`` of them, and return how many.
+
+    d_i = 0, since A e_i is zero at i, so y_i stays put and row k keeps i
+    iff y_m + k d_m < y_i - c for every m != i, with c the tie tolerance
+    (FP) or 1 (GD); the comparisons are exact, as the scalar step's are.
+    The rows kept are a prefix: none if row 1 fails, else up to ceil(r_m) -
+    1 for r_m = (y_i - c - y_m) / d_m over the coordinates with d_m > 0.
+    Only the two neighbours of i have d_m != 0 (A e_i has two nonzero
+    entries); every other column holds row 1's value, one object for the
+    block, and the two that move are ``_progression``s.
+    """
+    first = [ym + dm for ym, dm in zip(y, d)]
+    top = first[i] - c
+    if type(top) is float:  # a tie tolerance of 0.0: the scalar step compares with this float
+        top = Fraction(top)
+    taken = len(rows)
+    for m, (ym, dm) in enumerate(zip(y, d)):
+        if m != i:
+            if top - ym - dm <= 0:
+                return 0
+            if dm > 0:
+                taken = min(taken, -((ym - top) // dm) - 1)
+    rows = rows[:taken]
+    rows[:] = first
+    for m, (ym, dm) in enumerate(zip(y, d)):
+        if dm != 0:
+            rows[:, m] = _progression(ym, dm, taken)
+    return taken
 
 
 def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.ndarray, ...],
@@ -544,14 +600,16 @@ def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.n
 
     Only coordinate i+1 gains on y_i, at rate eta * w_i, so the gap to it
     predicts the segment; a prediction shorter than ``MIN_BLOCK`` takes
-    nothing.  The rows y + d, y + 2d, ... come from one ``np.add.accumulate``,
-    the same left-to-right sums the scalar steps form, and each row is
-    decided columnwise by ``_keeps_vertex``.  The block stops at the
-    first row that fails, which the scalar step then takes.
+    nothing.  Exact rows are decided and formed in closed form
+    (``_exact_rows``), O(n) to decide and O(2 taken) values to form; the
+    energy is one value for the block, y_i and, for GD, y_i - 1/2.  Float
+    rows come from one ``np.add.accumulate``, the same left-to-right sums
+    the scalar steps form, and each is decided columnwise by
+    ``_keeps_vertex``.  The block stops at the first row that fails, which
+    the scalar step then takes.
     """
     xs, ys, energies, supports = columns
     n = len(y)
-    exact = config.is_exact
     is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
     eta_t = etas[t]
     j = (i + 1) % n
@@ -563,26 +621,33 @@ def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.n
     if length < MIN_BLOCK:
         return 0, y
 
-    block = np.empty((length + 1, n), dtype=ys.dtype)
-    block[0] = y
-    if config.eta_schedule is None:
+    if config.is_exact:  # eta is constant
         d = [eta_t * vi for vi in v]
-        block[1:] = d
-    else:
-        block[1:] = np.multiply.outer(etas[t:t + length], v)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail below
-        rows = np.add.accumulate(block, axis=0)[1:]
-        stay = _keeps_vertex(rows, i, config.effective_tie_tolerance if is_fp else None)
-    taken = length if stay.all() else int(stay.argmin())
-    if not taken:
-        return 0, y
-    rows = rows[:taken]
-    if exact:
+        rows = ys[t + 1:t + 1 + length]
+        taken = _exact_rows(y, d, i, config.effective_tie_tolerance if is_fp else 1, rows)
+        if not taken:
+            return 0, y
+        rows = rows[:taken]
         _check_block_bits(y, d, rows, config.bit_budget, t)
+        # A one-coordinate support has energy_gd y_i - 1/2, a Fraction.
+        energies[t + 1:t + 1 + taken] = rows[0, i] if is_fp else rows[0, i] - Fraction(1, 2)
+    else:
+        block = np.empty((length + 1, n))
+        block[0] = y
+        if config.eta_schedule is None:
+            block[1:] = [eta_t * vi for vi in v]
+        else:
+            block[1:] = np.multiply.outer(etas[t:t + length], v)
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail below
+            rows = np.add.accumulate(block, axis=0)[1:]
+            stay = _keeps_vertex(rows, i, config.effective_tie_tolerance if is_fp else None)
+        taken = length if stay.all() else int(stay.argmin())
+        if not taken:
+            return 0, y
+        rows = rows[:taken]
+        ys[t + 1:t + 1 + taken] = rows
+        energies[t + 1:t + 1 + taken] = rows[:, i] if is_fp else rows[:, i] - 0.5
     xs[t:t + taken] = x
-    ys[t + 1:t + 1 + taken] = rows
-    # A one-coordinate support has energy_gd y_i - 1/2, in its number type.
-    energies[t + 1:t + 1 + taken] = rows[:, i] if is_fp else rows[:, i] - (Fraction(1, 2) if exact else 0.5)
     supports[t + 1:t + 1 + taken] = 1 << i
     return taken, rows[-1].tolist()
 

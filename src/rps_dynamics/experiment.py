@@ -390,10 +390,16 @@ def _numbers(col: np.ndarray, blank: Optional[np.ndarray] = None):
     formats each distinct value once and gathers the cells by index: one
     format costs about as much as sorting and gathering two cells.  Distinct
     means distinct bits, so -0.0 and 0.0 stay apart.  Other float columns go
-    raw into ``%.17g``.
+    raw into ``%.17g``.  An exact column formats each distinct object once,
+    found by ``id`` (hashing a Fraction costs more than formatting it):
+    vertex blocks and tiled orbits repeat the very same objects.
     """
     if col.dtype == object:
-        return "%s", lambda s, e: list(map(_number_cell, col[s:e].tolist()))
+        cells = col.tolist()
+        _, first, index = np.unique(np.fromiter(map(id, cells), np.intp, len(cells)),
+                                           return_index=True, return_inverse=True)
+        texts = np.array([_number_cell(cells[k]) for k in first.tolist()], dtype=object)
+        return "%s", lambda s, e: texts.take(index[s:e]).tolist()
     bits = col.view(np.uint64)
     # Sort and drop repeats: np.unique on uint64 took about 15 times as long
     # (numpy 2.4).

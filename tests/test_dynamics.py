@@ -14,6 +14,7 @@ from rps_dynamics import (
     DimensionMismatch,
     LearnerConfig,
     ProjectionInfeasible,
+    RpsMatrix,
     SimplexPoint,
     classify_region,
     TiebreakKind,
@@ -591,6 +592,22 @@ def test_payoffs_are_the_runs_own_products(slot):
             assert [Fraction(p, D) for p in row] == expect, t
         else:
             assert np.array(row).tobytes() == np.array(expect).tobytes(), t
+
+
+@pytest.mark.parametrize("slot", ["gd4_main", "gd3_exact", "fp_weighted_exact"])
+def test_payoffs_are_formed_once_per_run(monkeypatch, slot):
+    """``dual_replay`` and ``oracle.regret_direct`` read one read-only P:
+    the rows are formed on the first ``payoffs()`` call only."""
+    traj = QUICK_STORE.get(slot)
+    traj = dynamics.Trajectory(traj.config, traj.matrix, traj.xs, traj.ys, traj.energies, traj.supports)
+    calls = []
+    apply = RpsMatrix.apply
+    monkeypatch.setattr(RpsMatrix, "apply", lambda self, x: calls.append(x) or apply(self, x))
+    assert dual_replay(traj)[0]
+    oracle.regret_direct(traj)
+    assert len(calls) == 1
+    P, D = traj.payoffs()
+    assert traj.payoffs()[0] is P and not P.flags.writeable
 
 
 def test_support_column_round_trips_find_support():

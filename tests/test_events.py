@@ -354,6 +354,139 @@ def test_store_orbit_periods(slot, period):
 
 
 # ---------------------------------------------------------------------------
+# Exact blocks in closed form
+
+
+@pytest.fixture
+def block_calls(monkeypatch):
+    """Each block of ``run``, in order: its vertex i, its first step t, the
+    steps it took, and the y and d = eta_t A x it started from."""
+    calls = []
+    block = dynamics._vertex_block
+
+    def recorded(config, etas, columns, x, v, y, i, t):
+        result = block(config, etas, columns, x, v, y, i, t)
+        calls.append((i, t, result[0], list(y), [etas[t] * vi for vi in v]))
+        return result
+
+    monkeypatch.setattr(dynamics, "_vertex_block", recorded)
+    return calls
+
+
+def _row_gap(row, i, c):
+    """min_{m != i} y_i - c - y_m of an exact dual row: the row certainly
+    gets vertex i when it is positive."""
+    return min(row[i] - c - v for m, v in enumerate(row) if m != i)
+
+
+def assert_exact_blocks_are_maximal(config, matrix, calls):
+    """``run`` equals ``run_stepwise``, value for value and type for type,
+    and every block that took rows took exactly the rows that keep its
+    vertex: each of them keeps it, and the next one does not unless the
+    block reached ``MAX_BLOCK`` or the horizon.  Returns how many blocks
+    the gap stopped, and how many of those before a row where it is
+    exactly 0."""
+    ref = oracle.run_stepwise(config, matrix)
+    assert_same_columns(run(config, matrix), ref)
+    c = 0 if config.algorithm == Algorithm.FICTITIOUS_PLAY else 1
+    stopped = at_zero = 0
+    for i, t, taken, _, _ in calls:
+        if taken:
+            rows = ref.ys[t + 1:t + 2 + taken].tolist()
+            assert all(_row_gap(row, i, c) > 0 for row in rows[:taken]), (t, taken)
+            if taken < min(dynamics.MAX_BLOCK, config.horizon + 1 - t):
+                assert _row_gap(rows[taken], i, c) <= 0, (t, taken)
+                stopped += 1
+                at_zero += _row_gap(rows[taken], i, c) == 0
+    return stopped, at_zero
+
+
+def _exact(algorithm, x0, weights, **kwargs):
+    config = LearnerConfig(algorithm=algorithm, horizon=300, x0=SimplexPoint(tuple(x0)),
+                           arithmetic=Arithmetic.EXACT_RATIONAL, **kwargs)
+    return config, make_rps(weights)
+
+
+def _fp(rule, x0, weights):
+    return _exact(Algorithm.FICTITIOUS_PLAY, x0, weights, tiebreak=TiebreakRule(rule))
+
+
+_LEX, _SWITCH = TiebreakKind.LEXICOGRAPHIC, TiebreakKind.PREFER_SWITCH
+_THIRDS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+
+# Each case's blocks start from y and d of the types named; int y and int d
+# form the moving columns by int sums, the others as Fractions.
+EXACT_BLOCK_CASES = {
+    "gd_fraction_y_fraction_d": (_exact(Algorithm.GRADIENT_DESCENT, (1, 0, 0), (1, 1, 1), eta=2),
+                                 {(Fraction, Fraction)}),
+    "gd_int_y_fraction_d": (_exact(Algorithm.GRADIENT_DESCENT, (1, 0, 0), (9, 1, 1), eta=1),
+                            {(int, Fraction), (Fraction, Fraction)}),
+    "gd_fraction_eta": (_exact(Algorithm.GRADIENT_DESCENT, (1, 0, 0), (2, 1, 1), eta=Fraction(1, 2)),
+                        {(Fraction, Fraction)}),
+    "fp_lexicographic": (_fp(_LEX, (1, 0, 0), (1, 2, 3)), {(int, int)}),
+    "fp_prefer_switch": (_fp(_SWITCH, (1, 0, 0, 0), (2, 3, 5, 7)), {(int, int)}),
+    "fp_lexicographic_fraction_y_int_d": (_fp(_LEX, _THIRDS, (1, 2, 3)), {(Fraction, int)}),
+    "fp_prefer_switch_fraction_y_int_d": (_fp(_SWITCH, _THIRDS, (1, 2, 3)), {(Fraction, int)}),
+    # Rational mode accepts a tie tolerance of 0.0; the tie test then reads a float.
+    "fp_float_zero_tolerance": (_exact(Algorithm.FICTITIOUS_PLAY, (1, 0, 0), (1, 2, 3), tie_tolerance=0.0),
+                                {(int, int)}),
+}
+
+
+def _types(values):
+    """Fraction if any of ``values`` is one, else int."""
+    return Fraction if any(type(v) is Fraction for v in values) else int
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_BLOCK_CASES))
+def test_exact_blocks_stop_where_the_gap_reaches_zero(block_calls, case):
+    """Blocks take exactly the rows whose exact gap y_i - c - max_{m != i}
+    y_m is positive, c = 1 (GD) or the tie tolerance 0 (FP), and some stop
+    before a row where it is exactly 0: taking ceil(r) - 1 rows there, r
+    = gap / slope an integer, is what an off-by-one gets wrong either way."""
+    (config, matrix), kinds = EXACT_BLOCK_CASES[case]
+    assert assert_exact_blocks_are_maximal(config, matrix, block_calls)[1] > 0
+    started = {(_types(y), _types([v for v in d if v != 0])) for _, _, taken, y, d in block_calls if taken}
+    assert started == kinds
+
+
+def _bits(values):
+    return max(max(v.numerator.bit_length(), v.denominator.bit_length()) for v in values)
+
+
+# On the unit 3-cycle no block passes the largest bit length of the rows
+# before it (none up to T=6000), so no budget is crossed inside one.
+@pytest.mark.parametrize("case", sorted(set(EXACT_BLOCK_CASES) - {"gd_fraction_y_fraction_d"}))
+def test_exact_block_crossing_the_bit_budget_raises_like_stepwise(monkeypatch, block_calls, case):
+    """The case's game with weights scaled by 2^20, so that values pass the
+    least budget, and a budget that a block's rows cross after its first:
+    the block raises the stepwise run's ArithmeticOverflow, at its step."""
+    (config, matrix), _ = EXACT_BLOCK_CASES[case]
+    config = dataclasses.replace(config, horizon=1000)
+    matrix = make_rps(tuple(w * 2**20 for w in matrix.weights))
+    assert assert_exact_blocks_are_maximal(config, matrix, block_calls)[0] > 0
+    ref = oracle.run_stepwise(config, matrix)
+    reach = np.maximum.accumulate([_bits(row) for row in ref.ys.tolist()])  # budget to reach row s
+    t, taken = next((t, taken) for _, t, taken, _, _ in block_calls if reach[t + 1] < reach[t + taken])
+    config = dataclasses.replace(config, bit_budget=int(reach[t + 1]))
+    raised = []
+    check_block = dynamics._check_block_bits
+
+    def spy(y, d, rows, budget, start):
+        try:
+            check_block(y, d, rows, budget, start)
+        except ArithmeticOverflow as exc:
+            raised.append((start, str(exc)))
+            raise
+
+    monkeypatch.setattr(dynamics, "_check_block_bits", spy)
+    fast, ref = outcome(run, config, matrix), outcome(oracle.run_stepwise, config, matrix)
+    assert fast == ref and fast[0] is ArithmeticOverflow
+    step = int(fast[1].rsplit(" ", 1)[1])
+    assert raised == [(t, fast[1])] and t < step < t + taken
+
+
+# ---------------------------------------------------------------------------
 # The row rule of a block
 
 

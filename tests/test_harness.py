@@ -362,6 +362,15 @@ _PER_CELL_CONFIGS = {
                          "learner": {"algorithm": "fp", "horizon": 1100, "x0": [1, 0, 0, 0, 0],
                                      "tiebreak": {"kind": "tournament"},
                                      "arithmetic": "rational"}},
+    # Exact FP whose orbit (period 25) is tiled: cells repeat the very objects.
+    "exact_tiled_fp": {"name": "tiled", "weights": [1] * 5,
+                       "learner": {"algorithm": "fp", "horizon": 3000, "x0": [1, 0, 0, 0, 0],
+                                   "tiebreak": {"kind": "tournament"},
+                                   "arithmetic": "rational"}},
+    # Exact GD whose ledger has blank bound cells past row 0 (uncovered steps).
+    "exact_gd_blank": {"name": "blank", "weights": [1, 1, 1],
+                       "learner": {"algorithm": "gd", "horizon": 400, "eta": 1, "x0": [1, 0, 0],
+                                   "arithmetic": "rational"}},
 }
 
 
@@ -401,6 +410,10 @@ def test_trajectory_csv_matches_per_cell_writer(tmp_path, case):
         assert [_numbers(col)[0] for col in traj.ys.T] == ["%s"] * 4
     if case == "closed_fp":
         assert np.array_equal(traj.ys[9:], traj.ys[1:-8])
+    if case == "exact_tiled_fp":
+        assert all(a is b for a, b in zip(traj.ys[26:].ravel().tolist(), traj.ys[1:-25].ravel().tolist()))
+    if case == "exact_gd_blank":
+        assert refs["ledger_csv"].decode().count(",,,\n") > 1
 
 
 def _special_floats():
