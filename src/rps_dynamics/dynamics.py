@@ -30,10 +30,9 @@ sums are explicit left-to-right folds from int 0, never the builtin ``sum``
 never libm's ``pow``; so its bytes depend on neither.
 
 ``run`` takes the steps of a vertex segment in blocks (``_vertex_block``),
-where every step adds the same d = eta A e_i.  Float rows come from one
-accumulate and a row test; exact rows are y + k d in closed form, decided
-in O(n) and filled with 2 values a row, as only the two neighbours of i
-move.  Both give the scalar steps' columns, type for type.
+where every step adds the same d = eta A e_i: float rows by one accumulate
+and a row test, exact rows y + k d in closed form, decided in O(n) with 2
+values a row to form, as only the two neighbours of i move.
 """
 
 import math
@@ -473,8 +472,7 @@ class Trajectory:
         D_w D_x: ``RpsMatrix.apply`` on the numerators of the weights, in the
         column dtype, and of the columns of ``xs``.  P is Python ints in an
         exact run, and in a float run the rows it stepped with, over D = 1.
-        They are formed on the first call; every call returns that read-only
-        P."""
+        Formed on the first call, read-only."""
         return self._payoffs
 
     @cached_property
@@ -548,9 +546,8 @@ def _keeps_vertex(rows: np.ndarray, i: int, tie_tol: Optional[Number]) -> np.nda
 
 
 def _progression(y0: Number, d: Number, count: int) -> List[Number]:
-    """y0 + k d for k = 1..count, each in the type of y0 + d: ints when both
-    are ints, else Fractions formed from int numerators over L = lcm(den y0,
-    den d)."""
+    """y0 + k d for k = 1..count in the type of y0 + d: ints, or Fractions of
+    int numerators over L = lcm(den y0, den d)."""
     if type(y0) is int and type(d) is int:
         return list(range(y0 + d, y0 + (count + 1) * d, d))
     L = math.lcm(y0.denominator, d.denominator)
@@ -562,14 +559,11 @@ def _exact_rows(y: List[Number], d: List[Number], i: int, c: Number, rows: np.nd
     """Write to the front of ``rows`` the exact rows y + d, y + 2d, ... that
     keep vertex i, at most ``len(rows)`` of them, and return how many.
 
-    d_i = 0, since A e_i is zero at i, so y_i stays put and row k keeps i
-    iff y_m + k d_m < y_i - c for every m != i, with c the tie tolerance
-    (FP) or 1 (GD); the comparisons are exact, as the scalar step's are.
-    The rows kept are a prefix: none if row 1 fails, else up to ceil(r_m) -
-    1 for r_m = (y_i - c - y_m) / d_m over the coordinates with d_m > 0.
-    Only the two neighbours of i have d_m != 0 (A e_i has two nonzero
-    entries); every other column holds row 1's value, one object for the
-    block, and the two that move are ``_progression``s.
+    A e_i is zero at i, so d_i = 0, and row k keeps i iff y_m + k d_m < y_i
+    - c for every m != i, c the tie tolerance (FP) or 1 (GD): none if row 1
+    fails, else ceil(r_m) - 1 rows for r_m = (y_i - c - y_m) / d_m, d_m > 0.
+    Only the two neighbours of i move; every other column holds row 1's
+    value, one object for the block.
     """
     first = [ym + dm for ym, dm in zip(y, d)]
     top = first[i] - c
@@ -601,12 +595,10 @@ def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.n
     Only coordinate i+1 gains on y_i, at rate eta * w_i, so the gap to it
     predicts the segment; a prediction shorter than ``MIN_BLOCK`` takes
     nothing.  Exact rows are decided and formed in closed form
-    (``_exact_rows``), O(n) to decide and O(2 taken) values to form; the
-    energy is one value for the block, y_i and, for GD, y_i - 1/2.  Float
-    rows come from one ``np.add.accumulate``, the same left-to-right sums
-    the scalar steps form, and each is decided columnwise by
-    ``_keeps_vertex``.  The block stops at the first row that fails, which
-    the scalar step then takes.
+    (``_exact_rows``), and their energy is one value.  Float rows come from
+    one ``np.add.accumulate``, the same left-to-right sums the scalar steps
+    form, and each is decided columnwise by ``_keeps_vertex``.  The block
+    stops at the first row that fails, which the scalar step then takes.
     """
     xs, ys, energies, supports = columns
     n = len(y)
