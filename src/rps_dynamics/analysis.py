@@ -548,7 +548,7 @@ def boundary_invariance_check(traj: Trajectory) -> BoundaryInvariance:
     if traj.config.algorithm != Algorithm.GRADIENT_DESCENT:
         raise ConfigInvalid("boundary invariance is a gradient-descent property")
     T = traj.horizon
-    full = traj.supports[1 : T + 1] == (1 << traj.n) - 1
+    full = region_trace(traj).kind[1 : T + 1] == INTERIOR
     energies = traj.energies[1 : T + 1]
     exceed = ~full
     if full.any():
@@ -583,7 +583,7 @@ def small_stepsize_energy_check(traj: Trajectory) -> SmallStepVerdict:
             return SmallStepVerdict(
                 "not_applicable", f"stepsize {cfg.eta!r} is not 1/sqrt({T})"
             )
-    outside = np.flatnonzero(traj.supports[1 : T + 1] != (1 << traj.n) - 1)
+    outside = np.flatnonzero(region_trace(traj).kind[1 : T + 1] != INTERIOR)
     if outside.size:
         return SmallStepVerdict(
             "not_applicable", f"iterate at t={int(outside[0]) + 1} is not interior"

@@ -52,8 +52,7 @@ from .errors import (
     DimensionMismatch,
     ProjectionInfeasible,
 )
-from .game import (_EXACT_TYPES, Number, RpsMatrix, SimplexPoint, all_exact, is_exact,
-                   over_common_denominator)
+from .game import Number, RpsMatrix, SimplexPoint, all_exact, is_exact, over_common_denominator
 
 # Numeric tolerances of float runs.  Exact-rational runs compare exactly: every
 # tolerance below is 0 for them (see ``tolerance``); a run picks its mode once,
@@ -196,7 +195,7 @@ def _support_scan(y: Sequence[Number]) -> Tuple[Tuple[int, ...], int, Number]:
     n = len(y)
     order = sorted(range(n), key=y.__getitem__)  # stable: lowest index first on ties
     total = reduce(add, y, 0)
-    exact = is_exact(total)  # one float coordinate makes the fold a float
+    exact = is_exact(total)  # one inexact coordinate makes the fold inexact
     mask = (1 << n) - 1
     m = n
     while m > 1:  # a lone coordinate projects to 1, however y rounds
@@ -244,7 +243,7 @@ def _gd_response(y: Sequence[Number], primal: bool = True,
     if m < len(y):  # else the scan's fold is S's fold
         on = [y[j] for j in support]
         total = reduce(add, on, 0)
-    exact = type(total) in _EXACT_TYPES  # y is exact on S
+    exact = is_exact(total)  # y is exact on S
     mu = Fraction(total, m) if exact else total / m
     dev = 0
     for v in on:
@@ -370,12 +369,10 @@ class LearnerConfig:
         if not isinstance(self.bit_budget, int) or self.bit_budget < 16:
             raise ConfigInvalid(f"bit_budget must be an int >= 16, got {self.bit_budget!r}")
         if self.arithmetic == Arithmetic.EXACT_RATIONAL:
-            if isinstance(self.eta, float):
-                raise ConfigInvalid("rational mode needs an exact eta (int or Fraction)")
-            if not all_exact(self.x0.coords):
-                raise ConfigInvalid("rational mode needs an exact starting point")
-            if self.tie_tolerance not in (None, 0):
-                raise ConfigInvalid("rational mode breaks ties exactly; tie_tolerance must be unset")
+            if not all_exact((self.eta, *self.x0.coords, 0 if tie_tol is None else tie_tol)):
+                raise ConfigInvalid("rational mode needs an exact eta, x0 and tie tolerance (int or Fraction)")
+            if tie_tol not in (None, 0):
+                raise ConfigInvalid("rational mode breaks ties exactly; tie_tolerance must be unset or 0")
             if self.eta_schedule is not None:
                 raise ConfigInvalid("eta_schedule is float-only (1/sqrt(t) is irrational)")
 
@@ -560,15 +557,14 @@ def _exact_rows(y: List[Number], d: List[Number], i: int, c: Number, rows: np.nd
     keep vertex i, at most ``len(rows)`` of them, and return how many.
 
     A e_i is zero at i, so d_i = 0, and row k keeps i iff y_m + k d_m < y_i
-    - c for every m != i, c the tie tolerance (FP) or 1 (GD): none if row 1
-    fails, else ceil(r_m) - 1 rows for r_m = (y_i - c - y_m) / d_m, d_m > 0.
+    - c for every m != i, c the tie tolerance (FP), an exact 0 in a rational
+    run (``LearnerConfig``), or 1 (GD): none if row 1 fails, else ceil(r_m)
+    - 1 rows for r_m = (y_i - c - y_m) / d_m, d_m > 0, all exact.
     Only the two neighbours of i move; every other column holds row 1's
     value, one object for the block.
     """
     first = [ym + dm for ym, dm in zip(y, d)]
     top = first[i] - c
-    if type(top) is float:  # a tie tolerance of 0.0: the scalar step compares with this float
-        top = Fraction(top)
     taken = len(rows)
     for m, (ym, dm) in enumerate(zip(y, d)):
         if m != i:
@@ -594,10 +590,10 @@ def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.n
 
     Only coordinate i+1 gains on y_i, at rate eta * w_i, so the gap to it
     predicts the segment; a prediction shorter than ``MIN_BLOCK`` takes
-    nothing.  Exact rows are decided and formed in closed form
-    (``_exact_rows``), and their energy is one value.  Float rows come from
-    one ``np.add.accumulate``, the same left-to-right sums the scalar steps
-    form, and each is decided columnwise by ``_keeps_vertex``.  The block
+    nothing.  Exact rows, whose tie tolerance is exact too, are decided and
+    formed in closed form (``_exact_rows``), and their energy is one value.
+    Float rows come from one ``np.add.accumulate``, the same left-to-right
+    sums the scalar steps form, and each is decided by ``_keeps_vertex``.  The block
     stops at the first row that fails, which the scalar step then takes.
     """
     xs, ys, energies, supports = columns

@@ -7,10 +7,10 @@ zero-sum, and every such game is fully described by its tuple of positive cycle
 weights.
 
 Arithmetic is generic: weights and points may be ints, floats, or
-``fractions.Fraction``, and the number type carries the mode.  A result is exact
-when every number it is formed from is int or Fraction, and a float as soon as
-one is a float, mixed vectors included; ``div`` keeps that rule for division.
-So each kernel reads its mode off its values, and one code path serves both.
+``fractions.Fraction``, and the number type carries the mode.  A value is exact
+iff its type is int or Fraction (``is_exact``), and a result is exact when every
+number it is formed from is, mixed vectors included, as ``div`` keeps for
+division.  So each kernel reads its mode off its values; one path serves both.
 Folds over a column go through ``over_common_denominator``: numerators over
 one denominator, Python ints for exact cells, so they pay no gcd per operation,
 and a float64 column as itself over 1, so one fold serves both modes.
@@ -35,14 +35,14 @@ _EXACT_TYPES = (int, Fraction)
 
 
 def is_exact(value: Number) -> bool:
-    """True when the value carries no float rounding (int or Fraction)."""
-    return not isinstance(value, float)
+    """The one exactness rule: the value's type is int or Fraction, so bools and
+    numpy scalars are not exact.  It reads type(): isinstance is slow on ABCs."""
+    return type(value) in _EXACT_TYPES
 
 
 def div(q: Number, d: Number) -> Number:
-    """q / d: a Fraction when both are int or Fraction, else the float (or
-    numpy) quotient.  Tests type(), as isinstance on Fraction's ABC is slow."""
-    if type(q) in _EXACT_TYPES and type(d) in _EXACT_TYPES:
+    """q / d: a Fraction when both are exact, else the float (or numpy) quotient."""
+    if is_exact(q) and is_exact(d):
         return Fraction(q, d)
     return q / d
 
@@ -112,8 +112,8 @@ def make_rps(weights: Sequence[Number]) -> RpsMatrix:
 class SimplexPoint:
     """A mixed strategy: nonnegative coordinates summing to one.
 
-    The sum must hold exactly for int/Fraction coordinates and within 1e-12
-    for floats.
+    The sum must hold exactly when every coordinate is exact (``is_exact``),
+    and within 1e-12 otherwise.
     """
 
     coords: Tuple[Number, ...]
@@ -153,9 +153,7 @@ class SimplexPoint:
         return SimplexPoint(tuple(1 if j == i else 0 for j in range(n)))
 
     @staticmethod
-    def uniform(n: int, exact: bool = False) -> "SimplexPoint":
-        if exact:
-            return SimplexPoint((Fraction(1, n),) * n)
+    def uniform(n: int) -> "SimplexPoint":
         return SimplexPoint((1.0 / n,) * n)
 
 

@@ -27,6 +27,7 @@ import numpy as np
 from . import oracle
 from .analysis import (
     EDGE,
+    VERTEX,
     boundary_invariance_check,
     check_dual_subspace,
     detect_phases,
@@ -215,10 +216,10 @@ def check_gd_vertex_first_step(store: TrajectoryStore) -> Tuple[bool, str]:
     ok = True
     for key, eta_text in (("gd4_main", f"eta={store.gd4_eta():.4g}"), ("gd4_eta10", "eta=10")):
         traj = store.get(key)
-        mask = traj.support_mask(1)
-        singleton = mask != 0 and mask & (mask - 1) == 0
+        trace = region_trace(traj)
+        singleton = bool(trace.kind[1] == VERTEX)
         ok = ok and singleton
-        label = f"e_{mask.bit_length()}" if singleton else f"mask={mask:b}"
+        label = f"e_{trace.index[1] + 1}" if singleton else f"mask={traj.support_mask(1):b}"
         parts.append(f"{eta_text}: x^1 = {label}")
     return ok, "; ".join(parts)
 

@@ -29,7 +29,7 @@ from rps_dynamics import (
 )
 from rps_dynamics import dynamics, oracle, verification
 from rps_dynamics.experiment import ExperimentSpec, config_hash, dual_replay
-from rps_dynamics.game import is_exact
+from rps_dynamics.game import interior_nash, is_exact
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +346,33 @@ def test_run_dimension_checks():
                         arithmetic=Arithmetic.EXACT_RATIONAL)
     with pytest.raises(ConfigInvalid):
         run(cfg, make_rps((1.0, 1.0, 1.0)))  # float weights in rational mode
+
+
+def test_rational_mode_refuses_every_inexact_input():
+    """A rational run holds only ints and Fractions (``game.is_exact``): a
+    float tie tolerance, 0.0 included, and numpy scalars as eta, x0
+    coordinates or weights are config errors, not failures inside the run.
+    Float runs take numpy weights, and count numpy ints as floats."""
+    fp, gd = Algorithm.FICTITIOUS_PLAY, Algorithm.GRADIENT_DESCENT
+    e0 = SimplexPoint.vertex(3, 0)
+    assert not any(map(is_exact, (True, 1.0, np.int64(1), np.float32(1), np.float64(1))))
+    for kwargs in ({"algorithm": fp, "tie_tolerance": 0.0},
+                   {"algorithm": gd, "eta": np.float32(0.5)},
+                   {"algorithm": gd, "x0": SimplexPoint((np.int64(1), 0, 0))}):
+        with pytest.raises(ConfigInvalid):
+            LearnerConfig(**{"horizon": 10, "x0": e0, "eta": 1, "arithmetic": Arithmetic.EXACT_RATIONAL,
+                             **kwargs})
+    exact = LearnerConfig(fp, 10, e0, arithmetic=Arithmetic.EXACT_RATIONAL, tie_tolerance=0)
+    ints, floats = np.array([3, 2, 1], dtype=np.int64), np.array([0.1, 0.2, 0.3], dtype=np.float32)
+    for weights in (ints, floats):
+        with pytest.raises(ConfigInvalid):
+            run(exact, make_rps(tuple(weights)))
+    float_fp = replace(exact, arithmetic=Arithmetic.FLOAT64, tie_tolerance=None)
+    assert run(float_fp, make_rps(tuple(ints))).ys.tobytes() == \
+        run(float_fp, make_rps((3.0, 2.0, 1.0))).ys.tobytes()
+    nash = interior_nash(make_rps(tuple(ints))).point.coords
+    assert nash == tuple(float(c) for c in interior_nash(make_rps((3, 2, 1))).point.coords)
+    assert all(type(c) is float for c in nash)
 
 
 def test_trajectory_checks_column_shapes():

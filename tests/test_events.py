@@ -413,6 +413,7 @@ def _fp(rule, x0, weights):
 
 _LEX, _SWITCH = TiebreakKind.LEXICOGRAPHIC, TiebreakKind.PREFER_SWITCH
 _THIRDS = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+_TENTHS = (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10))
 
 # Each case's blocks start from y and d of the types named; int y and int d
 # form the moving columns by int sums, the others as Fractions.
@@ -427,9 +428,10 @@ EXACT_BLOCK_CASES = {
     "fp_prefer_switch": (_fp(_SWITCH, (1, 0, 0, 0), (2, 3, 5, 7)), {(int, int)}),
     "fp_lexicographic_fraction_y_int_d": (_fp(_LEX, _THIRDS, (1, 2, 3)), {(Fraction, int)}),
     "fp_prefer_switch_fraction_y_int_d": (_fp(_SWITCH, _THIRDS, (1, 2, 3)), {(Fraction, int)}),
-    # Rational mode accepts a tie tolerance of 0.0; the tie test then reads a float.
-    "fp_float_zero_tolerance": (_exact(Algorithm.FICTITIOUS_PLAY, (1, 0, 0), (1, 2, 3), tie_tolerance=0.0),
-                                {(int, int)}),
+    # A set tie tolerance is an exact 0; as the float 0.0 it is refused, since
+    # max y^1 - 0.0 = 1/10 - 0.0 would be the float 0.1 > 1/10.
+    "fp_tenths_zero_tolerance": (_exact(Algorithm.FICTITIOUS_PLAY, (1, 0, 0), _TENTHS, tie_tolerance=0),
+                                 {(Fraction, Fraction)}),
 }
 
 
@@ -529,6 +531,9 @@ def test_gd_margin_never_keeps_a_row_the_scalar_step_would_not(scale):
 
 @pytest.mark.parametrize("top", [0.0, 1.0, 3.5, -7.25, 1e6, 1e15])
 def test_fp_block_never_keeps_a_runner_up_at_the_tolerance(top):
+    """Float rows go through ``_keeps_vertex``, exact rows through
+    ``_exact_rows`` at tolerance 0: a first row whose runner-up is level
+    with the max takes nothing, and one just below it is taken."""
     tol = dynamics.TIE_TOL
     switch = TiebreakRule(TiebreakKind.PREFER_SWITCH)
     for runner, kept in ((top - tol, False), (np.nextafter(top - tol, -math.inf), True)):
@@ -536,5 +541,8 @@ def test_fp_block_never_keeps_a_runner_up_at_the_tolerance(top):
         assert dynamics._keeps_vertex(row[None, :], 0, tol)[0] == kept
         # prefer_switch leaves vertex 0 exactly when 1 is in the tie set.
         assert (fp_primal(row.tolist(), switch, incumbent=0, tol=tol) == 0) == kept
-    exact_row = np.array([[Fraction(7, 2), Fraction(7, 2), 0]], dtype=object)
-    assert not dynamics._keeps_vertex(exact_row, 0, 0)[0]
+    d = [0, 1, -3]  # A e_0 on weights (1, 2, 3)
+    for runner, taken in ((Fraction(5, 2), 0), (Fraction(5, 2) - Fraction(1, 10**9), 1)):
+        rows = np.empty((4, 3), dtype=object)
+        assert dynamics._exact_rows([Fraction(7, 2), runner, 0], d, 0, 0, rows) == taken
+        assert rows[:taken].tolist() == [[Fraction(7, 2), runner + 1, -3]][:taken]

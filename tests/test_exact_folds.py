@@ -226,7 +226,7 @@ def test_store_slots_fold_like_the_per_cell_formulas(slot):
     try:
         star = interior_nash(traj.matrix).point
     except SingularSystem:
-        star = SimplexPoint.uniform(traj.n, exact=traj.is_exact)
+        star = SimplexPoint((Fraction(1, traj.n) if traj.is_exact else 1.0 / traj.n,) * traj.n)
     assert_folds_match(traj, star)
 
 

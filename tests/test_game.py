@@ -161,8 +161,8 @@ def test_vertex_and_uniform():
     v = SimplexPoint.vertex(4, 2)
     assert v.coords == (0, 0, 1, 0)
     assert is_vertex(v) and v.vertex_index == 2
-    u = SimplexPoint.uniform(3, exact=True)
-    assert u.coords == (Fraction(1, 3),) * 3
+    u = SimplexPoint.uniform(3)
+    assert u.coords == (1.0 / 3,) * 3
     assert not is_vertex(u) and u.vertex_index is None
     assert SimplexPoint.uniform(5).support == (0, 1, 2, 3, 4)
     with pytest.raises(ValueError):

@@ -664,7 +664,7 @@ def test_cli_run(tmp_path, capsys):
     assert "Reg(T)" in text and "[ok]" in text
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     missing = str(tmp_path / "nope.json")
     assert main(["run", "--config", missing, "--out", str(tmp_path)]) == 3
     bad = tmp_path / "bad.json"
@@ -681,6 +681,13 @@ def test_cli_exit_codes(tmp_path):
     floaty = write_json(tmp_path, fp_config(weights=[1.5, 1.0, 1.0]), "f.json")
     assert main(["run", "--config", floaty, "--arithmetic", "rational",
                  "--out", str(tmp_path)]) == 2
+    # p/q weights make the run rational, where a tie tolerance of 0.0 is a float.
+    tenths = fp_config(weights=["1/10", "2/10", "3/10"])
+    tenths["learner"]["tie_tolerance"] = 0.0
+    capsys.readouterr()
+    assert main(["run", "--config", write_json(tmp_path, tenths, "tenths.json"),
+                 "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
     vector_sweep = write_json(tmp_path, fp_config(sweep=[["x0", [1, 2]]]), "v.json")
     assert main(["sweep", "--config", vector_sweep, "--out", str(tmp_path)]) == 2
     # Sweeps whose points would share one set of artifact names.

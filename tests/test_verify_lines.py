@@ -10,6 +10,7 @@ A change that alters a verdict line on purpose re-records the file with
 """
 
 import json
+import math
 import os
 import sys
 
@@ -37,8 +38,8 @@ def _tampered(traj, **columns):
 
 
 def test_store_checks_fail_on_tampered_runs():
-    """c06, c08, c12 and c13 each report what a quick store of tampered or
-    swapped runs holds: an energy drop, a raised closing dual, and the
+    """c05, c06, c08, c12 and c13 each report what a quick store of tampered
+    or swapped runs holds: an energy drop, a raised closing dual, and the
     gd3_small and gd3_boundary runs under each other's keys."""
     store = V.TrajectoryStore(V.QUICK_CAP)
     fp3, gd4 = store.get("fp3_lex"), store.get("gd4_main")
@@ -51,6 +52,9 @@ def test_store_checks_fail_on_tampered_runs():
     small, boundary = store.get("gd3_small"), store.get("gd3_boundary")
     store._cache["gd3_small"], store._cache["gd3_boundary"] = boundary, small
 
+    c05 = V.check_gd_sqrt_regret(store, "quick")
+    assert not c05.passed
+    assert c05.details == "max Reg/sqrt(T) = 11.954, slope fit skipped (2 horizons)", c05.details
     c06 = V.check_energy_monotone(store, "quick")
     assert not c06.passed
     assert c06.details.endswith("(fp3_lex)"), c06.details
@@ -64,6 +68,20 @@ def test_store_checks_fail_on_tampered_runs():
     c13 = V.check_boundary_invariance(store, "quick")
     assert c13.passed
     assert c13.details.startswith("gd3_boundary: ceiling never exceeded (vacuous); "), c13.details
+
+
+def test_fp_sqrt_regret_fails_past_its_bound():
+    """c01 fails on a quick store whose fp4_lex run has Reg/sqrt(T) = 20,
+    twice its bound, at both quick horizons."""
+    store = V.TrajectoryStore(V.QUICK_CAP)
+    fp4 = store.get("fp4_lex")
+    ys = fp4.ys.copy()
+    for T in V._horizons(V.QUICK_CAP):  # Reg(T) = 2 max y^{T+1}
+        ys[T + 1] += 10 * math.sqrt(T) - ys[T + 1].max()
+    store._cache["fp4_lex"] = _tampered(fp4, ys=ys)
+    c01 = V.check_fp_sqrt_regret(store, "quick")
+    assert not c01.passed
+    assert "max Reg/sqrt(T) = 20.000, " in c01.details, c01.details
 
 
 if __name__ == "__main__":
