@@ -30,9 +30,10 @@ sums are explicit left-to-right folds from int 0, never the builtin ``sum``
 never libm's ``pow``; so its bytes depend on neither.
 
 ``run`` takes the steps of a vertex segment in blocks (``_vertex_block``),
-where every step adds the same d = eta A e_i: float rows by one accumulate
-and a row test, exact rows y + k d in closed form, decided in O(n) with 2
-values a row to form, as only the two neighbours of i move.
+where every step adds d = eta A e_i.  It is zero but at the two neighbours
+of i, so every other column holds row 1's value and a block forms 2 values a
+row: exact rows y + k d in closed form, decided in O(n); float rows by one
+accumulate of the two moving columns, the rising one deciding the stop.
 """
 
 import math
@@ -71,7 +72,10 @@ SMALL_STEP_REGRET_SLACK = 1e-6
 # y_i - max_{j != i} y_j - 1 > GD_VERTEX_MARGIN * n^2 * max(1, |y|_inf).
 # find_support's drop tests round by at most (n^2 + 3.5n) eps max(1, |y|_inf)
 # and the gap itself by 3 eps max(1, |y|_inf), eps = 2^-52; for n >= 3 this
-# margin covers both, so every row it keeps projects onto (i,).
+# margin covers both, so every row it keeps projects onto (i,).  A block's
+# columns are constant or monotone, so it reads |y|_inf off its first and
+# last rows, and max_{j != i} y_j as the larger of the rising column and row
+# 1's other cells: no smaller than any of its rows' own.
 GD_VERTEX_MARGIN = 4 * 2.0**-52
 
 # Block stepping in ``run``: rows per block, and the shortest block worth its
@@ -523,25 +527,6 @@ def _check_block_bits(y: List[Number], d: List[Number], rows: np.ndarray, budget
             return
 
 
-def _keeps_vertex(rows: np.ndarray, i: int, tie_tol: Optional[Number]) -> np.ndarray:
-    """Which float dual rows certainly get the response vertex i, as a bool
-    column.
-
-    Fictitious play (``tie_tol`` set): the tie set y_j >= max - tie_tol is
-    exactly {i}.  Gradient descent (``tie_tol`` None): the projection's
-    support is (i,), that is y_i - max_{j != i} y_j - 1 past
-    ``GD_VERTEX_MARGIN``'s rounding bound.  A row that fails may still get
-    i; the scalar step decides it.
-    """
-    n = rows.shape[1]
-    yi = rows[:, i]
-    others = rows[:, [k for k in range(n) if k != i]]
-    if tie_tol is not None:
-        return (others < (yi - tie_tol)[:, None]).all(axis=1)
-    gap = yi - others.max(axis=1) - 1
-    return gap > GD_VERTEX_MARGIN * (n * n) * np.maximum(1.0, np.abs(rows).max(axis=1))
-
-
 def _progression(y0: Number, d: Number, count: int) -> List[Number]:
     """y0 + k d for k = 1..count in the type of y0 + d: ints, or Fractions of
     int numerators over L = lcm(den y0, den d)."""
@@ -588,13 +573,17 @@ def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.n
     ``columns`` (xs, ys, energies, supports) and return how many were taken
     and the dual the next step starts from.
 
-    Only coordinate i+1 gains on y_i, at rate eta * w_i, so the gap to it
-    predicts the segment; a prediction shorter than ``MIN_BLOCK`` takes
-    nothing.  Exact rows, whose tie tolerance is exact too, are decided and
-    formed in closed form (``_exact_rows``), and their energy is one value.
-    Float rows come from one ``np.add.accumulate``, the same left-to-right
-    sums the scalar steps form, and each is decided by ``_keeps_vertex``.  The block
-    stops at the first row that fails, which the scalar step then takes.
+    Only coordinate j = i+1 gains on y_i, at rate eta * w_i, so the gap to
+    it predicts the segment; a prediction shorter than ``MIN_BLOCK`` takes
+    nothing.  x^t = e_i, so d = eta A e_i is 0 but at j (rising) and p =
+    i-1 (falling): every other column holds row 1's value y + d.  Exact
+    rows, whose tie tolerance is exact too, are decided and formed in
+    closed form (``_exact_rows``), and their energy is one value.  Float
+    columns j and p come from one ``np.add.accumulate``, the sums the
+    scalar steps form.  The rising column decides the stop: for fictitious
+    play by one search for y_i - tol once row 1's other cells are below it,
+    for gradient descent by ``GD_VERTEX_MARGIN``'s bound.  A non-finite row
+    1 takes nothing.  The scalar step takes the row where a block stops.
     """
     xs, ys, energies, supports = columns
     n = len(y)
@@ -620,21 +609,32 @@ def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.n
         # A one-coordinate support has energy_gd y_i - 1/2, a Fraction.
         energies[t + 1:t + 1 + taken] = rows[0, i] if is_fp else rows[0, i] - Fraction(1, 2)
     else:
-        block = np.empty((length + 1, n))
-        block[0] = y
+        p = (i - 1) % n
+        first = [ym + eta_t * vm for ym, vm in zip(y, v)]
+        if not all(map(math.isfinite, first)):
+            return 0, y
+        pair = np.empty((2, length + 1))
         if config.eta_schedule is None:
-            block[1:] = [eta_t * vi for vi in v]
+            pair[0], pair[1] = eta_t * v[j], eta_t * v[p]
         else:
-            block[1:] = np.multiply.outer(etas[t:t + length], v)
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite rows fail below
-            rows = np.add.accumulate(block, axis=0)[1:]
-            stay = _keeps_vertex(rows, i, config.effective_tie_tolerance if is_fp else None)
-        taken = length if stay.all() else int(stay.argmin())
+            pair[:, 1:] = np.multiply.outer((v[j], v[p]), etas[t:t + length])
+        pair[0, 0], pair[1, 0] = y[j], y[p]
+        rise, fall = np.add.accumulate(pair, axis=1)[:, 1:]  # an inf row fails below
+        rest = max(first[m] for m in range(n) if m != i and m != j)
+        if is_fp:
+            c = first[i] - config.effective_tie_tolerance
+            taken = int(np.searchsorted(rise, c)) if rest < c else 0
+        else:
+            scale = max(1.0, *map(abs, first), abs(rise[-1]), abs(fall[-1]))
+            gaps = first[i] - np.maximum(rise, rest) - 1
+            taken = int(np.count_nonzero(gaps > GD_VERTEX_MARGIN * (n * n) * scale))
         if not taken:
             return 0, y
-        rows = rows[:taken]
-        ys[t + 1:t + 1 + taken] = rows
-        energies[t + 1:t + 1 + taken] = rows[:, i] if is_fp else rows[:, i] - 0.5
+        rows = ys[t + 1:t + 1 + taken]
+        rows[:] = first
+        rows[:, j] = rise[:taken]
+        rows[:, p] = fall[:taken]
+        energies[t + 1:t + 1 + taken] = first[i] if is_fp else first[i] - 0.5
     xs[t:t + taken] = x
     supports[t + 1:t + 1 + taken] = 1 << i
     return taken, rows[-1].tolist()
@@ -695,7 +695,7 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
     select = config.effective_tiebreak.select
     tol = config.effective_tie_tolerance
     budget = config.bit_budget
-    etas = config.etas().tolist()
+    etas = config.etas().tolist() if config.eta_schedule else [number(config.eta)] * (T + 1)
     vertex = config.x0.vertex_index
     closes = blocks and is_fp and config.effective_tiebreak.kind != TiebreakKind.RANDOM_SEEDED
     seen: Dict[tuple, int] = {}  # switch rows at energy `level`, by state
@@ -763,6 +763,9 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     orbit that closes is tiled (see ``_simulate``).  The
     columns are identical, byte for byte and type for type, to those of
     ``oracle.run_stepwise``, the same loop without blocks and the reference
-    this engine is tested against.
+    this engine is tested against.  Blocks sum in numpy with overflow
+    warnings off: a dual that overflows ends the run on a non-finite row,
+    which raises ArithmeticOverflow as the reference does.
     """
-    return _simulate(config, matrix, blocks=True)
+    with np.errstate(over="ignore"):
+        return _simulate(config, matrix, blocks=True)

@@ -4,7 +4,8 @@
 fictitious-play orbit once its state repeats; ``oracle.run_stepwise`` takes
 every step through the scalar step the two share.  Their columns must agree
 byte for byte in float runs, and value for value and type for type in exact
-runs; so must the errors they raise.
+runs; so must the errors they raise.  Float blocks are also held to the
+per-row rule ``keeps_vertex``, the reference for their two-column decision.
 """
 
 import dataclasses
@@ -489,58 +490,242 @@ def test_exact_block_crossing_the_bit_budget_raises_like_stepwise(monkeypatch, b
 
 
 # ---------------------------------------------------------------------------
-# The row rule of a block
+# Float blocks against the row rule
 
 
-def _nudge(v, ulps):
-    for _ in range(abs(ulps)):
-        v = np.nextafter(v, math.copysign(math.inf, ulps))
-    return v
+def keeps_vertex(rows, i, tie_tol):
+    """The row rule, applied row by row: which float dual rows certainly get
+    the response vertex i, as a bool column.
+
+    Fictitious play (``tie_tol`` set): the tie set y_j >= max - tie_tol is
+    exactly {i}.  Gradient descent (``tie_tol`` None): the projection's
+    support is (i,), that is y_i - max_{j != i} y_j - 1 past
+    ``GD_VERTEX_MARGIN``'s rounding bound.  A row that fails may still get
+    i; the scalar step decides it.
+    """
+    n = rows.shape[1]
+    yi = rows[:, i]
+    others = rows[:, [k for k in range(n) if k != i]]
+    if tie_tol is not None:
+        return (others < (yi - tie_tol)[:, None]).all(axis=1)
+    gap = yi - others.max(axis=1) - 1
+    return gap > dynamics.GD_VERTEX_MARGIN * (n * n) * np.maximum(1.0, np.abs(rows).max(axis=1))
+
+
+def block_length(config, y, d, i, t):
+    """The rows a block from step t may take: up to the row where
+    coordinate i+1, the one that gains on y_i, is predicted to reach it, at
+    most ``MAX_BLOCK`` and the horizon (``_vertex_block``)."""
+    j = (i + 1) % len(y)
+    is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
+    gap = y[i] - config.effective_tie_tolerance - y[j] if is_fp else y[i] - y[j] - 1
+    length = min(dynamics.MAX_BLOCK, config.horizon + 1 - t)
+    if d[j] > 0 and gap < d[j] * length:
+        length = int(gap / d[j]) + 1 if gap > 0 else 0
+    return length
+
+
+def rule_taken(config, rows, i):
+    """The rows a block may take, ``rows``, up to the first that fails the
+    row rule; none when there are fewer than ``MIN_BLOCK``."""
+    if len(rows) < dynamics.MIN_BLOCK:
+        return 0
+    tol = config.effective_tie_tolerance if config.algorithm == Algorithm.FICTITIOUS_PLAY else None
+    with np.errstate(over="ignore", invalid="ignore"):
+        keeps = keeps_vertex(rows, i, tol)
+    return len(rows) if keeps.all() else int(keeps.argmin())
+
+
+def assert_float_blocks_take_what_the_rule_keeps(config, matrix, calls):
+    """``run`` equals ``run_stepwise`` byte for byte, and every block took
+    exactly the rows the row rule keeps among those it may take.  Returns
+    how many rows the blocks took."""
+    ref = oracle.run_stepwise(config, matrix)
+    calls.clear()
+    assert_same_columns(run(config, matrix), ref)
+    for i, t, taken, y, d in calls:
+        rows = ref.ys[t + 1:t + 1 + block_length(config, y, d, i, t)]
+        assert taken == rule_taken(config, rows, i), (t, taken)
+    return sum(taken for _, _, taken, _, _ in calls)
+
+
+FLOAT_SLOTS = [slot for slot, cfg in STORES[verification.QUICK_CAP].configs.items()
+               if not parse_config(cfg).learner.is_exact]
+
+
+@pytest.mark.parametrize("cap", sorted(STORES))
+@pytest.mark.parametrize("slot", FLOAT_SLOTS)
+def test_float_blocks_take_the_rows_the_row_rule_keeps(block_calls, slot, cap):
+    spec = parse_config(STORES[cap].configs[slot])
+    assert_float_blocks_take_what_the_rule_keeps(spec.learner, make_rps(spec.weights), block_calls)
+
+
+def _unit_game(algorithm, x0, horizon=20000, **kwargs):
+    config = LearnerConfig(algorithm=algorithm, horizon=horizon, x0=x0, **kwargs)
+    return config, make_rps((1.0,) * x0.n)
+
+
+_FP, _GD = Algorithm.FICTITIOUS_PLAY, Algorithm.GRADIENT_DESCENT
+# The five runs of perfbench's simulate workload at seed 0, and gradient
+# descent on the decreasing stepsize schedule, whose blocks step by
+# eta_s A e_i with eta_s changing every row.
+FLOAT_BLOCK_RUNS = {
+    "fp3_lex": _unit_game(_FP, SimplexPoint.vertex(3, 0), tiebreak=TiebreakRule(_LEX)),
+    "fp8_lex": _unit_game(_FP, SimplexPoint.vertex(8, 0), tiebreak=TiebreakRule(_LEX)),
+    "fp4_random": _unit_game(_FP, SimplexPoint.vertex(4, 0),
+                             tiebreak=TiebreakRule(TiebreakKind.RANDOM_SEEDED, 0)),
+    "gd4": _unit_game(_GD, SimplexPoint((0.05, 0.35, 0.39, 0.21)), eta=6.0),
+    "gd8": _unit_game(_GD, SimplexPoint((0.17, 0.04, 0.03, 0.27, 0.36, 0.04, 0.01, 0.08)), eta=6.0),
+    "gd3_inv_sqrt_t": _unit_game(_GD, SimplexPoint.vertex(3, 0), horizon=2000, eta_schedule="inv_sqrt_t"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLOAT_BLOCK_RUNS))
+def test_float_blocks_of_long_vertex_runs_take_the_rows_the_row_rule_keeps(block_calls, name):
+    assert assert_float_blocks_take_what_the_rule_keeps(*FLOAT_BLOCK_RUNS[name], block_calls) > 0
+
+
+@pytest.mark.parametrize("algorithm", [_FP, _GD])
+def test_blocks_whose_last_row_overflows(block_calls, algorithm):
+    """Blocks whose last row has overflowed to inf in the rising column.
+    Fictitious play takes the rows the row rule keeps, all before the inf
+    row.  Gradient descent takes none, since its bound is taken at that
+    row, where the row rule would keep some.  Both raise the stepwise run's
+    error."""
+    if algorithm == _FP:
+        config, matrix = _unit_game(_FP, SimplexPoint.vertex(3, 0), horizon=3000)[0], make_rps((3e306,) * 3)
+    else:
+        config, matrix = _unit_game(_GD, SimplexPoint.vertex(3, 0), horizon=50, eta=3e307)
+    fast, ref = outcome(run, config, matrix), outcome(oracle.run_stepwise, config, matrix)
+    assert fast == ref and fast[0] is ArithmeticOverflow
+    seen = []
+    for i, t, taken, y, d in block_calls:
+        length = block_length(config, y, d, i, t)
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows = np.add.accumulate(np.array([y] + [d] * length), axis=0)[1:]  # the scalar steps' rows
+        rise = rows[:, (i + 1) % 3]
+        if length >= dynamics.MIN_BLOCK and np.isfinite(rows[0]).all() and rise[-1] == math.inf:
+            seen.append((taken, rule_taken(config, rows, i)))
+            assert taken < int(np.argmax(rise == math.inf))
+    if algorithm == _FP:
+        assert all(taken == kept for taken, kept in seen) and any(taken for taken, _ in seen)
+    else:
+        assert all(taken == 0 for taken, _ in seen) and any(kept for _, kept in seen)
+
+
+def float_block(config, matrix, y, i):
+    """The rows ``_vertex_block`` takes at step 1 of a float run, from the
+    dual ``y`` after a step whose response is vertex i."""
+    n, T = matrix.n, config.horizon
+    x = [0] * n
+    x[i] = 1 if config.algorithm == _FP else 1.0
+    columns = (np.empty((T + 1, n)), np.empty((T + 2, n)), np.empty(T + 2), np.zeros(T + 2, dtype=np.uint64))
+    etas = config.etas().tolist()
+    taken, _ = dynamics._vertex_block(config, etas, columns, x, matrix.apply(x), list(y), i, 1)
+    return columns[1][2:2 + taken]
+
+
+@pytest.mark.parametrize("algorithm", [_FP, _GD])
+@pytest.mark.parametrize("cell, value", [(0, math.inf), (2, -math.inf), (3, math.nan)])
+def test_float_block_from_a_non_finite_row_takes_nothing(algorithm, cell, value):
+    """A row 1 with a non-finite cell, at i, in a constant column or in the
+    falling column, takes no rows: the scalar steps take them, and the run
+    ends on a non-finite dual and raises."""
+    config, matrix = _unit_game(algorithm, SimplexPoint.vertex(4, 0), horizon=100)
+    y = [100.0, 0.0, -50.0, -50.0]
+    assert len(float_block(config, matrix, y, 0)) > 0
+    y[cell] = value
+    assert len(float_block(config, matrix, y, 0)) == 0
+
+
+def scalar_rows(y, d, count):
+    """y + d, y + 2d, ..., as the scalar steps sum them."""
+    return np.add.accumulate(np.array([y] + [d] * count), axis=0)[1:]
 
 
 @pytest.mark.parametrize("scale", [10.0**k for k in range(16)])
 def test_gd_margin_never_keeps_a_row_the_scalar_step_would_not(scale):
-    """Rows with the runner-up a few ulps either side of y_i - 1, or near the
-    margin itself, at |y| from 1 to 1e15: every row the block keeps projects
-    onto (i,), and none within a few ulps of the boundary is kept."""
+    """Blocks whose rising column reaches, at row K, a few grid steps either
+    side of y_i - 1 or a little past the margin, at |y| from 1 to 1e15, with
+    other row-1 cells level with it; and blocks whose moving columns stay
+    near 0 while a constant cell sits a few grid steps from y_i - 1.  Every
+    row a block keeps is the scalar step's, projects onto (i,) and passes
+    the row rule, and no block keeps a row within a few grid steps of the
+    boundary.  Every value is a multiple of the grid step g, below 2^53 g,
+    so the sums are exact and row K is where it is meant to be."""
     rng = np.random.default_rng(int(round(math.log10(scale))))
+    g = 2.0 ** (math.ceil(math.log2(scale + 2)) - 51)
+
+    def grid(v):
+        return round(v / g) * g
+
     kept = 0
     for n in range(3, 11):
         for _ in range(12):
             i = int(rng.integers(n))
-            top = scale * rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0)
+            j, p = (i + 1) % n, (i - 1) % n
+            top = grid(scale * rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 1.0))
             margin = dynamics.GD_VERTEX_MARGIN * n * n * max(1.0, abs(top) + 1)
-            for offset, ulps in [(0.0, u) for u in range(-4, 5)] + [
-                (f * margin, 0) for f in (0.5, 0.99, 1.01, 1.5, 3.0)
-            ]:
-                row = np.empty(n)
-                row[:] = rng.uniform(-abs(top) - 1, top - 1, size=n)
-                runner = _nudge(top - 1.0 - offset, ulps)
-                row[i] = top
-                row[(i + 1 + int(rng.integers(n - 1))) % n] = runner
-                if rng.random() < 0.5:  # more coordinates level with the runner-up
-                    row[[k for k in range(n) if k != i and rng.random() < 0.5]] = runner
-                keep = dynamics._keeps_vertex(row[None, :], i, None)[0]
-                if keep:
-                    kept += 1
-                    assert find_support(row.tolist()) == (i,), (row.tolist(), i)
+            weights = [1.0] * n
+            weights[i] = g * int(rng.integers(8, 1024))  # A e_i gains this at j
+            weights[p] = g * int(rng.integers(1, 1024))  # and loses this at p
+            matrix = make_rps(weights)
+            d = [0.0] * n
+            d[j], d[p] = weights[i], -weights[p]
+            config = LearnerConfig(algorithm=_GD, horizon=200, x0=SimplexPoint.vertex(n, i), eta=1.0)
+            K = int(rng.integers(8, 40))
+            cases = [(0.0, u) for u in range(-4, 5)] + [(f * margin, 0) for f in (0.5, 0.99, 1.01, 1.5, 3.0)]
+            for offset, steps in cases:
+                target = top - 1.0 - grid(offset) + steps * g  # row K of the rising column
+                y = [grid(v) for v in rng.uniform(top - 2 * abs(top) - 2, top - 1 - 4 * margin, size=n)]
+                y[i], y[j] = top, target - K * weights[i]
+                if rng.random() < 0.5:  # more row-1 cells level with row K of the rising column
+                    for m in range(n):
+                        if m not in (i, j) and rng.random() < 0.5:
+                            y[m] = target + weights[p] if m == p else target
+                near = n > 3 and offset == 0.0 and rng.random() < 0.5
+                if near:  # a constant cell at the boundary, the moving columns near 0
+                    y[j] = y[p] = 0.0
+                    y[(i + 2) % n] = target
+                rows = float_block(config, matrix, y, i)
+                assert rows.tolist() == scalar_rows(y, d, len(rows)).tolist()
+                assert keeps_vertex(rows, i, None).all()
+                for row in rows.tolist():
+                    assert find_support(row) == (i,), (row, i)
                 if offset == 0.0:
-                    assert not keep, (row.tolist(), i)
+                    assert len(rows) == 0 if near else len(rows) < K, (y, i)
+                kept += len(rows)
     assert kept > 0  # rows past the margin are kept
 
 
 @pytest.mark.parametrize("top", [0.0, 1.0, 3.5, -7.25, 1e6, 1e15])
 def test_fp_block_never_keeps_a_runner_up_at_the_tolerance(top):
-    """Float rows go through ``_keeps_vertex``, exact rows through
-    ``_exact_rows`` at tolerance 0: a first row whose runner-up is level
-    with the max takes nothing, and one just below it is taken."""
+    """Float blocks stop where the rising column reaches c = y_i - tol: a
+    block whose rising column is level with c at row K takes K - 1 rows,
+    and one an ulp below c there takes K.  A row-1 cell of the falling
+    column level with c takes nothing, and one an ulp below does not stop
+    the block.  Both moving columns step by 4 ulps of c, so the sums near c
+    are exact.  Exact rows go through ``_exact_rows`` at tolerance 0: a first
+    row whose runner-up is level with the max takes nothing, and one just
+    below it is taken."""
     tol = dynamics.TIE_TOL
+    c = top - tol
+    below = np.nextafter(c, -math.inf)
+    step = 4 * float(np.spacing(abs(c)))
+    K = 10
+    config = LearnerConfig(algorithm=_FP, horizon=100, x0=SimplexPoint.vertex(3, 0))
+    matrix = make_rps((step, 1.0, step))  # A e_0 = (0, step, -step)
     switch = TiebreakRule(TiebreakKind.PREFER_SWITCH)
-    for runner, kept in ((top - tol, False), (np.nextafter(top - tol, -math.inf), True)):
-        row = np.array([top, runner, top - 5.0])
-        assert dynamics._keeps_vertex(row[None, :], 0, tol)[0] == kept
-        # prefer_switch leaves vertex 0 exactly when 1 is in the tie set.
-        assert (fp_primal(row.tolist(), switch, incumbent=0, tol=tol) == 0) == kept
+    cases = ((c, top - 5.0, K - 1), (below, top - 5.0, K), (below, c, 0), (below, below, K))
+    for runner, fall, taken in cases:
+        # Row K of the rising column is runner, and row 1 of the falling one is fall.
+        y = [top, runner - K * step, fall + step]
+        rows = float_block(config, matrix, y, 0)
+        expected = scalar_rows(y, [0.0, step, -step], taken + 1)
+        assert len(rows) == taken and rows.tolist() == expected[:taken].tolist()
+        # prefer_switch leaves vertex 0 exactly when another coordinate is in the tie set.
+        for k, row in enumerate(expected.tolist()):
+            assert (fp_primal(row, switch, incumbent=0, tol=tol) == 0) == (k < taken)
     d = [0, 1, -3]  # A e_0 on weights (1, 2, 3)
     for runner, taken in ((Fraction(5, 2), 0), (Fraction(5, 2) - Fraction(1, 10**9), 1)):
         rows = np.empty((4, 3), dtype=object)

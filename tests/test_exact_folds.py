@@ -221,12 +221,20 @@ def test_float_folds_are_the_per_cell_formulas():
 
 @pytest.mark.parametrize("slot", verification.TrajectoryStore(verification.QUICK_CAP).catalog())
 def test_store_slots_fold_like_the_per_cell_formulas(slot):
-    store = verification.TrajectoryStore(verification.QUICK_CAP)
-    traj = store.get(slot)
-    try:
-        star = interior_nash(traj.matrix).point
-    except SingularSystem:
-        star = SimplexPoint((Fraction(1, traj.n) if traj.is_exact else 1.0 / traj.n,) * traj.n)
+    traj = verification.TrajectoryStore(verification.QUICK_CAP).get(slot)
+    assert_folds_match(traj, interior_nash(traj.matrix).point)
+
+
+@pytest.mark.parametrize("slot", ["fp_weighted_exact", "gd_weighted_float"])
+def test_weighted_slots_fold_like_the_per_cell_formulas_off_their_equilibrium(slot):
+    """x* = (1/2, 1/3, 1/6) is not the equilibrium (1/3, 1/2, 1/6) of the
+    weights (1, 2, 3), so <x*, y^t> is not 0, and the folds of the dual
+    subspace products are compared on values that are not all 0."""
+    traj = verification.TrajectoryStore(verification.QUICK_CAP).get(slot)
+    coords = (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
+    star = SimplexPoint(coords if traj.is_exact else tuple(map(float, coords)))
+    assert tuple(map(float, interior_nash(traj.matrix).point.coords)) == (1 / 3, 1 / 2, 1 / 6)
+    assert check_dual_subspace(traj, star) > 0
     assert_folds_match(traj, star)
 
 
