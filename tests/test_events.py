@@ -602,7 +602,7 @@ def test_blocks_whose_last_row_overflows(block_calls, algorithm):
     for i, t, taken, y, d in block_calls:
         length = block_length(config, y, d, i, t)
         with np.errstate(over="ignore", invalid="ignore"):
-            rows = np.add.accumulate(np.array([y] + [d] * length), axis=0)[1:]  # the scalar steps' rows
+            rows = scalar_rows(y, d, length)
         rise = rows[:, (i + 1) % 3]
         if length >= dynamics.MIN_BLOCK and np.isfinite(rows[0]).all() and rise[-1] == math.inf:
             seen.append((taken, rule_taken(config, rows, i)))
