@@ -365,24 +365,25 @@ UNCOVERED = -1
 
 # One ledger case per row, by learner: (class, source and destination
 # region, a predicate on the index advance (destination index minus source
-# index mod n), the energy-gain bounds given b = eta_t * a_max and a number
-# type ``d``, point bound or not, open in exact runs or not).  FP's b is a_max,
-# as FP has eta = 1.  Lingering on one edge never happens under a large
-# stepsize, so it stays uncovered rather than get an invented bound; so does
-# a float step whose bound overflows to inf.
+# index mod n), the energy-gain bounds given the column b = eta_t * a_max in
+# the run's number type, which their Fraction constants keep, point bound or
+# not, open in exact runs or not).  FP's b is a_max, as FP has eta = 1.
+# Lingering on one edge never happens under a large stepsize, so it stays
+# uncovered rather than get an invented bound; so does a float step whose
+# bound overflows to inf.
 _LEDGER_CASES = {
     Algorithm.FICTITIOUS_PLAY: (
-        (FP_SAME, VERTEX, VERTEX, lambda a: a == 0, lambda b, d: (0, 0), True, False),
-        (FP_SWITCH, VERTEX, VERTEX, lambda a: a != 0, lambda b, d: (0, b), False, False),
+        (FP_SAME, VERTEX, VERTEX, lambda a: a == 0, lambda b: (0, 0), True, False),
+        (FP_SWITCH, VERTEX, VERTEX, lambda a: a != 0, lambda b: (0, b), False, False),
     ),
     Algorithm.GRADIENT_DESCENT: (
-        (GD_VERTEX_SAME, VERTEX, VERTEX, lambda a: a == 0, lambda b, d: (0, 0), True, False),
-        (GD_VERTEX_ADVANCE, VERTEX, VERTEX, lambda a: a == 1, lambda b, d: (1, b), False, True),
-        (GD_VERTEX_TO_EDGE, VERTEX, EDGE, lambda a: a == 0, lambda b, d: (0, 1), False, False),
+        (GD_VERTEX_SAME, VERTEX, VERTEX, lambda a: a == 0, lambda b: (0, 0), True, False),
+        (GD_VERTEX_ADVANCE, VERTEX, VERTEX, lambda a: a == 1, lambda b: (1, b), False, True),
+        (GD_VERTEX_TO_EDGE, VERTEX, EDGE, lambda a: a == 0, lambda b: (0, 1), False, False),
         (GD_EDGE_TO_VERTEX, EDGE, VERTEX, lambda a: (a == 1) | (a == 2),
-         lambda b, d: (0, b * b / d(4)), False, False),
+         lambda b: (0, b * b / Fraction(4)), False, False),
         (GD_EDGE_ADVANCE, EDGE, EDGE, lambda a: a == 1,
-         lambda b, d: (0, b + d(5) / d(4)), False, False),
+         lambda b: (0, b + Fraction(5, 4)), False, False),
     ),
 }
 
@@ -456,24 +457,22 @@ def energy_growth_ledger(traj: Trajectory) -> Ledger:
     delta = energies[1:] - energies[:-1]
     cls = np.full(T + 1, UNCOVERED, dtype=np.int8)
     cls[0] = INITIAL
-    lo = np.full(T + 1, None if exact else np.nan, dtype=energies.dtype)
+    lo = np.full(T + 1, None, dtype=energies.dtype)  # NaN in a float column
     hi = lo.copy()
     ok = np.zeros(T + 1, dtype=bool)
     ambiguous = np.zeros(T + 1, dtype=bool)
     trace = region_trace(traj)
     src, dst = trace.kind[:-1], trace.kind[1:]
     advance = (trace.index[1:] - trace.index[:-1]) % traj.n
-    number = Fraction if exact else float
 
     with np.errstate(over="ignore"):  # a bound past the float range comes out inf
         b = cfg.etas() * traj.matrix.a_max
         for code, src_kind, dst_kind, moves, bounds, point, open_ in _LEDGER_CASES[cfg.algorithm]:
             rows = np.flatnonzero((src == src_kind) & (dst == dst_kind) & moves(advance))
-            lo[rows], hi[rows] = bounds(b[rows], number)
-            if not exact:  # an infinite bound is no bound: the step stays uncovered
-                beyond = np.isinf(hi[rows])
-                lo[rows[beyond]] = hi[rows[beyond]] = np.nan
-                rows = rows[~beyond]
+            lo[rows], hi[rows] = bounds(b[rows])
+            beyond = hi[rows] == math.inf  # no bound: the step stays uncovered
+            lo[rows[beyond]] = hi[rows[beyond]] = np.nan
+            rows = rows[~beyond]
             cls[rows] = code
             tol = tolerance(exact, EXACT_CLASS_TOL if point else LEDGER_BAND)
             d, low, high = delta[rows], lo[rows] - tol, hi[rows] + tol

@@ -31,9 +31,8 @@ never libm's ``pow``; so its bytes depend on neither.
 
 ``run`` takes the steps of a vertex segment in blocks (``_vertex_block``),
 where every step adds d = eta A e_i.  It is zero but at the two neighbours
-of i, so every other column holds row 1's value and a block forms 2 values a
-row: exact rows y + k d in closed form, decided in O(n); float rows by one
-accumulate of the two moving columns, the rising one deciding the stop.
+of i, so in both modes a block is (y, d, length): it forms only its two
+moving columns, and the rising one decides where it stops.
 """
 
 import math
@@ -379,6 +378,11 @@ class LearnerConfig:
                 raise ConfigInvalid("rational mode breaks ties exactly; tie_tolerance must be unset or 0")
             if self.eta_schedule is not None:
                 raise ConfigInvalid("eta_schedule is float-only (1/sqrt(t) is irrational)")
+        else:
+            try:  # float() overflows on an int or Fraction past the float range
+                float(self.eta), float(tie_tol or 0)
+            except OverflowError:
+                raise ConfigInvalid("float mode needs an eta and tie tolerance within the float range") from None
 
     @property
     def is_exact(self) -> bool:
@@ -511,19 +515,20 @@ class Trajectory:
         return self.energies.astype(float, copy=False)
 
 
-def _check_block_bits(y: List[Number], d: List[Number], rows: np.ndarray, budget: int, t: int) -> None:
-    """Raise where the scalar steps t, t+1, ... would if a row of the block
-    ``rows`` = y + d, y + 2d, ... passes the bit budget.
+def _check_block_bits(y: Sequence[Number], d: Sequence[Number], columns: List[list], budget: int, t: int) -> None:
+    """Raise where the scalar steps t, t+1, ... would if a cell of a block's
+    moving ``columns``, each y_m + d_m, y_m + 2 d_m, ..., passes the bit
+    budget; its other columns hold y_m, which the step before it checked.
 
-    Along the block every denominator divides lcm(den y_j, den d_j), and
-    every |value| is at most that of an end row, which bounds every
-    numerator; only when a bound passes the budget are the rows scanned.
+    Along a column every denominator divides lcm(den y_m, den d_m), and
+    every |value| is at most that of an end, which bounds every numerator;
+    only when a bound passes the budget are the rows scanned.
     """
-    for y0, dj, last in zip(y, d, rows[-1].tolist()):
-        lcm = math.lcm(y0.denominator, dj.denominator)
-        if lcm.bit_length() > budget or (max(abs(y0), abs(last)) * lcm).numerator.bit_length() > budget:
-            for k, row in enumerate(rows.tolist()):
-                _check_bits(row, budget, t + k)
+    for y0, dm, column in zip(y, d, columns):
+        lcm = math.lcm(y0.denominator, dm.denominator)
+        if lcm.bit_length() > budget or (max(abs(y0), abs(y0 + len(column) * dm)) * lcm).numerator.bit_length() > budget:
+            for k, cells in enumerate(zip(*columns)):
+                _check_bits(cells, budget, t + k)
             return
 
 
@@ -537,34 +542,6 @@ def _progression(y0: Number, d: Number, count: int) -> List[Number]:
     return [Fraction(p, L) for p in range(P + Q, P + (count + 1) * Q, Q)]
 
 
-def _exact_rows(y: List[Number], d: List[Number], i: int, c: Number, rows: np.ndarray) -> int:
-    """Write to the front of ``rows`` the exact rows y + d, y + 2d, ... that
-    keep vertex i, at most ``len(rows)`` of them, and return how many.
-
-    A e_i is zero at i, so d_i = 0, and row k keeps i iff y_m + k d_m < y_i
-    - c for every m != i, c the tie tolerance (FP), an exact 0 in a rational
-    run (``LearnerConfig``), or 1 (GD): none if row 1 fails, else ceil(r_m)
-    - 1 rows for r_m = (y_i - c - y_m) / d_m, d_m > 0, all exact.
-    Only the two neighbours of i move; every other column holds row 1's
-    value, one object for the block.
-    """
-    first = [ym + dm for ym, dm in zip(y, d)]
-    top = first[i] - c
-    taken = len(rows)
-    for m, (ym, dm) in enumerate(zip(y, d)):
-        if m != i:
-            if top - ym - dm <= 0:
-                return 0
-            if dm > 0:
-                taken = min(taken, -((ym - top) // dm) - 1)
-    rows = rows[:taken]
-    rows[:] = first
-    for m, (ym, dm) in enumerate(zip(y, d)):
-        if dm != 0:
-            rows[:, m] = _progression(ym, dm, taken)
-    return taken
-
-
 def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.ndarray, ...],
                   x: List[Number], v: List[Number], y: List[Number], i: int, t: int,
                   ) -> Tuple[int, List[Number]]:
@@ -573,17 +550,17 @@ def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.n
     ``columns`` (xs, ys, energies, supports) and return how many were taken
     and the dual the next step starts from.
 
-    Only coordinate j = i+1 gains on y_i, at rate eta * w_i, so the gap to
-    it predicts the segment; a prediction shorter than ``MIN_BLOCK`` takes
-    nothing.  x^t = e_i, so d = eta A e_i is 0 but at j (rising) and p =
-    i-1 (falling): every other column holds row 1's value y + d.  Exact
-    rows, whose tie tolerance is exact too, are decided and formed in
-    closed form (``_exact_rows``), and their energy is one value.  Float
-    columns j and p come from one ``np.add.accumulate``, the sums the
-    scalar steps form.  The rising column decides the stop: for fictitious
-    play by one search for y_i - tol once row 1's other cells are below it,
-    for gradient descent by ``GD_VERTEX_MARGIN``'s bound.  A non-finite row
-    1 takes nothing.  The scalar step takes the row where a block stops.
+    Only j = i+1 gains on y_i, at rate d_j = eta w_i, so the gap predicts
+    the segment; a prediction shorter than ``MIN_BLOCK`` takes nothing.  d
+    = eta A e_i is 0 but at j and p = i-1, so every other column holds row
+    1's value y + d, and the rising column j stops the block once row 1's
+    other cells are below c = y_i - tol, tol the tie tolerance (FP) or 1
+    (GD).  Exact blocks stop after ceil((c - y_j) / d_j) - 1 rows and form
+    j and p as progressions; float blocks form them by one
+    ``np.add.accumulate``, the scalar steps' sums, and stop at one search
+    for c (FP) or at ``GD_VERTEX_MARGIN``'s bound (GD).  A non-finite float
+    row 1 raises ArithmeticOverflow.  The scalar step takes the row where a
+    block stops.
     """
     xs, ys, energies, supports = columns
     n = len(y)
@@ -598,43 +575,40 @@ def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.n
     if length < MIN_BLOCK:
         return 0, y
 
+    p = (i - 1) % n
+    first = [ym + eta_t * vm for ym, vm in zip(y, v)]
+    rest = max(first[m] for m in range(n) if m != i and m != j)
+    c = first[i] - (config.effective_tie_tolerance if is_fp else 1)
     if config.is_exact:  # eta is constant
-        d = [eta_t * vi for vi in v]
-        rows = ys[t + 1:t + 1 + length]
-        taken = _exact_rows(y, d, i, config.effective_tie_tolerance if is_fp else 1, rows)
-        if not taken:
-            return 0, y
-        rows = rows[:taken]
-        _check_block_bits(y, d, rows, config.bit_budget, t)
-        # A one-coordinate support has energy_gd y_i - 1/2, a Fraction.
-        energies[t + 1:t + 1 + taken] = rows[0, i] if is_fp else rows[0, i] - Fraction(1, 2)
+        taken = min(length, -((y[j] - c) // rate) - 1) if rest < c else 0
+        steps = (rate, eta_t * v[p])
+        rise, fall = moving = [_progression(y[m], dm, taken) for m, dm in zip((j, p), steps)]
+        _check_block_bits((y[j], y[p]), steps, moving, config.bit_budget, t)
+        half = Fraction(1, 2)  # a one-coordinate support has energy_gd y_i - 1/2
     else:
-        p = (i - 1) % n
-        first = [ym + eta_t * vm for ym, vm in zip(y, v)]
         if not all(map(math.isfinite, first)):
-            return 0, y
+            raise ArithmeticOverflow("float dual state overflowed to inf or nan")
         pair = np.empty((2, length + 1))
         if config.eta_schedule is None:
-            pair[0], pair[1] = eta_t * v[j], eta_t * v[p]
+            pair[0], pair[1] = rate, eta_t * v[p]
         else:
             pair[:, 1:] = np.multiply.outer((v[j], v[p]), etas[t:t + length])
         pair[0, 0], pair[1, 0] = y[j], y[p]
         rise, fall = np.add.accumulate(pair, axis=1)[:, 1:]  # an inf row fails below
-        rest = max(first[m] for m in range(n) if m != i and m != j)
         if is_fp:
-            c = first[i] - config.effective_tie_tolerance
             taken = int(np.searchsorted(rise, c)) if rest < c else 0
         else:
             scale = max(1.0, *map(abs, first), abs(rise[-1]), abs(fall[-1]))
             gaps = first[i] - np.maximum(rise, rest) - 1
             taken = int(np.count_nonzero(gaps > GD_VERTEX_MARGIN * (n * n) * scale))
-        if not taken:
-            return 0, y
-        rows = ys[t + 1:t + 1 + taken]
-        rows[:] = first
-        rows[:, j] = rise[:taken]
-        rows[:, p] = fall[:taken]
-        energies[t + 1:t + 1 + taken] = first[i] if is_fp else first[i] - 0.5
+        half = 0.5
+    if not taken:
+        return 0, y
+    rows = ys[t + 1:t + 1 + taken]
+    rows[:] = first
+    rows[:, j] = rise[:taken]
+    rows[:, p] = fall[:taken]
+    energies[t + 1:t + 1 + taken] = first[i] if is_fp else first[i] - half
     xs[t:t + taken] = x
     supports[t + 1:t + 1 + taken] = 1 << i
     return taken, rows[-1].tolist()
@@ -677,7 +651,10 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
 
     T = config.horizon
     number = (lambda v: v) if exact else float
-    game = RpsMatrix(tuple(number(w) for w in matrix.weights))
+    try:
+        game = RpsMatrix(tuple(number(w) for w in matrix.weights))
+    except OverflowError:
+        raise ConfigInvalid("float mode needs weights within the float range") from None
     x: List[Number] = [number(c) for c in config.x0.coords]
     y: List[Number] = [number(0)] * n
     dtype = object if exact else np.float64

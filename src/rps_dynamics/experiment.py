@@ -303,7 +303,7 @@ def with_arithmetic(spec: ExperimentSpec, target: str) -> ExperimentSpec:
     Switching to rational requires every numeric input to already be exact:
     ``LearnerConfig`` and ``ExperimentSpec`` refuse float inputs rather than
     reinterpret them bit-for-bit.  Switching to float converts the weights,
-    x0, eta and tie_tolerance, sweep values included.
+    x0, eta and tie_tolerance (sweep values too), if within the float range.
     """
     arith = _member(Arithmetic, target, "arithmetic")
     lc = spec.learner
@@ -316,10 +316,13 @@ def with_arithmetic(spec: ExperimentSpec, target: str) -> ExperimentSpec:
         return float(v) if field in ("eta", "tie_tolerance") and v is not None else v
 
     x0 = SimplexPoint(tuple(map(float, lc.x0.coords)))
-    floats = {f: number(f, getattr(lc, f)) for f in ("eta", "tie_tolerance")}
+    try:
+        floats = {f: number(f, getattr(lc, f)) for f in ("eta", "tie_tolerance")}
+        sweep = tuple((f, tuple(number(f, v) for v in vs)) for f, vs in spec.sweep)
+        weights = tuple(map(float, spec.weights))
+    except OverflowError:
+        raise ConfigInvalid("float mode needs weights, eta and tie tolerance within the float range") from None
     learner = dataclasses.replace(lc, arithmetic=arith, x0=x0, **floats)
-    sweep = tuple((f, tuple(number(f, v) for v in vs)) for f, vs in spec.sweep)
-    weights = tuple(map(float, spec.weights))
     return dataclasses.replace(spec, weights=weights, learner=learner, sweep=sweep)
 
 

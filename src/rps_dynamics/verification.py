@@ -298,11 +298,11 @@ def check_energy_ledger_bounds(store: TrajectoryStore) -> Tuple[bool, str]:
 
 @_check("c08-gd-small-stepsize")
 def check_gd_small_stepsize(store: TrajectoryStore) -> Tuple[bool, str]:
-    """eta = 1/sqrt(T): interior iterates keep energy and regret bounded."""
+    """eta = 1/sqrt(T): interior iterates keep energy and regret bounded; an inapplicable slot fails."""
     traj = store.get("gd3_small")
     verdict = small_stepsize_energy_check(traj)
     if verdict.status == "not_applicable":
-        return True, f"NotApplicable: {verdict.reason}"
+        return False, f"NotApplicable: {verdict.reason}"
     ok = verdict.status == "pass"
     return ok, (
         f"energy {verdict.energy_final:.4f} <= {verdict.energy_bound:.2f}, "
@@ -402,12 +402,12 @@ def check_regret_identities(store: TrajectoryStore) -> Tuple[bool, str]:
 
 @_check("c13-boundary-invariance")
 def check_boundary_invariance(store: TrajectoryStore) -> Tuple[bool, str]:
-    """Past the interior energy ceiling, iterates never regain full support."""
+    """Past the interior energy ceiling, iterates never regain full support; a run never past it fails."""
     parts = []
     ok = True
     for key in ("gd3_boundary", "gd4_boundary"):
         b = boundary_invariance_check(store.get(key))
-        ok = ok and not b.full_support_after_exceed
+        ok = ok and b.first_exceed_t is not None and not b.full_support_after_exceed
         if b.first_exceed_t is None:
             parts.append(f"{key}: ceiling never exceeded (vacuous)")
         else:

@@ -442,6 +442,21 @@ def test_ledger_violations_read_false(tmp_path):
     assert fp_float.transition(1) == "fp_same" and not fp_float.ok[1]
 
 
+def test_float_ledger_band_edges_are_inside():
+    """A float step whose gain sits exactly on an edge of its band, lo -
+    LEDGER_BAND or hi + LEDGER_BAND, is ok: float runs close the interval
+    that exact runs keep open.  An ulp past either edge is not."""
+    ys = [[3, 0, 0], [3, 0, 0], [0, 3, 0]]  # vertex 1 -> vertex 2, bounds (1, eta * a_max)
+    low, high = 1.0 - LEDGER_BAND, 4.0 + LEDGER_BAND
+    outside = (np.nextafter(low, -math.inf), np.nextafter(high, math.inf))
+    for gain, ok in [(low, True), (high, True), *((g, False) for g in outside)]:
+        ledger = energy_growth_ledger(
+            _doctored(Algorithm.GRADIENT_DESCENT, ys, [0.0, 0.0, gain], [1, 1, 2], exact=False, eta=4)
+        )
+        assert ledger.transition(1) == "gd_vertex_advance" and ledger.delta[1] == gain
+        assert ledger.ok[1] == ok, gain
+
+
 def _reference_ledger(traj):
     """The ledger step by step from ``classify_region``: one (class, lo, hi,
     ok, ambiguous) tuple per t, None where a row has no bounds."""

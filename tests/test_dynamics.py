@@ -336,6 +336,25 @@ def test_config_accepts_fraction_eta_beyond_float_range():
     assert cfg.eta == 10**400
 
 
+def test_float_mode_refuses_values_past_the_float_range():
+    """Float runs refuse an eta, tie tolerance or weight that has no float
+    value at entry, with ConfigInvalid: float() overflows on them.  The
+    same values are fine in rational mode."""
+    huge = Fraction(10**400, 3)
+    gd, fp, e0 = Algorithm.GRADIENT_DESCENT, Algorithm.FICTITIOUS_PLAY, SimplexPoint.vertex(3, 0)
+    for kwargs in ({"algorithm": gd, "eta": huge}, {"algorithm": gd, "eta": 10**400},
+                   {"algorithm": fp, "tie_tolerance": huge}):
+        with pytest.raises(ConfigInvalid, match="float range"):
+            LearnerConfig(horizon=10, x0=e0, **kwargs)
+    config = LearnerConfig(algorithm=gd, horizon=10, x0=e0, eta=1)
+    for weights in ((huge, 1, 1), (1, 10**400, 1)):
+        for engine in (run, oracle.run_stepwise):
+            with pytest.raises(ConfigInvalid, match="weights within the float range"):
+                engine(config, make_rps(weights))
+    exact = replace(config, horizon=1, arithmetic=Arithmetic.EXACT_RATIONAL, eta=huge)
+    assert run(exact, make_rps((huge, 1, 1))).y(1) == (0, huge * huge, -huge)
+
+
 def test_run_dimension_checks():
     cfg = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=5,
                         x0=SimplexPoint.vertex(3, 0))
@@ -456,9 +475,9 @@ def test_rational_bit_budget_overflow(monkeypatch):
     block_starts = []
     check_block = dynamics._check_block_bits
 
-    def spy(y, d, rows, budget, t):
+    def spy(starts, steps, columns, budget, t):
         try:
-            check_block(y, d, rows, budget, t)
+            check_block(starts, steps, columns, budget, t)
         except ArithmeticOverflow:
             block_starts.append(t)
             raise

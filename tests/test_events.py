@@ -306,13 +306,14 @@ def test_run_matches_stepwise_on_fp_orbits(closures, kind):
 
 
 def test_overflowing_orbit_raises_like_stepwise(closures):
-    """Duals that overflow to inf and then repeat: the tiled run still ends
-    on the non-finite dual and raises the stepwise run's error."""
+    """Duals that overflow to inf and then would repeat: the run raises the
+    stepwise run's error at the first block try from a non-finite row,
+    before an inf state can be tiled."""
     config = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=100, x0=SimplexPoint.vertex(3, 0),
                            tiebreak=TiebreakRule(TiebreakKind.PREFER_SWITCH))
     matrix = make_rps((5e307, 1e308, 1.7e308))
     fast, ref = outcome(run, config, matrix), outcome(oracle.run_stepwise, config, matrix)
-    assert closures and fast == ref and fast[0] is ArithmeticOverflow
+    assert not closures and fast == ref and fast[0] is ArithmeticOverflow
 
 
 @pytest.mark.parametrize("slot", sorted(ORBIT_PERIODS))
@@ -475,9 +476,9 @@ def test_exact_block_crossing_the_bit_budget_raises_like_stepwise(monkeypatch, b
     raised = []
     check_block = dynamics._check_block_bits
 
-    def spy(y, d, rows, budget, start):
+    def spy(starts, steps, columns, budget, start):
         try:
-            check_block(y, d, rows, budget, start)
+            check_block(starts, steps, columns, budget, start)
         except ArithmeticOverflow as exc:
             raised.append((start, str(exc)))
             raise
@@ -613,13 +614,15 @@ def test_blocks_whose_last_row_overflows(block_calls, algorithm):
         assert all(taken == 0 for taken, _ in seen) and any(kept for _, kept in seen)
 
 
-def float_block(config, matrix, y, i):
-    """The rows ``_vertex_block`` takes at step 1 of a float run, from the
-    dual ``y`` after a step whose response is vertex i."""
+def block_rows(config, matrix, y, i):
+    """The rows ``_vertex_block`` takes at step 1 of a run, from the dual
+    ``y`` after a step whose response is vertex i."""
     n, T = matrix.n, config.horizon
     x = [0] * n
     x[i] = 1 if config.algorithm == _FP else 1.0
-    columns = (np.empty((T + 1, n)), np.empty((T + 2, n)), np.empty(T + 2), np.zeros(T + 2, dtype=np.uint64))
+    dtype = object if config.is_exact else float
+    columns = (np.empty((T + 1, n), dtype), np.empty((T + 2, n), dtype), np.empty(T + 2, dtype),
+               np.zeros(T + 2, dtype=np.uint64))
     etas = config.etas().tolist()
     taken, _ = dynamics._vertex_block(config, etas, columns, x, matrix.apply(x), list(y), i, 1)
     return columns[1][2:2 + taken]
@@ -629,13 +632,14 @@ def float_block(config, matrix, y, i):
 @pytest.mark.parametrize("cell, value", [(0, math.inf), (2, -math.inf), (3, math.nan)])
 def test_float_block_from_a_non_finite_row_takes_nothing(algorithm, cell, value):
     """A row 1 with a non-finite cell, at i, in a constant column or in the
-    falling column, takes no rows: the scalar steps take them, and the run
-    ends on a non-finite dual and raises."""
+    falling column, takes no rows: inf and nan never turn finite, so the
+    block raises the error a run ending on a non-finite dual raises."""
     config, matrix = _unit_game(algorithm, SimplexPoint.vertex(4, 0), horizon=100)
     y = [100.0, 0.0, -50.0, -50.0]
-    assert len(float_block(config, matrix, y, 0)) > 0
+    assert len(block_rows(config, matrix, y, 0)) > 0
     y[cell] = value
-    assert len(float_block(config, matrix, y, 0)) == 0
+    with pytest.raises(ArithmeticOverflow, match="^float dual state overflowed to inf or nan$"):
+        block_rows(config, matrix, y, 0)
 
 
 def scalar_rows(y, d, count):
@@ -687,7 +691,7 @@ def test_gd_margin_never_keeps_a_row_the_scalar_step_would_not(scale):
                 if near:  # a constant cell at the boundary, the moving columns near 0
                     y[j] = y[p] = 0.0
                     y[(i + 2) % n] = target
-                rows = float_block(config, matrix, y, i)
+                rows = block_rows(config, matrix, y, i)
                 assert rows.tolist() == scalar_rows(y, d, len(rows)).tolist()
                 assert keeps_vertex(rows, i, None).all()
                 for row in rows.tolist():
@@ -700,14 +704,15 @@ def test_gd_margin_never_keeps_a_row_the_scalar_step_would_not(scale):
 
 @pytest.mark.parametrize("top", [0.0, 1.0, 3.5, -7.25, 1e6, 1e15])
 def test_fp_block_never_keeps_a_runner_up_at_the_tolerance(top):
-    """Float blocks stop where the rising column reaches c = y_i - tol: a
-    block whose rising column is level with c at row K takes K - 1 rows,
-    and one an ulp below c there takes K.  A row-1 cell of the falling
-    column level with c takes nothing, and one an ulp below does not stop
-    the block.  Both moving columns step by 4 ulps of c, so the sums near c
-    are exact.  Exact rows go through ``_exact_rows`` at tolerance 0: a first
-    row whose runner-up is level with the max takes nothing, and one just
-    below it is taken."""
+    """Blocks stop where the rising column reaches c = y_i - tol: a block
+    whose rising column is level with c at row K takes K - 1 rows, and one
+    just below c there takes K.  A row-1 cell of the falling column, or of
+    a constant one, level with c takes nothing, and one just below does not
+    stop the block.  Float rows sit an ulp below c; both moving columns
+    step by 4 ulps of c, so the sums near c are exact.  Exact rows, at
+    tolerance 0 and top as a Fraction, sit 10^-9 below it, and their cells
+    keep the scalar steps' types; ``run`` on their game equals the stepwise
+    run."""
     tol = dynamics.TIE_TOL
     c = top - tol
     below = np.nextafter(c, -math.inf)
@@ -720,14 +725,33 @@ def test_fp_block_never_keeps_a_runner_up_at_the_tolerance(top):
     for runner, fall, taken in cases:
         # Row K of the rising column is runner, and row 1 of the falling one is fall.
         y = [top, runner - K * step, fall + step]
-        rows = float_block(config, matrix, y, 0)
+        rows = block_rows(config, matrix, y, 0)
         expected = scalar_rows(y, [0.0, step, -step], taken + 1)
         assert len(rows) == taken and rows.tolist() == expected[:taken].tolist()
         # prefer_switch leaves vertex 0 exactly when another coordinate is in the tie set.
         for k, row in enumerate(expected.tolist()):
             assert (fp_primal(row, switch, incumbent=0, tol=tol) == 0) == (k < taken)
-    d = [0, 1, -3]  # A e_0 on weights (1, 2, 3)
-    for runner, taken in ((Fraction(5, 2), 0), (Fraction(5, 2) - Fraction(1, 10**9), 1)):
-        rows = np.empty((4, 3), dtype=object)
-        assert dynamics._exact_rows([Fraction(7, 2), runner, 0], d, 0, 0, rows) == taken
-        assert rows[:taken].tolist() == [[Fraction(7, 2), runner + 1, -3]][:taken]
+
+    config = LearnerConfig(algorithm=_FP, horizon=100, x0=SimplexPoint.vertex(4, 0),
+                           arithmetic=Arithmetic.EXACT_RATIONAL, tiebreak=switch)
+    matrix = make_rps((Fraction(1, 3), 1, 1, Fraction(2, 7)))
+    d = matrix.apply((1, 0, 0, 0))  # (Fraction(0), 1/3, int 0, -2/7)
+    c = Fraction(top)
+    below = c - Fraction(1, 10**9)
+    low = c - 5
+    cases = ((c, low, low, K - 1), (below, low, low, K), (below, c, low, 0), (below, low, c, 0),
+             (below, below, below, K))
+    for runner, fall, level, taken in cases:
+        # Row K of the rising column is runner, row 1 of the falling one is
+        # fall, and the constant column holds level.
+        y = [c, runner - K * d[1], level, fall - d[3]]
+        rows = block_rows(config, matrix, y, 0).tolist()
+        expected = []
+        for _ in range(taken + 1):  # the scalar steps' sums, at eta = 1
+            y = [ym + 1 * dm for ym, dm in zip(y, d)]
+            expected.append(y)
+        assert len(rows) == taken and rows == expected[:taken]
+        assert [list(map(type, row)) for row in rows] == [list(map(type, row)) for row in expected[:taken]]
+        for k, row in enumerate(expected):
+            assert (fp_primal(row, switch, incumbent=0) == 0) == (k < taken)
+    assert_same_columns(run(config, matrix), oracle.run_stepwise(config, matrix))

@@ -255,6 +255,26 @@ def test_with_arithmetic_switches_exact_config(tmp_path):
         assert config_hash(parse_config(res.report["config"])) == res.config_hash
 
 
+def test_switch_to_float_refuses_values_past_the_float_range(tmp_path, capsys):
+    """A rational config whose weight, eta or swept eta has no float value
+    is a config error when switched to float, and ``rpsdyn run
+    --arithmetic float`` on it exits 2."""
+    huge = f"{10**400}/3"
+    cases = [dict(weights=[huge, 1, 1]), dict(learner=dict(algorithm="gd", eta=huge)),
+             dict(learner=dict(algorithm="gd", eta=1), sweep=[["eta", [1, huge]]])]
+    for k, case in enumerate(cases):
+        cfg = fp_config()
+        cfg["learner"].update(arithmetic="rational", **case.pop("learner", {}))
+        cfg.update(case)
+        spec = parse_config(cfg)
+        with pytest.raises(ConfigInvalid, match="float range"):
+            with_arithmetic(spec, "float")
+        path = write_json(tmp_path, cfg, f"huge{k}.json")
+        capsys.readouterr()
+        assert main(["run", "--config", path, "--arithmetic", "float", "--out", str(tmp_path / "o")]) == 2
+        assert "config error" in capsys.readouterr().err
+
+
 def test_with_seed_reseeds_random_tiebreak():
     cfg = fp_config(seed=1)
     cfg["learner"]["tiebreak"] = {"kind": "random_seeded"}
