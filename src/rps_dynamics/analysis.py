@@ -365,12 +365,11 @@ UNCOVERED = -1
 
 # One ledger case per row, by learner: (class, source and destination
 # region, a predicate on the index advance (destination index minus source
-# index mod n), the energy-gain bounds given the column b = eta_t * a_max in
-# the run's number type, which their Fraction constants keep, point bound or
-# not, open in exact runs or not).  FP's b is a_max, as FP has eta = 1.
-# Lingering on one edge never happens under a large stepsize, so it stays
-# uncovered rather than get an invented bound; so does a float step whose
-# bound overflows to inf.
+# index mod n), the energy-gain bounds given b = eta_t * a_max in b's number
+# type, point bound or not, open in exact runs or not).  FP's b is a_max,
+# as FP has eta = 1.  Lingering on one edge never happens under a large
+# stepsize, so it stays uncovered rather than get an invented bound; so does
+# a float step whose bound overflows to inf.
 _LEDGER_CASES = {
     Algorithm.FICTITIOUS_PLAY: (
         (FP_SAME, VERTEX, VERTEX, lambda a: a == 0, lambda b: (0, 0), True, False),
