@@ -20,8 +20,11 @@ energy growth, regions, and regret.
 Arithmetic is generic over float64 and exact rationals, and the number type
 carries the mode (see ``game``): ``run`` fixes it once, converting x0 and the
 weights per the config, and each kernel reads it off the values it is given.
-In exact mode every quantity is an int or ``fractions.Fraction``, comparisons
-are exact, and a bit budget guards against denominator blowup.
+In exact mode every stored quantity is an int or ``fractions.Fraction``,
+comparisons are exact, and a bit budget guards against denominator blowup.
+The exact kernels, the GD response and the vertex block, compute in Python
+ints, on numerators over one common denominator (``game.numerators``), and
+form each Fraction they store once.
 
 The gradient-descent response is one kernel, ``_gd_response``: one pass per
 dual row gives the projection's support, energy, bitmask and coordinates.  Its
@@ -52,7 +55,7 @@ from .errors import (
     DimensionMismatch,
     ProjectionInfeasible,
 )
-from .game import Number, RpsMatrix, SimplexPoint, all_exact, is_exact, over_common_denominator
+from .game import Number, RpsMatrix, SimplexPoint, all_exact, is_exact, numerators, over_common_denominator
 
 # Numeric tolerances of float runs.  Exact-rational runs compare exactly: every
 # tolerance below is 0 for them (see ``tolerance``); a run picks its mode once,
@@ -184,7 +187,7 @@ class TiebreakRule:
         return tied[0]
 
 
-def _support_scan(y: Sequence[Number]) -> Tuple[Tuple[int, ...], int, Number]:
+def _support_scan(y: Sequence[Number], D: Optional[int] = None) -> Tuple[Tuple[int, ...], int, Number]:
     """Active set of the Euclidean projection of y onto the simplex, as
     ascending indices and as a bitmask, and the scan's running total.
 
@@ -192,19 +195,19 @@ def _support_scan(y: Sequence[Number]) -> Tuple[Tuple[int, ...], int, Number]:
     index on ties) while its projected value y_i - mean_S(y) + 1/|S| would be
     negative.  Every surviving coordinate then projects to a nonnegative value.
     The drop tests read a running total: a fold of y from int 0, less each
-    dropped value.  They are exact when that fold is, that is when no y_i is a
-    float.
+    dropped value.  With ``D``, y holds the int numerators Y of an exact row
+    over D, and the test is its exact form times m D > 0, m Y_i - sum Y + D < 0:
+    scaling a row by D keeps its order and its ties.
     """
     n = len(y)
     order = sorted(range(n), key=y.__getitem__)  # stable: lowest index first on ties
     total = reduce(add, y, 0)
-    exact = is_exact(total)  # one inexact coordinate makes the fold inexact
     mask = (1 << n) - 1
     m = n
     while m > 1:  # a lone coordinate projects to 1, however y rounds
         i = order[n - m]
         yi = y[i]
-        if not (m * yi - total + 1 < 0 if exact else yi - total / m + 1.0 / m < 0):
+        if not (yi - total / m + 1.0 / m < 0 if D is None else m * yi - total + D < 0):
             break
         total -= yi
         mask -= 1 << i
@@ -212,10 +215,23 @@ def _support_scan(y: Sequence[Number]) -> Tuple[Tuple[int, ...], int, Number]:
     return (tuple(sorted(order[n - m:])) if m < n else tuple(range(n))), mask, total
 
 
+def _exact_row(y: Sequence[Number]) -> Tuple[Sequence[Number], Optional[int]]:
+    """An exact row as its ``numerators`` over one D; any other row, one
+    that holds a float, as it is, with D None.  The mode is read off the
+    pass that forms the numerators, and a float first cell decides at once,
+    so a float row pays one type test."""
+    if type(y[0]) is not float:
+        try:
+            return numerators(y)
+        except KeyError:  # a float further on
+            pass
+    return y, None
+
+
 def find_support(y: Sequence[Number]) -> Tuple[int, ...]:
     """Active set of the Euclidean projection of y onto the simplex, as
     ascending indices (see ``_support_scan``)."""
-    return _support_scan(y)[0]
+    return _support_scan(*_exact_row(y))[0]
 
 
 def _gd_response(y: Sequence[Number], primal: bool = True,
@@ -224,48 +240,58 @@ def _gd_response(y: Sequence[Number], primal: bool = True,
     projection's support S, its energy, the support's bitmask, and, with
     ``primal``, the projection x itself (else None).
 
-    The drop tests read the scan's running total (``_support_scan``).  S's
-    sum, which gives mu = mean_S(y), is a fresh fold over S in index order
-    (the scan's own fold when it drops nothing), and the energy
+    An exact row is scanned as its numerators Y over one D (``_exact_row``),
+    and the scan's running total is then S's sum; any other row is scanned
+    as it is, and S's sum is a fresh fold over S in index order (the scan's
+    own fold when it drops nothing).  With mu = mean_S(y), the energy is
 
         sum_{j in S} (y_j - mu)^2 / 2  +  mu  -  1 / (2m),    m = |S|,
 
-    folds the squares d * d the same way: deviation form, so that large duals
-    with small spread keep the spread.  A finite d whose square overflows
-    raises ArithmeticOverflow (``d ** 2`` raised OverflowError).  x is int 0
-    off S.  When y is exact on S, x_i = y_i + (1 - sum_S y) / m and the
-    energy are Fractions.  Otherwise they are floats, and x_i is formed from
-    pairwise differences of dual values (exact when the values are close)
-    rather than subtracting a large mean from a large value; round-off
-    negatives up to ``PROJECTION_CLAMP`` are clamped to zero, and anything
-    lower raises ProjectionInfeasible.
+    in deviation form, so that large duals with small spread keep the
+    spread.  x is int 0 off S.  When y is exact on S (a float row's values
+    on S are then taken as numerators too), the energy and x_i = y_i + (1 -
+    sum_S y) / m are Fractions, each formed once from Python ints: with s
+    the sum of Y over S, the energy is (sum_S (m Y_j - s)^2 + (2s - D) m D)
+    / (2 m^2 D^2) and x_i = (m Y_i + D - s) / (m D).  Otherwise they are
+    floats.  The squares d * d are folded from int 0, and a finite d whose
+    square overflows raises ArithmeticOverflow (``d ** 2`` raised
+    OverflowError).  Float x_i are formed from pairwise differences of dual
+    values (exact when the values are close) rather than subtracting a large
+    mean from a large value; round-off negatives up to ``PROJECTION_CLAMP``
+    are clamped to zero, and anything lower raises ProjectionInfeasible.
     """
-    support, mask, total = _support_scan(y)
+    on, D = _exact_row(y)
+    support, mask, total = _support_scan(y) if D is None else _support_scan(on, D)
     m = len(support)
-    on = y
-    if m < len(y):  # else the scan's fold is S's fold
-        on = [y[j] for j in support]
-        total = reduce(add, on, 0)
-    exact = is_exact(total)  # y is exact on S
-    mu = Fraction(total, m) if exact else total / m
+    if m < len(y):
+        on = [on[j] for j in support]
+        if D is None:  # y may still be exact on S
+            on, D = _exact_row(on)
+            total = reduce(add, on, 0)
+    if D is not None:
+        mD = m * D
+        dev = 0
+        for v in on:
+            d = m * v - total
+            dev += d * d
+        energy = Fraction(dev + (2 * total - D) * mD, 2 * mD * mD)
+        if not primal:
+            return support, energy, mask, None
+        x: List[Number] = [0] * len(y)
+        for i, v in zip(support, on):
+            x[i] = Fraction(m * v + D - total, mD)
+        return support, energy, mask, x
+    mu = total / m
     dev = 0
     for v in on:
         d = v - mu
         dev += d * d
-    if exact:
-        energy = Fraction(dev, 2) + mu - Fraction(1, 2 * m)
-    else:
-        if not dev < math.inf and any(math.isfinite(d) and d * d == math.inf for d in [v - mu for v in on]):
-            raise ArithmeticOverflow("float state overflowed: the square of a finite deviation")
-        energy = dev / 2 + mu - 1.0 / (2 * m)
+    if not dev < math.inf and any(math.isfinite(d) and d * d == math.inf for d in [v - mu for v in on]):
+        raise ArithmeticOverflow("float state overflowed: the square of a finite deviation")
+    energy = dev / 2 + mu - 1.0 / (2 * m)
     if not primal:
         return support, energy, mask, None
-    x: List[Number] = [0] * len(y)
-    if exact:
-        shift = Fraction(1 - total, m)
-        for i, yi in zip(support, on):
-            x[i] = yi + shift
-        return support, energy, mask, x
+    x = [0] * len(y)
     inv_m = 1.0 / m
     for i, yi in zip(support, on):
         s = 0.0
@@ -380,9 +406,11 @@ class LearnerConfig:
                 raise ConfigInvalid("eta_schedule is float-only (1/sqrt(t) is irrational)")
         else:
             try:  # float() overflows on an int or Fraction past the float range
-                float(self.eta), float(tie_tol or 0)
+                eta, _ = float(self.eta), float(tie_tol or 0)
             except OverflowError:
                 raise ConfigInvalid("float mode needs an eta and tie tolerance within the float range") from None
+            if eta == 0:  # and underflows on a positive Fraction below it
+                raise ConfigInvalid(f"float mode needs an eta that stays positive as a float, got {self.eta!r}")
 
     @property
     def is_exact(self) -> bool:
@@ -515,31 +543,27 @@ class Trajectory:
         return self.energies.astype(float, copy=False)
 
 
-def _check_block_bits(y: Sequence[Number], d: Sequence[Number], columns: List[list], budget: int, t: int) -> None:
+def _check_block_bits(L: int, ends: List[Tuple[int, int]], columns: List[list], budget: int, t: int) -> None:
     """Raise where the scalar steps t, t+1, ... would if a cell of a block's
-    moving ``columns``, each y_m + d_m, y_m + 2 d_m, ..., passes the bit
-    budget; its other columns hold y_m, which the step before it checked.
+    moving ``columns`` passes the bit budget; its other columns hold values
+    the step before it checked.
 
-    Along a column every denominator divides lcm(den y_m, den d_m), and
-    every |value| is at most that of an end, which bounds every numerator;
-    only when a bound passes the budget are the rows scanned.
+    Column m's cells are numerators over L from ``ends[m]``, the first and
+    the last: they are monotone, so each cell's reduced numerator is at most
+    the larger end and its denominator divides L.  Only when a bound passes
+    the budget are the rows scanned.
     """
-    for y0, dm, column in zip(y, d, columns):
-        lcm = math.lcm(y0.denominator, dm.denominator)
-        if lcm.bit_length() > budget or (max(abs(y0), abs(y0 + len(column) * dm)) * lcm).numerator.bit_length() > budget:
-            for k, cells in enumerate(zip(*columns)):
-                _check_bits(cells, budget, t + k)
-            return
+    if L.bit_length() > budget or any(max(map(abs, pair)).bit_length() > budget for pair in ends):
+        for k, cells in enumerate(zip(*columns)):
+            _check_bits(cells, budget, t + k)
 
 
-def _progression(y0: Number, d: Number, count: int) -> List[Number]:
-    """y0 + k d for k = 1..count in the type of y0 + d: ints, or Fractions of
-    int numerators over L = lcm(den y0, den d)."""
+def _progression(y0: Number, d: Number, P: int, Q: int, L: int, count: int) -> List[Number]:
+    """y0 + k d for k = 1..count in the type of y0 + d: ints, or Fractions
+    (P + k Q) / L, with y0 = P / L and d = Q / L."""
     if type(y0) is int and type(d) is int:
         return list(range(y0 + d, y0 + (count + 1) * d, d))
-    L = math.lcm(y0.denominator, d.denominator)
-    P, Q = y0.numerator * (L // y0.denominator), d.numerator * (L // d.denominator)
-    return [Fraction(p, L) for p in range(P + Q, P + (count + 1) * Q, Q)]
+    return [Fraction(c, L) for c in range(P + Q, P + (count + 1) * Q, Q)]
 
 
 def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.ndarray, ...],
@@ -555,37 +579,50 @@ def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.n
     = eta A e_i is 0 but at j and p = i-1, so every other column holds row
     1's value y + d, and the rising column j stops the block once row 1's
     other cells are below c = y_i - tol, tol the tie tolerance (FP) or 1
-    (GD).  Exact blocks stop after ceil((c - y_j) / d_j) - 1 rows and form
-    j and p as progressions; float blocks form them by one
-    ``np.add.accumulate``, the scalar steps' sums, and stop at one search
-    for c (FP) or at ``GD_VERTEX_MARGIN``'s bound (GD).  A non-finite float
-    row 1 raises ArithmeticOverflow.  The scalar step takes the row where a
-    block stops.
+    (GD).  Exact blocks decide in Python ints, on the ``numerators`` of y,
+    d_j and d_p over one L: they stop after ceil((c - y_j) / d_j) - 1 rows,
+    form j and p as progressions and form each stored Fraction once.  Float
+    blocks form j and p by one ``np.add.accumulate``, the scalar steps'
+    sums, and stop at one search for c (FP) or at ``GD_VERTEX_MARGIN``'s
+    bound (GD).  A non-finite float row 1 raises ArithmeticOverflow.  The
+    scalar step takes the row where a block stops.
     """
     xs, ys, energies, supports = columns
     n = len(y)
     is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
     eta_t = etas[t]
     j = (i + 1) % n
-    rate = eta_t * v[j]
-    gap = y[i] - config.effective_tie_tolerance - y[j] if is_fp else y[i] - y[j] - 1
     length = min(MAX_BLOCK, config.horizon + 1 - t)
-    if rate > 0 and gap < rate * length:
-        length = int(gap / rate) + 1 if gap > 0 else 0
-    if length < MIN_BLOCK:
-        return 0, y
-
-    p = (i - 1) % n
-    first = [ym + eta_t * vm for ym, vm in zip(y, v)]
-    rest = max(first[m] for m in range(n) if m != i and m != j)
-    c = first[i] - (config.effective_tie_tolerance if is_fp else 1)
-    if config.is_exact:  # eta is constant
-        taken = min(length, -((y[j] - c) // rate) - 1) if rest < c else 0
-        steps = (rate, eta_t * v[p])
-        rise, fall = moving = [_progression(y[m], dm, taken) for m, dm in zip((j, p), steps)]
-        _check_block_bits((y[j], y[p]), steps, moving, config.bit_budget, t)
+    if is_exact(eta_t):  # an exact run: eta is constant and the tie tolerance 0
+        p = (i - 1) % n
+        steps = (eta_t * v[j], eta_t * v[p])
+        (*Y, R, Q), L = numerators((*y, *steps))
+        c = Y[i] if is_fp else Y[i] - L
+        gap = c - Y[j]
+        if gap < R * length:
+            length = gap // R + 1 if gap > 0 else 0
+        if length < MIN_BLOCK:
+            return 0, y
+        rest = max([Y[p] + Q] + [Y[m] for m in range(n) if m not in (i, j, p)])  # row 1 off i and j
+        taken = min(length, -(-gap // R) - 1) if rest < c else 0
+        starts = ((Y[j], R), (Y[p], Q))
+        rise, fall = moving = [_progression(y[m], dm, P, Q, L, taken) for m, dm, (P, Q) in zip((j, p), steps, starts)]
+        _check_block_bits(L, [(P + Q, P + taken * Q) for P, Q in starts], moving, config.bit_budget, t)
+        # Row 1 off j and p is y_m + eta 0 = y_m, of y_m's type: an int y_m
+        # has only had int steps, so eta and the weights by m are ints.
+        first = y
         half = Fraction(1, 2)  # a one-coordinate support has energy_gd y_i - 1/2
     else:
+        rate = eta_t * v[j]
+        gap = y[i] - config.effective_tie_tolerance - y[j] if is_fp else y[i] - y[j] - 1
+        if rate > 0 and gap < rate * length:
+            length = int(gap / rate) + 1 if gap > 0 else 0
+        if length < MIN_BLOCK:
+            return 0, y
+        p = (i - 1) % n
+        first = [ym + eta_t * vm for ym, vm in zip(y, v)]
+        rest = max(first[m] for m in range(n) if m != i and m != j)
+        c = first[i] - (config.effective_tie_tolerance if is_fp else 1)
         if not all(map(math.isfinite, first)):
             raise ArithmeticOverflow("float dual state overflowed to inf or nan")
         pair = np.empty((2, length + 1))

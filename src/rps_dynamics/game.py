@@ -13,12 +13,17 @@ number it is formed from is, mixed vectors included, as ``div`` keeps for
 division.  So each kernel reads its mode off its values; one path serves both.
 Folds over a column go through ``over_common_denominator``: numerators over
 one denominator, Python ints for exact cells, so they pay no gcd per operation,
-and a float64 column as itself over 1, so one fold serves both modes.
+and a float64 column as itself over 1, so one fold serves both modes.  The
+exact kernels compute in Python ints too, and form each Fraction they
+return once: the GD response and vertex blocks in ``dynamics`` on
+``numerators`` over one denominator, and ``interior_nash`` on the weights'
+integer ratios; the values they return stay ints and Fractions.
 """
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import truediv
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -51,6 +56,27 @@ def all_exact(values: Sequence[Number]) -> bool:
     return all(is_exact(v) for v in values)
 
 
+# The integer ratio of an exact value, by its type: ``is_exact``'s types, and
+# bool, which folds to an int.
+_RATIOS = {int: int.as_integer_ratio, bool: int.as_integer_ratio, Fraction: Fraction.as_integer_ratio}
+
+
+def numerators(values: Sequence[Number]) -> Tuple[List[int], int]:
+    """Exact values as Python-int numerators over one common denominator, the
+    LCM of theirs: ``(nums, D)`` with values[k] == nums[k] / D.  Int sums,
+    products and comparisons of the numerators pay no gcd per operation, as
+    Fractions do.  Each value's ratio is taken by its type, and a value that
+    is not exact raises KeyError: a caller reads a row's mode off the pass
+    that forms its numerators, with no scan of its own."""
+    return _over_lcm([_RATIOS[type(v)](v) for v in values])
+
+
+def _over_lcm(ratios: List[Tuple[int, int]]) -> Tuple[List[int], int]:
+    """Integer ratios (p, d) as numerators over the LCM of their d."""
+    D = math.lcm(*{d for _, d in ratios})
+    return [p * (D // d) for p, d in ratios], D
+
+
 def over_common_denominator(cells) -> Tuple[np.ndarray, int]:
     """Cells as numerators over one common denominator: ``(nums, D)``, cell k
     equal to nums[k] / D.  A float64 array is its own numerators over D = 1,
@@ -60,9 +86,8 @@ def over_common_denominator(cells) -> Tuple[np.ndarray, int]:
     if isinstance(cells, np.ndarray) and cells.dtype == np.float64:
         return cells, 1
     cells = np.asarray(cells, dtype=object)
-    ratios = [c.as_integer_ratio() for c in cells.ravel().tolist()]
-    D = math.lcm(*{d for _, d in ratios})
-    return np.array([p * (D // d) for p, d in ratios], dtype=object).reshape(cells.shape), D
+    nums, D = _over_lcm([c.as_integer_ratio() for c in cells.ravel().tolist()])
+    return np.array(nums, dtype=object).reshape(cells.shape), D
 
 
 class RpsMatrix:
@@ -165,20 +190,26 @@ class NashResult:
     residual: Number
 
 
-def _stride_two_chain(w: List[Fraction], start: int) -> List[Fraction]:
-    """Normalized solution of x[j+2] = (w[j] / w[j+1]) * x[j] along the
-    stride-two walk from ``start`` until it closes; coordinates off the walk
-    stay 0."""
-    n = len(w)
-    chain = [Fraction(0)] * n
-    chain[start] = Fraction(1)
+def _stride_two_chain(ratios: List[Tuple[int, int]], start: int) -> List[int]:
+    """Int solution of x[j+2] = (w[j] / w[j+1]) * x[j] along the stride-two
+    walk from ``start`` until it closes, each w[k] = a / b given as its
+    integer ratio (a, b); coordinates off the walk stay 0.  The walk keeps
+    its running product as a numerator and a denominator, and every
+    coordinate comes back over the last denominator, which each earlier one
+    divides."""
+    n = len(ratios)
+    N = D = 1
+    walk = {start: (N, D)}
     j = start
     while (j + 2) % n != start:
-        nxt = (j + 2) % n
-        chain[nxt] = chain[j] * w[j] / w[(j + 1) % n]
-        j = nxt
-    total = sum(chain)
-    return [c / total for c in chain]
+        (a, b), (c, d) = ratios[j], ratios[(j + 1) % n]
+        N, D = N * a * d, D * b * c
+        j = (j + 2) % n
+        walk[j] = (N, D)
+    chain = [0] * n
+    for k, (num, den) in walk.items():
+        chain[k] = num * (D // den)
+    return chain
 
 
 def interior_nash(matrix: RpsMatrix) -> NashResult:
@@ -194,32 +225,36 @@ def interior_nash(matrix: RpsMatrix) -> NashResult:
     interior); when it fails the system Ax = 0, sum(x) = 1 has no solution at
     all and SingularSystem is raised.
 
-    The solve always runs in Fraction arithmetic (float weights are converted
-    to their exact binary values); results are returned as Fractions for exact
-    inputs and as floats otherwise.
+    The solve runs in Python ints, on each weight's integer ratio (a float's
+    exact binary value, a numpy scalar's as its Python number), and forms
+    each coordinate once from an int quotient: a Fraction for exact inputs,
+    and otherwise the correctly rounded float of that Fraction.
     """
     n = matrix.n
-    w = [Fraction(v) for v in matrix.weights]
+    ratios = [(w.item() if isinstance(w, np.generic) else w).as_integer_ratio() for w in matrix.weights]
+    quotient = Fraction if matrix.exact else truediv
     if n % 2 == 1:
-        coords: Tuple[Fraction, ...] = tuple(_stride_two_chain(w, 0))
+        chain = _stride_two_chain(ratios, 0)
+        total = sum(chain)
+        coords = tuple(quotient(c, total) for c in chain)
     else:
-        even_prod = math.prod(w[0::2])
-        odd_prod = math.prod(w[1::2])
-        if even_prod != odd_prod:
+        (a_even, b_even), (a_odd, b_odd) = (map(math.prod, zip(*ratios[k::2])) for k in (0, 1))
+        if a_even * b_odd != a_odd * b_even:
             raise SingularSystem(
                 "no interior equilibrium: for even n one is only consistent "
                 f"when prod(even-indexed weights) == prod(odd-indexed weights); "
-                f"got {even_prod} != {odd_prod}, so Ax = 0 forces x = 0"
+                f"got {Fraction(a_even, b_even)} != {Fraction(a_odd, b_odd)}, so Ax = 0 forces x = 0"
             )
-        p, q = (_stride_two_chain(w, start) for start in (0, 1))
-        # Disjoint supports, so |x|^2 = lam^2 |p|^2 + (1-lam)^2 |q|^2; the
-        # minimizer over the segment lands strictly between the endpoints.
-        pp = sum(c * c for c in p)
-        qq = sum(c * c for c in q)
-        lam = qq / (pp + qq)
-        coords = tuple(lam * a + (1 - lam) * b for a, b in zip(p, q))
+        p, q = (_stride_two_chain(ratios, start) for start in (0, 1))
+        # Disjoint supports, so with p and q normalized |x|^2 = lam^2 |p|^2 +
+        # (1-lam)^2 |q|^2, least at lam = |q|^2 / (|p|^2 + |q|^2), strictly
+        # between the endpoints.  Over the chains' sums sp and sq:
+        sp, sq = sum(p), sum(q)
+        pp, qq = sum(c * c for c in p), sum(c * c for c in q)
+        den = pp * sq * sq + qq * sp * sp
+        coords = tuple(quotient(qq * sp * a + pp * sq * b, den) for a, b in zip(p, q))
 
-    point = SimplexPoint(coords if matrix.exact else tuple(float(c) for c in coords))
+    point = SimplexPoint(coords)
     residual = max(abs(v) for v in matrix.apply(point.coords))
     return NashResult(point=point, residual=residual)
 

@@ -355,6 +355,19 @@ def test_float_mode_refuses_values_past_the_float_range():
     assert run(exact, make_rps((huge, 1, 1))).y(1) == (0, huge * huge, -huge)
 
 
+def test_float_mode_refuses_an_eta_that_underflows():
+    """A positive eta whose float() is 0.0 would step with eta = 0 and leave
+    y at 0: float runs refuse it with ConfigInvalid, and rational runs keep
+    it exact."""
+    tiny, small = Fraction(1, 10**400), Fraction(1, 10**300)
+    config = LearnerConfig(algorithm=Algorithm.GRADIENT_DESCENT, horizon=1, x0=SimplexPoint.vertex(3, 0), eta=small)
+    assert run(config, make_rps((1, 1, 1))).y(1) == (0.0, float(small), -float(small))
+    with pytest.raises(ConfigInvalid, match="stays positive as a float"):
+        replace(config, eta=tiny)
+    exact = replace(config, eta=tiny, arithmetic=Arithmetic.EXACT_RATIONAL)
+    assert run(exact, make_rps((1, 1, 1))).y(1) == (0, tiny, -tiny)
+
+
 def test_run_dimension_checks():
     cfg = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=5,
                         x0=SimplexPoint.vertex(3, 0))

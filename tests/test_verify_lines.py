@@ -86,6 +86,31 @@ def test_fp_sqrt_regret_fails_past_its_bound():
     assert "max Reg/sqrt(T) = 20.000, " in c01.details, c01.details
 
 
+def test_energy_ledger_bounds_fail_at_their_ambiguity_bound(monkeypatch):
+    """c07 asks for an ambiguous share strictly below 1e-3.  With every
+    ledger summarised as 1,000 steps with no violation, none uncovered and
+    a ambiguous, it passes at a = 0 and fails at a = 1, where the share
+    over its runs is exactly 1e-3."""
+    def summary(ambiguous):
+        return {"steps": 1000, "in_bounds": 1000 - ambiguous, "violations": 0, "uncovered": 0,
+                "ambiguous": ambiguous, "initial": 1}
+
+    class Store:
+        def get(self, key):
+            return key
+
+    monkeypatch.setattr(V, "energy_growth_ledger", lambda traj: traj)
+    verdicts = {}
+    for ambiguous in (0, 1):
+        monkeypatch.setattr(V, "ledger_summary", lambda ledger, a=ambiguous: summary(a))
+        c07 = V.check_energy_ledger_bounds(Store(), "quick")
+        verdicts[ambiguous] = c07.passed
+        runs = int(c07.details.split(" runs:")[0].rsplit(" ", 1)[1])
+        assert c07.details.endswith(f"{ambiguous * runs} ambiguous ({0.1 * ambiguous:.4f}%)"), c07.details
+    assert runs / (1000 * runs) == 1e-3  # c07's share at a = 1
+    assert verdicts == {0: True, 1: False}
+
+
 if __name__ == "__main__":
     lines = verify_lines()
     with open(GOLDEN, "w", encoding="utf-8") as fh:
