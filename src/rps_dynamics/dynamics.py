@@ -32,10 +32,10 @@ sums are explicit left-to-right folds from int 0, never the builtin ``sum``
 (compensated on floats since Python 3.12), and its squares are IEEE products,
 never libm's ``pow``; so its bytes depend on neither.
 
-``run`` takes the steps of a vertex segment in blocks (``_vertex_block``),
-where every step adds d = eta A e_i.  It is zero but at the two neighbours
-of i, so in both modes a block is (y, d, length): it forms only its two
-moving columns, and the rising one decides where it stops.
+``run`` takes the steps of a vertex segment in blocks of predicted length,
+where every step adds d = eta A e_i.  It is zero but at the two neighbours of
+i, so in both modes a block is (y, d, length): it forms only its two moving
+columns, and the rising one decides where it stops.
 """
 
 import math
@@ -55,7 +55,7 @@ from .errors import (
     DimensionMismatch,
     ProjectionInfeasible,
 )
-from .game import Number, RpsMatrix, SimplexPoint, all_exact, is_exact, numerators, over_common_denominator
+from .game import Number, RpsMatrix, SimplexPoint, all_exact, div, is_exact, numerators, over_common_denominator
 
 # Numeric tolerances of float runs.  Exact-rational runs compare exactly: every
 # tolerance below is 0 for them (see ``tolerance``); a run picks its mode once,
@@ -254,11 +254,11 @@ def _gd_response(y: Sequence[Number], primal: bool = True,
     the sum of Y over S, the energy is (sum_S (m Y_j - s)^2 + (2s - D) m D)
     / (2 m^2 D^2) and x_i = (m Y_i + D - s) / (m D).  Otherwise they are
     floats.  The squares d * d are folded from int 0, and a finite d whose
-    square overflows raises ArithmeticOverflow (``d ** 2`` raised
-    OverflowError).  Float x_i are formed from pairwise differences of dual
-    values (exact when the values are close) rather than subtracting a large
-    mean from a large value; round-off negatives up to ``PROJECTION_CLAMP``
-    are clamped to zero, and anything lower raises ProjectionInfeasible.
+    square overflows raises ArithmeticOverflow.  Float x_i are formed from
+    pairwise differences of dual values (exact when the values are close)
+    rather than subtracting a large mean from a large value; round-off
+    negatives up to ``PROJECTION_CLAMP`` are clamped to zero, and anything
+    lower raises ProjectionInfeasible.
     """
     on, D = _exact_row(y)
     support, mask, total = _support_scan(y) if D is None else _support_scan(on, D)
@@ -566,89 +566,74 @@ def _progression(y0: Number, d: Number, P: int, Q: int, L: int, count: int) -> L
     return [Fraction(c, L) for c in range(P + Q, P + (count + 1) * Q, Q)]
 
 
-def _vertex_block(config: LearnerConfig, etas: List[Number], columns: Tuple[np.ndarray, ...],
-                  x: List[Number], v: List[Number], y: List[Number], i: int, t: int,
-                  ) -> Tuple[int, List[Number]]:
-    """Take steps t, t+1, ... at once while their response stays the vertex
-    i of x^t = ``x``, whose payoffs are ``v``; write their rows to
-    ``columns`` (xs, ys, energies, supports) and return how many were taken
-    and the dual the next step starts from.
+def _block_length(y: Sequence[Number], v: Sequence[Number], i: int, eta_t: Number,
+                  tol: Optional[Number], cap: int) -> int:
+    """The steps a block from the dual ``y`` at vertex i, with payoffs ``v``,
+    may take: at most ``cap``, and none past the one where y_j, j = i+1,
+    rising by eta_t v_j, is predicted to reach y_i - c, c the tie tolerance
+    ``tol`` (FP) or 1 (GD, ``tol`` None).  The quotient is exact on ints and
+    Fractions, and the float quotient, truncated, on floats."""
+    j = (i + 1) % len(y)
+    rate = eta_t * v[j]
+    gap = y[i] - y[j] - 1 if tol is None else y[i] - tol - y[j]
+    if rate > 0 and gap < rate * cap:
+        return int(div(gap, rate)) + 1 if gap > 0 else 0
+    return cap
 
-    Only j = i+1 gains on y_i, at rate d_j = eta w_i, so the gap predicts
-    the segment; a prediction shorter than ``MIN_BLOCK`` takes nothing.  d
-    = eta A e_i is 0 but at j and p = i-1, so every other column holds row
-    1's value y + d, and the rising column j stops the block once row 1's
+
+def _vertex_block(config: LearnerConfig, etas: List[Number], v: List[Number], y: List[Number], i: int, t: int,
+                  length: int) -> Tuple[int, List[Number], Sequence[Number], Sequence[Number], Number]:
+    """The block of at most ``length`` steps from step t at the vertex i of
+    x^t, with payoffs ``v``: how many steps keep i, row 1, the rising and
+    falling columns (their first rows are the block's) and the energy.
+
+    d = eta A e_i is 0 but at j = i+1 and p = i-1, so every other column
+    holds row 1's value, and the rising column stops the block once row 1's
     other cells are below c = y_i - tol, tol the tie tolerance (FP) or 1
-    (GD).  Exact blocks decide in Python ints, on the ``numerators`` of y,
-    d_j and d_p over one L: they stop after ceil((c - y_j) / d_j) - 1 rows,
-    form j and p as progressions and form each stored Fraction once.  Float
-    blocks form j and p by one ``np.add.accumulate``, the scalar steps'
-    sums, and stop at one search for c (FP) or at ``GD_VERTEX_MARGIN``'s
-    bound (GD).  A non-finite float row 1 raises ArithmeticOverflow.  The
-    scalar step takes the row where a block stops.
+    (GD).  Exact blocks decide in ints, on the ``numerators`` of y, d_j and
+    d_p over one L: they stop after ceil((c - y_j) / d_j) - 1 rows and form
+    j and p as progressions.  Float blocks form j and p by one
+    ``np.add.accumulate``, the scalar steps' sums, and stop at one search for
+    c (FP) or at ``GD_VERTEX_MARGIN``'s bound (GD); a non-finite row 1 raises
+    ArithmeticOverflow.  The scalar step takes the row where a block stops.
     """
-    xs, ys, energies, supports = columns
     n = len(y)
     is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
     eta_t = etas[t]
-    j = (i + 1) % n
-    length = min(MAX_BLOCK, config.horizon + 1 - t)
+    j, p = (i + 1) % n, (i - 1) % n
     if is_exact(eta_t):  # an exact run: eta is constant and the tie tolerance 0
-        p = (i - 1) % n
         steps = (eta_t * v[j], eta_t * v[p])
         (*Y, R, Q), L = numerators((*y, *steps))
         c = Y[i] if is_fp else Y[i] - L
         gap = c - Y[j]
-        if gap < R * length:
-            length = gap // R + 1 if gap > 0 else 0
-        if length < MIN_BLOCK:
-            return 0, y
         rest = max([Y[p] + Q] + [Y[m] for m in range(n) if m not in (i, j, p)])  # row 1 off i and j
         taken = min(length, -(-gap // R) - 1) if rest < c else 0
         starts = ((Y[j], R), (Y[p], Q))
         rise, fall = moving = [_progression(y[m], dm, P, Q, L, taken) for m, dm, (P, Q) in zip((j, p), steps, starts)]
         _check_block_bits(L, [(P + Q, P + taken * Q) for P, Q in starts], moving, config.bit_budget, t)
         # Row 1 off j and p is y_m + eta 0 = y_m, of y_m's type: an int y_m
-        # has only had int steps, so eta and the weights by m are ints.
-        first = y
-        half = Fraction(1, 2)  # a one-coordinate support has energy_gd y_i - 1/2
+        # has only had int steps, so eta and the weights by m are ints.  A
+        # one-coordinate support has energy_gd y_i - 1/2.
+        return taken, y, rise, fall, y[i] if is_fp else y[i] - Fraction(1, 2)
+    first = [ym + eta_t * vm for ym, vm in zip(y, v)]
+    rest = max(first[m] for m in range(n) if m != i and m != j)
+    c = first[i] - (config.effective_tie_tolerance if is_fp else 1)
+    if not all(map(math.isfinite, first)):
+        raise ArithmeticOverflow("float dual state overflowed to inf or nan")
+    pair = np.empty((2, length + 1))
+    if config.eta_schedule is None:
+        pair[0], pair[1] = eta_t * v[j], eta_t * v[p]
     else:
-        rate = eta_t * v[j]
-        gap = y[i] - config.effective_tie_tolerance - y[j] if is_fp else y[i] - y[j] - 1
-        if rate > 0 and gap < rate * length:
-            length = int(gap / rate) + 1 if gap > 0 else 0
-        if length < MIN_BLOCK:
-            return 0, y
-        p = (i - 1) % n
-        first = [ym + eta_t * vm for ym, vm in zip(y, v)]
-        rest = max(first[m] for m in range(n) if m != i and m != j)
-        c = first[i] - (config.effective_tie_tolerance if is_fp else 1)
-        if not all(map(math.isfinite, first)):
-            raise ArithmeticOverflow("float dual state overflowed to inf or nan")
-        pair = np.empty((2, length + 1))
-        if config.eta_schedule is None:
-            pair[0], pair[1] = rate, eta_t * v[p]
-        else:
-            pair[:, 1:] = np.multiply.outer((v[j], v[p]), etas[t:t + length])
-        pair[0, 0], pair[1, 0] = y[j], y[p]
-        rise, fall = np.add.accumulate(pair, axis=1)[:, 1:]  # an inf row fails below
-        if is_fp:
-            taken = int(np.searchsorted(rise, c)) if rest < c else 0
-        else:
-            scale = max(1.0, *map(abs, first), abs(rise[-1]), abs(fall[-1]))
-            gaps = first[i] - np.maximum(rise, rest) - 1
-            taken = int(np.count_nonzero(gaps > GD_VERTEX_MARGIN * (n * n) * scale))
-        half = 0.5
-    if not taken:
-        return 0, y
-    rows = ys[t + 1:t + 1 + taken]
-    rows[:] = first
-    rows[:, j] = rise[:taken]
-    rows[:, p] = fall[:taken]
-    energies[t + 1:t + 1 + taken] = first[i] if is_fp else first[i] - half
-    xs[t:t + taken] = x
-    supports[t + 1:t + 1 + taken] = 1 << i
-    return taken, rows[-1].tolist()
+        pair[:, 1:] = np.multiply.outer((v[j], v[p]), etas[t:t + length])
+    pair[0, 0], pair[1, 0] = y[j], y[p]
+    rise, fall = np.add.accumulate(pair, axis=1)[:, 1:]  # an inf row fails below
+    if is_fp:
+        taken = int(np.searchsorted(rise, c)) if rest < c else 0
+    else:
+        scale = max(1.0, *map(abs, first), abs(rise[-1]), abs(fall[-1]))
+        gaps = first[i] - np.maximum(rise, rest) - 1
+        taken = int(np.count_nonzero(gaps > GD_VERTEX_MARGIN * (n * n) * scale))
+    return taken, first, rise, fall, first[i] if is_fp else first[i] - 0.5
 
 
 def _tile(column: np.ndarray, start: int, stop: int) -> None:
@@ -666,9 +651,10 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
     Scalar step t writes x^t to row t of ``xs``, forms y^{t+1} = y^t + eta_t
     A x^t, and writes it and its response to row t+1 of the other columns.
     A x^t is formed once per primal iterate, when the step picks x, and
-    serves both the next dual update and a block.  With ``blocks``, every
-    step whose response is a vertex is followed by a ``_vertex_block``,
-    which takes nothing when its predicted length is below ``MIN_BLOCK``.
+    serves both the next dual update and a block.  With ``blocks``, a step
+    whose response is a vertex predicts the block after it (``_block_length``)
+    and forms it (``_vertex_block``) when it reaches ``MIN_BLOCK`` rows.  This
+    loop writes every row: a scalar step's, a block's and a closed orbit's.
 
     With ``blocks``, fictitious play under a rule that reads only (y,
     incumbent), every rule but ``random_seeded``, also closes its orbit:
@@ -754,9 +740,21 @@ def _simulate(config: LearnerConfig, matrix: RpsMatrix, blocks: bool) -> Traject
                     v = game.apply(x)
                 vertex = support[0] if len(support) == 1 else None
             t += 1
-            if vertex is not None and blocks and t <= T:
-                taken, y = _vertex_block(config, etas, columns, x, v, y, vertex, t)
-                t += taken
+            if vertex is None or not blocks or t > T:
+                continue
+            length = _block_length(y, v, vertex, etas[t], tol if is_fp else None, min(MAX_BLOCK, T + 1 - t))
+            if length < MIN_BLOCK:
+                continue
+            taken, row1, rise, fall, energy = _vertex_block(config, etas, v, y, vertex, t, length)
+            rows = ys[t + 1:t + 1 + taken]
+            rows[:] = row1
+            rows[:, (vertex + 1) % n] = rise[:taken]
+            rows[:, (vertex - 1) % n] = fall[:taken]
+            energies[t + 1:t + 1 + taken] = energy
+            xs[t:t + taken] = x
+            supports[t + 1:t + 1 + taken] = 1 << vertex
+            t += taken
+            y = ys[t].tolist()
     except OverflowError as exc:
         raise ArithmeticOverflow(f"float state overflowed: {exc}") from exc
     if not exact and not all(map(math.isfinite, y)):  # inf and nan never turn finite
@@ -772,14 +770,14 @@ def run(config: LearnerConfig, matrix: RpsMatrix) -> Trajectory:
     y^{T+1} is recorded as support row T+1, but x^{T+1} is not formed.
 
     After each scalar step whose response is a vertex, the steps that keep
-    it are taken in one block (``_vertex_block``); the others are scalar
-    steps.  A x^t is formed once per primal iterate, and a fictitious-play
-    orbit that closes is tiled (see ``_simulate``).  The
-    columns are identical, byte for byte and type for type, to those of
-    ``oracle.run_stepwise``, the same loop without blocks and the reference
-    this engine is tested against.  Blocks sum in numpy with overflow
-    warnings off: a dual that overflows ends the run on a non-finite row,
-    which raises ArithmeticOverflow as the reference does.
+    it are taken in one block when at least ``MIN_BLOCK`` of them are
+    predicted; the others are scalar steps.  A x^t is formed once per primal
+    iterate, and a fictitious-play orbit that closes is tiled (see
+    ``_simulate``).  The columns are identical, byte for byte and type for
+    type, to those of ``oracle.run_stepwise``, the same loop without blocks
+    and the reference this engine is tested against.  Blocks sum in numpy
+    with overflow warnings off: a dual that overflows ends the run on a
+    non-finite row, which raises ArithmeticOverflow as the reference does.
     """
     with np.errstate(over="ignore"):
         return _simulate(config, matrix, blocks=True)

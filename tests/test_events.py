@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from rps_dynamics import (
@@ -36,6 +36,7 @@ from rps_dynamics import (
 )
 from rps_dynamics import dynamics, oracle, verification
 from rps_dynamics.experiment import parse_config
+from rps_dynamics.game import numerators
 
 COLUMNS = ("xs", "ys", "energies", "supports")
 STORES = {cap: verification.TrajectoryStore(cap) for cap in (verification.QUICK_CAP, 10**4)}
@@ -71,10 +72,26 @@ def assert_same_outcome(config, matrix):
 
 @pytest.mark.parametrize("cap", sorted(STORES))
 @pytest.mark.parametrize("slot", STORES[verification.QUICK_CAP].catalog())
-def test_run_matches_stepwise_on_every_store_slot(slot, cap):
+def test_run_matches_stepwise_on_every_store_slot(block_calls, slot, cap):
+    """Also: every block the loop forms was predicted at ``MIN_BLOCK`` rows
+    or more, by the formula of its row's number type (``block_length``)."""
     spec = parse_config(STORES[cap].configs[slot])
     matrix = make_rps(spec.weights)
     assert_same_columns(run(spec.learner, matrix), oracle.run_stepwise(spec.learner, matrix))
+    for i, t, _, y, d, length in block_calls:
+        assert length == block_length(spec.learner, y, d, i, t) >= dynamics.MIN_BLOCK, (t, length)
+
+
+def test_no_block_is_formed_where_none_is_predicted(block_calls):
+    """Float tournament play on (0.1, 0.2, 0.3) from e_1 never keeps a vertex
+    for ``MIN_BLOCK`` steps: the loop's prediction turns every block down, so
+    ``_vertex_block`` is never called (the gate once sat inside it, and the
+    run called it after each of its 2,000 vertex steps)."""
+    config = LearnerConfig(algorithm=Algorithm.FICTITIOUS_PLAY, horizon=2000, x0=SimplexPoint.vertex(3, 0),
+                           tiebreak=TiebreakRule(TiebreakKind.TOURNAMENT))
+    matrix = make_rps((0.1, 0.2, 0.3))
+    assert_same_columns(run(config, matrix), oracle.run_stepwise(config, matrix))
+    assert block_calls == []
 
 
 @pytest.fixture
@@ -120,7 +137,7 @@ def apply_calls(monkeypatch):
 def test_run_forms_one_payoff_vector_per_iterate(block_sizes, apply_calls, closures, slot):
     """A x is formed for x^0 and then once per scalar step, and each block
     reuses the vector of the step before it.  Every scalar step whose
-    response is a vertex tries a block, so fp4_random, whose vertex runs
+    response is a vertex predicts a block, so fp4_random, whose vertex runs
     are often short, takes few scalar steps.  gd3_small never reaches a
     vertex: it takes no block and is the control."""
     spec = parse_config(STORES[10**4].configs[slot])
@@ -362,13 +379,14 @@ def test_store_orbit_periods(slot, period):
 @pytest.fixture
 def block_calls(monkeypatch):
     """Each block of ``run``, in order: its vertex i, its first step t, the
-    steps it took, and the y and d = eta_t A x it started from."""
+    steps it took, the y and d = eta_t A x it started from, and the length
+    the loop predicted for it."""
     calls = []
     block = dynamics._vertex_block
 
-    def recorded(config, etas, columns, x, v, y, i, t):
-        result = block(config, etas, columns, x, v, y, i, t)
-        calls.append((i, t, result[0], list(y), [etas[t] * vi for vi in v]))
+    def recorded(config, etas, v, y, i, t, length):
+        result = block(config, etas, v, y, i, t, length)
+        calls.append((i, t, result[0], list(y), [etas[t] * vi for vi in v], length))
         return result
 
     monkeypatch.setattr(dynamics, "_vertex_block", recorded)
@@ -392,7 +410,7 @@ def assert_exact_blocks_are_maximal(config, matrix, calls):
     assert_same_columns(run(config, matrix), ref)
     c = 0 if config.algorithm == Algorithm.FICTITIOUS_PLAY else 1
     stopped = at_zero = 0
-    for i, t, taken, _, _ in calls:
+    for i, t, taken, *_ in calls:
         if taken:
             rows = ref.ys[t + 1:t + 2 + taken].tolist()
             assert all(_row_gap(row, i, c) > 0 for row in rows[:taken]), (t, taken)
@@ -450,7 +468,7 @@ def test_exact_blocks_stop_where_the_gap_reaches_zero(block_calls, case):
     = gap / slope an integer, is what an off-by-one gets wrong either way."""
     (config, matrix), kinds = EXACT_BLOCK_CASES[case]
     assert assert_exact_blocks_are_maximal(config, matrix, block_calls)[1] > 0
-    started = {(_types(y), _types([v for v in d if v != 0])) for _, _, taken, y, d in block_calls if taken}
+    started = {(_types(y), _types([v for v in d if v != 0])) for _, _, taken, y, d, _ in block_calls if taken}
     assert started == kinds
 
 
@@ -471,7 +489,7 @@ def test_exact_block_crossing_the_bit_budget_raises_like_stepwise(monkeypatch, b
     assert assert_exact_blocks_are_maximal(config, matrix, block_calls)[0] > 0
     ref = oracle.run_stepwise(config, matrix)
     reach = np.maximum.accumulate([_bits(row) for row in ref.ys.tolist()])  # budget to reach row s
-    t, taken = next((t, taken) for _, t, taken, _, _ in block_calls if reach[t + 1] < reach[t + taken])
+    t, taken = next((t, taken) for _, t, taken, *_ in block_calls if reach[t + 1] < reach[t + taken])
     config = dataclasses.replace(config, bit_budget=int(reach[t + 1]))
     raised = []
     check_block = dynamics._check_block_bits
@@ -513,17 +531,103 @@ def keeps_vertex(rows, i, tie_tol):
     return gap > dynamics.GD_VERTEX_MARGIN * (n * n) * np.maximum(1.0, np.abs(rows).max(axis=1))
 
 
-def block_length(config, y, d, i, t):
-    """The rows a block from step t may take: up to the row where
-    coordinate i+1, the one that gains on y_i, is predicted to reach it, at
-    most ``MAX_BLOCK`` and the horizon (``_vertex_block``)."""
+def float_block_length(y, d, i, tol, cap):
+    """The rows a block from the float dual ``y`` at vertex i may take: up
+    to the row where coordinate j = i+1, the one that gains d_j on y_i per
+    step, is predicted to reach y_i - c, c the tie tolerance ``tol`` (FP)
+    or 1 (GD, ``tol`` None); at most ``cap``, ``MAX_BLOCK`` or the rows to
+    the horizon."""
     j = (i + 1) % len(y)
-    is_fp = config.algorithm == Algorithm.FICTITIOUS_PLAY
-    gap = y[i] - config.effective_tie_tolerance - y[j] if is_fp else y[i] - y[j] - 1
-    length = min(dynamics.MAX_BLOCK, config.horizon + 1 - t)
-    if d[j] > 0 and gap < d[j] * length:
-        length = int(gap / d[j]) + 1 if gap > 0 else 0
-    return length
+    gap = y[i] - y[j] - 1 if tol is None else y[i] - tol - y[j]
+    if d[j] > 0 and gap < d[j] * cap:
+        return int(gap / d[j]) + 1 if gap > 0 else 0
+    return cap
+
+
+def exact_block_length(y, d, i, tol, cap):
+    """``float_block_length`` on an exact row, whose tie tolerance is 0, in
+    Python ints: y and d_j as numerators Y and R over one L."""
+    j = (i + 1) % len(y)
+    (*Y, R), L = numerators((*y, d[j]))
+    gap = Y[i] - Y[j] - (L if tol is None else 0)
+    if gap < R * cap:
+        return gap // R + 1 if gap > 0 else 0
+    return cap
+
+
+def block_length(config, y, d, i, t):
+    """The rows a block of ``config``'s run from step t may take, by the
+    formula of its number type."""
+    tol = config.effective_tie_tolerance if config.algorithm == Algorithm.FICTITIOUS_PLAY else None
+    predict = exact_block_length if config.is_exact else float_block_length
+    return predict(y, d, i, tol, min(dynamics.MAX_BLOCK, config.horizon + 1 - t))
+
+
+@st.composite
+def predictions(draw):
+    """A vertex block's prediction inputs: a float, int or Fraction dual row
+    y at vertex i, eta_t and payoffs v, the tie tolerance (FP) or None (GD)
+    and a cap, small where a run nears its horizon.  y_j sits k rates, give
+    or take a little, below y_i - c: the gap is negative, 0, a multiple of
+    the rate, between multiples or past the cap.  Float rates include 0.0,
+    the product of an eta and a weight that underflows."""
+    kind = draw(st.sampled_from(["float", "float", "int", "fraction"]))
+    n = draw(st.integers(3, 8))
+    i = draw(st.integers(0, n - 1))
+    j = (i + 1) % n
+    fp = draw(st.booleans())
+    if kind == "float":  # decimal rows and rates, whose quotients round near integers
+        eta, w = draw(st.sampled_from([(1.0, 0.1), (6.0, 0.3), (0.3, 7.0), (1.7, 0.2), (1e-200, 1e-200)]))
+        scale = draw(st.sampled_from([1.0, 0.1, 0.01]))
+        y = [v * scale for v in draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))]
+        tol = draw(st.sampled_from([dynamics.TIE_TOL, 0.0, 1e-3])) if fp else None
+        rate = eta * w or 1.0  # a rate of 0.0 places y_j as a rate of 1 would
+        offset = draw(st.sampled_from([0.0, 0.0, 1e-9, -1e-9, 0.5 * rate]))
+    else:
+        number = int if kind == "int" else (lambda v: Fraction(v, draw(st.integers(1, 60))))
+        eta, w = number(draw(st.integers(1, 9))), number(draw(st.integers(1, 9)))
+        y = [number(v) for v in draw(st.lists(st.integers(-10**6, 10**6), min_size=n, max_size=n))]
+        tol = 0 if fp else None
+        rate = eta * w
+        offset = draw(st.sampled_from([0, Fraction(1, 7), -Fraction(1, 7)])) * rate
+    k = draw(st.one_of(st.integers(-3, 20), st.integers(20, 2 * dynamics.MAX_BLOCK)))
+    y[j] = y[i] - (1 if tol is None else tol) - (k * rate + offset)
+    v = [draw(st.sampled_from([w, -w, 0 * w])) for _ in range(n)]
+    v[j] = w
+    cap = min(dynamics.MAX_BLOCK, draw(st.sampled_from([1, 2, 7, 8, 9, 50, 10**5])))
+    return kind, y, v, i, eta, tol, cap
+
+
+def test_block_prediction_is_each_number_types_formula():
+    """The loop's one prediction (``_block_length``) equals the float
+    formula on float rows and the int-numerator one on int and Fraction
+    rows, for both learners, a rate that underflows to 0.0, a gap at or
+    below 0 and caps at the horizon.  The examples are float rows where
+    ``//`` in place of the truncated quotient, or the other order of the
+    gap's two subtractions, would predict one row more or less, and an int
+    row whose float quotient rounds up to an integer."""
+    seen = set()
+
+    @settings(derandomize=True, max_examples=600, deadline=None)
+    @given(predictions())
+    @example(("float", [-3.0, -25.0, 0.0], [0.0, 7.0, -7.0], 0, 0.3, None, 50))
+    @example(("float", [86.10000000000001, 85.599999999, 0.0], [0.0, 0.1, -0.1], 0, 1.0, 1e-9, 50))
+    @example(("float", [-55.6, -75.400000001, 0.0], [0.0, 0.3, -0.3], 0, 6.0, 1e-9, 50))
+    @example(("float", [0.7000000000000001, -1.2, 0.0], [0.0, 0.1, -0.1], 0, 1.0, None, 50))
+    @example(("int", [5 * (2**60 + 1) - 1, 0, 0], [0, 2**60 + 1, -(2**60 + 1)], 0, 1, 0, 50))
+    def check(case):
+        kind, y, v, i, eta, tol, cap = case
+        d = [eta * vk for vk in v]
+        predict = float_block_length if kind == "float" else exact_block_length
+        length = dynamics._block_length(y, v, i, eta, tol, cap)
+        assert type(length) is int and length == predict(y, d, i, tol, cap)
+        seen.add((kind, tol is None, "zero rate" if d[(i + 1) % len(y)] == 0 else
+                  "none" if length == 0 else "cap" if length == cap else "gap"))
+
+    check()
+    wanted = {(kind, gd, case) for kind in ("float", "int", "fraction") for gd in (False, True)
+              for case in ("none", "cap", "gap")} | {("float", gd, "zero rate") for gd in (False, True)}
+    assert wanted <= seen, wanted - seen
 
 
 def rule_taken(config, rows, i):
@@ -544,10 +648,10 @@ def assert_float_blocks_take_what_the_rule_keeps(config, matrix, calls):
     ref = oracle.run_stepwise(config, matrix)
     calls.clear()
     assert_same_columns(run(config, matrix), ref)
-    for i, t, taken, y, d in calls:
-        rows = ref.ys[t + 1:t + 1 + block_length(config, y, d, i, t)]
-        assert taken == rule_taken(config, rows, i), (t, taken)
-    return sum(taken for _, _, taken, _, _ in calls)
+    for i, t, taken, y, d, length in calls:
+        assert length == block_length(config, y, d, i, t), (t, length)
+        assert taken == rule_taken(config, ref.ys[t + 1:t + 1 + length], i), (t, taken)
+    return sum(taken for _, _, taken, *_ in calls)
 
 
 FLOAT_SLOTS = [slot for slot, cfg in STORES[verification.QUICK_CAP].configs.items()
@@ -600,7 +704,7 @@ def test_blocks_whose_last_row_overflows(block_calls, algorithm):
     fast, ref = outcome(run, config, matrix), outcome(oracle.run_stepwise, config, matrix)
     assert fast == ref and fast[0] is ArithmeticOverflow
     seen = []
-    for i, t, taken, y, d in block_calls:
+    for i, t, taken, y, d, _ in block_calls:
         length = block_length(config, y, d, i, t)
         with np.errstate(over="ignore", invalid="ignore"):
             rows = scalar_rows(y, d, length)
@@ -615,17 +719,20 @@ def test_blocks_whose_last_row_overflows(block_calls, algorithm):
 
 
 def block_rows(config, matrix, y, i):
-    """The rows ``_vertex_block`` takes at step 1 of a run, from the dual
-    ``y`` after a step whose response is vertex i."""
-    n, T = matrix.n, config.horizon
+    """The dual rows a block takes at step 1 of a run, from the dual ``y``
+    after a step whose response is vertex i: none when the prediction is
+    below ``MIN_BLOCK``, else the rows ``_vertex_block`` forms."""
+    n = matrix.n
     x = [0] * n
     x[i] = 1 if config.algorithm == _FP else 1.0
-    dtype = object if config.is_exact else float
-    columns = (np.empty((T + 1, n), dtype), np.empty((T + 2, n), dtype), np.empty(T + 2, dtype),
-               np.zeros(T + 2, dtype=np.uint64))
-    etas = config.etas().tolist()
-    taken, _ = dynamics._vertex_block(config, etas, columns, x, matrix.apply(x), list(y), i, 1)
-    return columns[1][2:2 + taken]
+    v, etas = matrix.apply(x), config.etas().tolist()
+    length = block_length(config, y, [etas[1] * vk for vk in v], i, 1)
+    rows = np.empty((0, n), dtype=object if config.is_exact else float)
+    if length >= dynamics.MIN_BLOCK:
+        taken, row1, rise, fall, _ = dynamics._vertex_block(config, etas, v, list(y), i, 1, length)
+        rows = np.array([row1] * taken, dtype=rows.dtype).reshape(taken, n)
+        rows[:, (i + 1) % n], rows[:, (i - 1) % n] = rise[:taken], fall[:taken]
+    return rows
 
 
 @pytest.mark.parametrize("algorithm", [_FP, _GD])
